@@ -31,7 +31,7 @@ from spar import (
     spa_r_verdict,
     spa_threshold,
 )
-from spar.sweeps import TABLE1_ALPHAS, bisect_boundary, sweep_rows, table1_rows
+from spar.sweeps import SWEEP_COLUMNS, TABLE1_ALPHAS, bisect_boundary, sweep_rows, table1_rows
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
@@ -47,8 +47,7 @@ def write_csv(name, rows, columns):
 
 
 def sweep_to_csv(name, family, params, ps):
-    columns = ["param", "p", "traceNormSpaR", "upperBound", "violated", "l", "k", "q1", "q2"]
-    write_csv(name, list(sweep_rows(family, params, ps)), columns)
+    write_csv(name, list(sweep_rows(family, params, ps)), SWEEP_COLUMNS)
 
 
 def main():

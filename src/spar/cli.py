@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 
 from .config import DEFAULT
 from .criteria import criterion_report, q1_realignment_moments
 from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
-from .realign import Verdict, realignment_criterion
+from .realign import Verdict, realign, realignment_criterion
 from .spa import certify_completely_positive, spa_threshold
-from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
-from .sweeps import FAMILIES, family_state, sweep_rows, table1_rows
+from .states import DensityMatrix, format_float, read_matrix_file, read_state_file, write_state_file
+from .sweeps import FAMILIES, SWEEP_COLUMNS, family_state, sweep_rows, table1_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +45,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if value != value:
             return '"nan"'
-        return format(value, ".17g")
+        return format_float(value)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(value)}")
@@ -73,12 +74,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
+def _csv(rows: list[dict], columns: Sequence[str]) -> str:
     def cell(v):
         if v is None:
             return ""
         if isinstance(v, float):
-            return format(v, ".17g")
+            return format_float(v)
         return str(v)
 
     lines = [",".join(columns)]
@@ -87,9 +88,13 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _load_state(args) -> tuple[DensityMatrix, dict]:
+    if args.family and args.state:
+        raise ValueError("give either --family/--param or --state, not both")
     if args.state:
         rho = read_state_file(args.state)
         return rho, {"state": args.state}
+    if args.family is None or args.param is None:
+        raise ValueError(f"{args.command} needs --state or --family with --param")
     rho = family_state(args.family, args.param)
     return rho, {"family": args.family, "param": args.param}
 
@@ -109,24 +114,22 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> dict:
-    if rho.dim_a != rho.dim_b:
+    head = {"input": source, "dims": [rho.dim_a, rho.dim_b], "p": p, "tolerance": tol}
+    r = realign(rho)
+    if not r.is_square:
         # the SPA machinery needs equal subsystem dimensions; report the
         # dimension-agnostic realignment data only
-        verdict, score = realignment_criterion(rho, tol=tol)
+        verdict, score = realignment_criterion(r, tol=tol)
         return {
-            "input": source,
-            "dims": [rho.dim_a, rho.dim_b],
-            "p": p,
-            "tolerance": tol,
+            **head,
             "realignment": {"trace_norm": score, "verdict": verdict},
-            "moments": {"q1": q1_realignment_moments(rho), "q2": None},
+            "moments": {"q1": q1_realignment_moments(r), "q2": None},
         }
-    report = criterion_report(rho, p, tol=tol)
-    record = {
-        "input": source,
-        "dims": [rho.dim_a, rho.dim_b],
-        "p": p,
-        "tolerance": tol,
+    report = criterion_report(r, p, tol=tol)
+    threshold = spa_threshold(r)
+    cert = certify_completely_positive(threshold, p)
+    return {
+        **head,
         "realignment": {
             "trace": report.trace_r,
             "trace_norm": report.realignment_score,
@@ -145,24 +148,20 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> d
             "bound_valid": report.error.bound_valid,
         },
         "moments": {"q1": report.q1, "q2": report.q2},
-    }
-    if rho.dim_a == rho.dim_b:
-        threshold = spa_threshold(rho)
-        cert = certify_completely_positive(rho, p)
-        record["spa"] = {
+        "spa": {
             "l": threshold.l,
             "k": threshold.k,
             "lower_bound": threshold.lower_bound,
             "trace_r": threshold.trace_r,
             "psd": threshold.psd,
             "coefficients": list(threshold.coefficients),
-        }
-        record["cp_certificate"] = {
+        },
+        "cp_certificate": {
             "certified": cert.certified,
             "gamma1": cert.gamma1,
             "gamma2": cert.gamma2,
-        }
-    return record
+        },
+    }
 
 
 def cmd_analyze(args) -> int:
@@ -201,8 +200,7 @@ def cmd_sweep(args) -> int:
         for i, param in enumerate(params):
             path = os.path.join(args.dump_states, f"{args.family}_{i:04d}.json")
             write_state_file(path, family_state(args.family, param))
-    columns = ["param", "p", "traceNormSpaR", "upperBound", "violated", "l", "k", "q1", "q2"]
-    _emit(_csv(rows, columns), args.out)
+    _emit(_csv(rows, SWEEP_COLUMNS), args.out)
     return EXIT_OK
 
 
@@ -220,9 +218,10 @@ def cmd_estimate_m1(args) -> int:
                 print("error: --p is required when estimating from a state", file=sys.stderr)
                 return EXIT_USAGE
             perm = read_matrix_file(args.perm) if args.perm else None
-            s = simulate_s(rho, args.p, permutation=perm)
-            k = spa_threshold(rho).k if args.k is None else args.k
-            d = rho.dim_a
+            r = realign(rho)
+            s = simulate_s(r, args.p, permutation=perm)
+            k = spa_threshold(r).k if args.k is None else args.k
+            d = r.dim_a
         else:
             if args.s is None or args.d is None or args.k is None:
                 print("error: provide --s, --d and --k (or a state source)", file=sys.stderr)
@@ -258,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT.verdict,
                         help="verdict tolerance on strict inequalities")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subroutines")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     parser = argparse.ArgumentParser(prog="spar",
@@ -305,13 +302,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if getattr(args, "family", None) and getattr(args, "state", None):
-        print("error: give either --family/--param or --state, not both", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "analyze":
-        if not args.state and (args.family is None or args.param is None):
-            print("error: analyze needs --state or --family with --param", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

@@ -13,9 +13,8 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT
-from .realign import Verdict, realign, realignment_moment
+from .realign import StateLike, Verdict, as_realigned, realignment_criterion, realignment_moment
 from .spa import apply_spa, require_positive_trace
-from .states import DensityMatrix
 
 __all__ = [
     "ErrorReport",
@@ -40,13 +39,21 @@ def spa_r_upper_bound(trace_r: float, p: float) -> float:
     return p + (1.0 - p) / trace_r
 
 
-def spa_r_verdict(rho: DensityMatrix, p: float, tol: float = DEFAULT.verdict) -> Verdict:
-    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by tol."""
-    r = realign(rho)
+def spa_r_criterion(
+    rho: StateLike, p: float, tol: float = DEFAULT.verdict
+) -> tuple[Verdict, float, float]:
+    """SPA separability test with its numbers: the verdict, ||spa(rho; p)||_1
+    and the separable bound it is compared against."""
+    r = as_realigned(rho)
     trace_r = require_positive_trace(r)
-    norm = linalg.trace_norm(apply_spa(rho, p))
+    norm = linalg.trace_norm(apply_spa(r, p))
     bound = spa_r_upper_bound(trace_r, p)
-    return Verdict.ENTANGLED if norm > bound + tol else Verdict.INCONCLUSIVE
+    return Verdict.from_score(norm, bound, tol), norm, bound
+
+
+def spa_r_verdict(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Verdict:
+    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by tol."""
+    return spa_r_criterion(rho, p, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -68,31 +75,31 @@ class ErrorReport:
     bound_valid: bool
 
 
-def error_suite(rho: DensityMatrix, p: float, tol: float = DEFAULT.verdict) -> ErrorReport:
+def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> ErrorReport:
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds."""
-    r = realign(rho)
+    r = as_realigned(rho)
     trace_r = require_positive_trace(r)
-    spa = apply_spa(rho, p)
+    spa = apply_spa(r, p)
     error_norm = linalg.trace_norm(spa - r.matrix)
     bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
     bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
-    verdict = Verdict.ENTANGLED if error_norm > bound_separable + tol else Verdict.INCONCLUSIVE
     return ErrorReport(
         error_norm=error_norm,
         bound_general=bound_general,
         bound_separable=bound_separable,
-        verdict=verdict,
+        verdict=Verdict.from_score(error_norm, bound_separable, tol),
         bound_valid=p <= 1.0 - trace_r + tol,
     )
 
 
-def q1_realignment_moments(rho: DensityMatrix) -> float:
+def q1_realignment_moments(rho: StateLike) -> float:
     """Singular-moment score r_2^2 - r_3; a positive value certifies
     entanglement (separable states obey r_2^2 <= r_1 r_3 <= r_3)."""
-    return realignment_moment(rho, 2) ** 2 - realignment_moment(rho, 3)
+    r = as_realigned(rho)
+    return realignment_moment(r, 2) ** 2 - realignment_moment(r, 3)
 
 
-def q2_rmoment(rho: DensityMatrix) -> float:
+def q2_rmoment(rho: StateLike) -> float:
     """3x3-only score 56 D_8^(1/8) + Tr[R(rho)] - 1 with D_8 the product of
     the squares of the eight largest singular values of rho; positive values
     certify entanglement.
@@ -102,11 +109,12 @@ def q2_rmoment(rho: DensityMatrix) -> float:
     constant 56 and the exponent 1/8 are specific to two qutrits, so other
     dimensions are rejected.
     """
-    if (rho.dim_a, rho.dim_b) != (3, 3):
+    r = as_realigned(rho)
+    if (r.dim_a, r.dim_b) != (3, 3):
         raise ValueError("q2_rmoment is defined for 3x3 systems only")
-    sigma = linalg.singular_values(rho.matrix)[:8]
+    sigma = linalg.singular_values(r.state.matrix)[:8]
     d8 = float(np.prod(sigma**2))
-    return 56.0 * d8 ** (1.0 / 8.0) + realign(rho).trace - 1.0
+    return 56.0 * d8 ** (1.0 / 8.0) + r.trace - 1.0
 
 
 @dataclass(frozen=True)
@@ -125,22 +133,21 @@ class CriterionReport:
     q2: float | None
 
 
-def criterion_report(rho: DensityMatrix, p: float, tol: float = DEFAULT.verdict) -> CriterionReport:
+def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> CriterionReport:
     """Run every criterion that applies to the state at the given p."""
-    r = realign(rho)
+    r = as_realigned(rho)
     trace_r = require_positive_trace(r)
-    score = r.trace_norm
-    norm = linalg.trace_norm(apply_spa(rho, p))
-    bound = spa_r_upper_bound(trace_r, p)
+    realignment_verdict, score = realignment_criterion(r, tol)
+    spa_verdict, norm, bound = spa_r_criterion(r, p, tol)
     return CriterionReport(
         p=p,
         trace_r=trace_r,
         realignment_score=score,
-        realignment_verdict=Verdict.ENTANGLED if score > 1 + tol else Verdict.INCONCLUSIVE,
+        realignment_verdict=realignment_verdict,
         trace_norm_spa_r=norm,
         upper_bound=bound,
-        spa_r_verdict=Verdict.ENTANGLED if norm > bound + tol else Verdict.INCONCLUSIVE,
-        error=error_suite(rho, p, tol=tol),
-        q1=q1_realignment_moments(rho),
-        q2=q2_rmoment(rho) if (rho.dim_a, rho.dim_b) == (3, 3) else None,
+        spa_r_verdict=spa_verdict,
+        error=error_suite(r, p, tol=tol),
+        q1=q1_realignment_moments(r),
+        q2=q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None,
     )

@@ -17,7 +17,6 @@ __all__ = [
     "kron",
     "vec",
     "hermiticity_defect",
-    "is_hermitian",
     "hermitian_eigenvalues",
     "general_eigenvalues",
     "singular_values",
@@ -56,10 +55,6 @@ def hermiticity_defect(m) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError("hermiticity is only defined for square matrices")
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def is_hermitian(m, tol: float = DEFAULT.precondition) -> bool:
-    return hermiticity_defect(m) <= tol
 
 
 def hermitian_eigenvalues(m, tol: float = DEFAULT.precondition) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT
 from .exceptions import DomainError
+from .realign import StateLike, as_realigned
 from .spa import apply_spa
-from .states import DensityMatrix
 
 __all__ = [
     "CaseTag",
@@ -134,16 +134,17 @@ def swap_operator(d: int) -> np.ndarray:
     return m
 
 
-def simulate_s(rho: DensityMatrix, p: float, permutation=None) -> float:
+def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
     """Numerically evaluate s = Tr[spa(rho; p) P].
 
     ``permutation`` defaults to SWAP/d, the canonical trace-one permutation
     operator on two copies; any operator with unit trace (within 1e-10) is
     accepted. The imaginary part of the trace must vanish within tolerance.
     """
-    spa = apply_spa(rho, p)
+    r = as_realigned(rho)
+    spa = apply_spa(r, p)
     if permutation is None:
-        permutation = swap_operator(rho.dim_a) / rho.dim_a
+        permutation = swap_operator(r.dim_a) / r.dim_a
     perm = linalg.as_matrix(permutation)
     if perm.shape != spa.shape:
         raise ValueError(f"permutation operator has shape {perm.shape}, expected {spa.shape}")

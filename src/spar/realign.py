@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "Verdict",
     "RealignedMatrix",
     "realign_matrix",
-    "realign_blockwise",
     "realign",
     "realignment_criterion",
     "is_schmidt_symmetric",
@@ -34,6 +34,11 @@ class Verdict(enum.Enum):
 
     ENTANGLED = "entangled"
     INCONCLUSIVE = "inconclusive"
+
+    @classmethod
+    def from_score(cls, score: float, bound: float, tol: float) -> Verdict:
+        """Entangled iff the score exceeds its separable bound by more than tol."""
+        return cls.ENTANGLED if score > bound + tol else cls.INCONCLUSIVE
 
 
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
@@ -49,41 +54,29 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
     )
 
 
-def realign_blockwise(m, dim_a: int, dim_b: int) -> np.ndarray:
-    """Block form of realignment: rows are vec(X_ij)^t over the dB x dB blocks,
-    blocks enumerated down each block column.
-
-    Kept as an independent cross-check of :func:`realign_matrix`. The two
-    forms coincide entrywise on real inputs and are complex conjugates of
-    each other on Hermitian inputs; singular values, trace and (square case)
-    eigenvalue moments always agree.
-    """
-    a = linalg.as_matrix(m)
-    n = dim_a * dim_b
-    if a.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for dims {dim_a}x{dim_b}, got {a.shape}")
-    rows = np.empty((dim_a * dim_a, dim_b * dim_b), dtype=np.complex128)
-    for j in range(dim_a):  # block column
-        for i in range(dim_a):  # block row
-            block = a[i * dim_b : (i + 1) * dim_b, j * dim_b : (j + 1) * dim_b]
-            rows[j * dim_a + i] = linalg.vec(block)
-    return rows
-
-
 @dataclass(eq=False)
 class RealignedMatrix:
-    """Realignment of a state plus lazily cached spectral data.
+    """The shared analysis of one state: its realignment R plus Tr[R], the
+    singular values, the eigenvalues and the moments, each computed at most
+    once. Every per-state function accepts it in place of the state.
 
     ``moment(k)`` returns Tr[R^k]; those traces are real for any Hermitian
     input (the spectrum of R is closed under conjugation), which the cache
     enforces. Moments are only defined for square R, i.e. dimA == dimB.
     """
 
+    state: DensityMatrix
     matrix: np.ndarray = field(repr=False)
-    dim_a: int
-    dim_b: int
-    _moments: dict[int, float] = field(default_factory=dict, repr=False)
-    _singular: np.ndarray | None = field(default=None, repr=False)
+    _moments: list[float] = field(default_factory=list, repr=False)
+    _power: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def dim_a(self) -> int:
+        return self.state.dim_a
+
+    @property
+    def dim_b(self) -> int:
+        return self.state.dim_b
 
     @property
     def is_square(self) -> bool:
@@ -93,68 +86,90 @@ class RealignedMatrix:
     def trace(self) -> float:
         return self.moment(1)
 
-    def moment(self, k: int, tol: float = DEFAULT.moment_imag) -> float:
-        if not self.is_square:
-            raise ValueError("moments require equal subsystem dimensions")
-        if k not in self._moments:
-            value = linalg.power_trace(self.matrix, k)
-            if abs(value.imag) > tol:
-                raise ValueError(f"moment {k} has imaginary part {value.imag:.3e}")
-            self._moments[k] = value.real
-        return self._moments[k]
+    @cached_property
+    def complex_trace(self) -> complex:
+        """Tr[R] before any realness check; defined for non-square R too."""
+        return complex(np.trace(self.matrix))
+
+    def moment(self, k: int) -> float:
+        self._extend(k)
+        return self._moments[k - 1]
 
     def moments(self, count: int) -> np.ndarray:
         """m_1 .. m_count as a real array."""
-        return np.array([self.moment(k) for k in range(1, count + 1)])
+        self._extend(count)
+        return np.array(self._moments[:count])
 
-    @property
+    def _extend(self, count: int) -> None:
+        """Cache m_1 .. m_count. R^k is kept as a running product, so each
+        moment not yet cached costs one matmul and m_1 .. m_n cost n - 1."""
+        if not self.is_square:
+            raise ValueError("moments require equal subsystem dimensions")
+        while len(self._moments) < count:
+            power = self.matrix if self._power is None else self._power @ self.matrix
+            value = self.complex_trace if self._power is None else complex(np.trace(power))
+            if abs(value.imag) > DEFAULT.moment_imag:
+                k = len(self._moments) + 1
+                raise ValueError(f"moment {k} has imaginary part {value.imag:.3e}")
+            self._power = power
+            self._moments.append(value.real)
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        if self._singular is None:
-            self._singular = linalg.singular_values(self.matrix)
-        return self._singular
+        return linalg.singular_values(self.matrix)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return linalg.general_eigenvalues(self.matrix)
 
     @property
     def trace_norm(self) -> float:
         return float(np.sum(self.singular_values))
 
 
+# what every per-state function accepts: a state or its shared analysis
+StateLike = DensityMatrix | RealignedMatrix
+
+
 def realign(rho: DensityMatrix) -> RealignedMatrix:
-    """Realign a validated state."""
-    return RealignedMatrix(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b), rho.dim_a, rho.dim_b)
+    """Realign a validated state; the result is its shared analysis."""
+    return RealignedMatrix(rho, realign_matrix(rho.matrix, rho.dim_a, rho.dim_b))
 
 
-def realignment_criterion(
-    rho: DensityMatrix, tol: float = DEFAULT.verdict
-) -> tuple[Verdict, float]:
+def as_realigned(source: StateLike) -> RealignedMatrix:
+    """The shared analysis of ``source``: itself if already realigned."""
+    return source if isinstance(source, RealignedMatrix) else realign(source)
+
+
+def realignment_criterion(rho: StateLike, tol: float = DEFAULT.verdict) -> tuple[Verdict, float]:
     """Plain realignment test: entangled iff ||R(rho)||_1 > 1 + tol.
 
     Returns the verdict together with the score ||R(rho)||_1.
     """
-    score = realign(rho).trace_norm
-    verdict = Verdict.ENTANGLED if score > 1 + tol else Verdict.INCONCLUSIVE
-    return verdict, score
+    score = as_realigned(rho).trace_norm
+    return Verdict.from_score(score, 1, tol), score
 
 
-def is_schmidt_symmetric(rho: DensityMatrix, tol: float = DEFAULT.verdict) -> bool:
+def is_schmidt_symmetric(rho: StateLike, tol: float = DEFAULT.verdict) -> bool:
     """True iff ||R(rho)||_1 equals Tr[R(rho)] within tol.
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
     matrix being positive semidefinite.
     """
-    r = realign(rho)
-    tr = complex(np.trace(r.matrix))
+    r = as_realigned(rho)
+    tr = r.complex_trace
     if abs(tr.imag) > tol:
         return False
     return abs(r.trace_norm - tr.real) <= tol
 
 
-def realignment_moment(rho: DensityMatrix, k: int) -> float:
+def realignment_moment(rho: StateLike, k: int) -> float:
     """Singular-value moment r_k = sum_i sigma_i(R(rho))^k, k >= 1.
 
     r_1 is the realignment trace norm; r_k = Tr[(R R^dag)^(k/2)].
     """
     if k < 1:
         raise ValueError("realignment_moment requires k >= 1")
-    sigma = realign(rho).singular_values
+    sigma = as_realigned(rho).singular_values
     return float(np.sum(sigma**k))

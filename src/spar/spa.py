@@ -23,8 +23,8 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT
 from .exceptions import DomainError
-from .realign import RealignedMatrix, realign
-from .states import RHO_T_MAX, DensityMatrix
+from .realign import RealignedMatrix, StateLike, as_realigned
+from .states import RHO_T_MAX
 
 __all__ = [
     "CharPolyCoeffs",
@@ -33,12 +33,10 @@ __all__ = [
     "ReferenceThresholds",
     "lambda_min_lower_bound",
     "newton_coefficients",
-    "elementary_symmetric",
     "descartes_psd_test",
     "threshold_value",
     "spa_threshold",
     "apply_spa",
-    "analyze_spa",
     "certify_completely_positive",
     "rho_t_reference_thresholds",
 ]
@@ -76,10 +74,6 @@ class CharPolyCoeffs:
     values: np.ndarray
     scales: np.ndarray = field(repr=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.values) - 1
-
 
 def newton_coefficients(moments) -> CharPolyCoeffs:
     """Characteristic-polynomial coefficients from power sums m_1..m_n.
@@ -98,21 +92,6 @@ def newton_coefficients(moments) -> CharPolyCoeffs:
         a[k] = math.fsum(terms) / k
         scale[k] = math.fsum(abs(t) for t in terms) / k
     return CharPolyCoeffs(a, scale)
-
-
-def elementary_symmetric(eigenvalues) -> np.ndarray:
-    """e_0..e_n of the given eigenvalues by direct polynomial expansion.
-
-    Independent oracle for :func:`newton_coefficients` (the coefficients of
-    prod (x - lambda_i) are exactly the elementary symmetric polynomials).
-    """
-    eigs = np.asarray(eigenvalues)
-    e = np.zeros(len(eigs) + 1, dtype=eigs.dtype if eigs.dtype.kind == "c" else float)
-    e[0] = 1.0
-    for i, lam in enumerate(eigs):
-        for j in range(min(i + 1, len(eigs)), 0, -1):
-            e[j] = e[j] + lam * e[j - 1]
-    return e
 
 
 def descartes_psd_test(coeffs: CharPolyCoeffs, tol: float = DEFAULT.coefficient) -> bool:
@@ -134,13 +113,13 @@ def threshold_value(k: float, trace_r: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class SpaAnalysis:
-    """SPA data for one (state, p) pair.
+    """SPA threshold data for one state.
 
     ``lower_bound`` is the moment bound on the minimum eigenvalue of R(rho),
     ``k = max(0, -lower_bound)``, ``l`` the smallest p certified to make the
     SPA output positive, ``psd`` the Descartes verdict on R(rho) and
     ``coefficients`` its characteristic-polynomial coefficients a_1..a_{d^2}.
-    ``spa_matrix`` is filled when a specific p is analyzed.
+    ``realigned`` is the analysis the data was read from.
     """
 
     d: int
@@ -150,8 +129,7 @@ class SpaAnalysis:
     l: float
     psd: bool
     coefficients: np.ndarray
-    p: float | None = None
-    spa_matrix: np.ndarray | None = field(default=None, repr=False)
+    realigned: RealignedMatrix = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -168,15 +146,9 @@ class CpCertificate:
     gamma2: float | None
 
 
-def _realigned(rho_or_realigned) -> RealignedMatrix:
-    if isinstance(rho_or_realigned, RealignedMatrix):
-        return rho_or_realigned
-    return realign(rho_or_realigned)
-
-
 def require_positive_trace(r: RealignedMatrix, tol: float = DEFAULT.trace_positive) -> float:
     """Return Tr[R] after checking it is real and positive."""
-    tr = complex(np.trace(r.matrix))
+    tr = r.complex_trace
     if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= tol:
         raise DomainError(f"realigned trace {tr} is not positive")
     return tr.real
@@ -184,14 +156,14 @@ def require_positive_trace(r: RealignedMatrix, tol: float = DEFAULT.trace_positi
 
 def require_real_spectrum(r: RealignedMatrix, tol: float = DEFAULT.spectrum_imag) -> np.ndarray:
     """Return the (oracle) eigenvalues of R after checking they are real."""
-    eigs = linalg.general_eigenvalues(r.matrix)
+    eigs = r.eigenvalues
     worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
     if worst > tol:
         raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
     return eigs.real
 
 
-def spa_threshold(rho: DensityMatrix, tol: float = DEFAULT.coefficient) -> SpaAnalysis:
+def spa_threshold(rho: StateLike, tol: float = DEFAULT.coefficient) -> SpaAnalysis:
     """Moment-certified positivity threshold for the SPA of one state.
 
     Requires equal subsystem dimensions with positive realigned trace and
@@ -199,12 +171,12 @@ def spa_threshold(rho: DensityMatrix, tol: float = DEFAULT.coefficient) -> SpaAn
     moment-based sign test, not by the eigensolver; the eigensolver only
     gates the real-spectrum precondition.
     """
-    if rho.dim_a != rho.dim_b:
+    r = as_realigned(rho)
+    if not r.is_square:
         raise ValueError("the SPA threshold requires equal subsystem dimensions")
-    r = _realigned(rho)
     trace_r = require_positive_trace(r)
     require_real_spectrum(r)
-    d = rho.dim_a
+    d = r.dim_a
     n = d * d
     moments = r.moments(n)
     coeffs = newton_coefficients(moments)
@@ -222,11 +194,11 @@ def spa_threshold(rho: DensityMatrix, tol: float = DEFAULT.coefficient) -> SpaAn
         l = threshold_value(k, trace_r, d)
     return SpaAnalysis(
         d=d, trace_r=trace_r, lower_bound=lower, k=k, l=l, psd=psd,
-        coefficients=coeffs.values[1:].copy(),
+        coefficients=coeffs.values[1:].copy(), realigned=r,
     )
 
 
-def apply_spa(rho: DensityMatrix, p: float) -> np.ndarray:
+def apply_spa(rho: StateLike, p: float) -> np.ndarray:
     """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
 
     Needs equal subsystem dimensions and positive realigned trace; the
@@ -234,41 +206,33 @@ def apply_spa(rho: DensityMatrix, p: float) -> np.ndarray:
     gate on a real realigned spectrum, since the mixture and its trace norm
     are well defined without it.
     """
-    if rho.dim_a != rho.dim_b:
+    r = as_realigned(rho)
+    if not r.is_square:
         raise ValueError("the SPA requires equal subsystem dimensions")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    r = _realigned(rho)
     trace_r = require_positive_trace(r)
-    n = rho.dim_a * rho.dim_b
+    n = r.dim_a * r.dim_b
     return (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / trace_r) * r.matrix
 
 
-def analyze_spa(rho: DensityMatrix, p: float, tol: float = DEFAULT.coefficient) -> SpaAnalysis:
-    """Threshold data plus the SPA matrix at the given p."""
-    base = spa_threshold(rho, tol=tol)
-    matrix = apply_spa(rho, p)
-    return SpaAnalysis(
-        d=base.d, trace_r=base.trace_r, lower_bound=base.lower_bound, k=base.k,
-        l=base.l, psd=base.psd, coefficients=base.coefficients, p=p, spa_matrix=matrix,
-    )
-
-
-def certify_completely_positive(rho: DensityMatrix, p: float) -> CpCertificate:
+def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCertificate:
     """Witness pair for complete positivity of the SPA at p.
 
-    Certified iff p is at or above the moment threshold l. The witnesses use
+    Certified iff p is at or above the moment threshold l, read from
+    ``rho`` when it is already a :class:`SpaAnalysis`. The witnesses use
     the eigensolver: gamma1 is fixed to 0 (the smallest valid choice; the
     minimum eigenvalue of a state can itself be 0, making ratios undefined)
     and gamma2 is the ratio of maximum eigenvalues. An uncertified result is
     a valid outcome, not an error.
     """
-    analysis = spa_threshold(rho)
+    analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
         return CpCertificate(False, None, None)
-    spa = apply_spa(rho, p)
+    r = analysis.realigned
+    spa = apply_spa(r, p)
     lam_spa = linalg.general_eigenvalues(spa).real
-    lam_rho = linalg.hermitian_eigenvalues(rho.matrix)
+    lam_rho = linalg.hermitian_eigenvalues(r.state.matrix)
     gamma2 = float(np.max(lam_spa) / np.max(lam_rho))
     return CpCertificate(True, 0.0, gamma2)
 

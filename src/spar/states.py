@@ -228,7 +228,7 @@ def random_schmidt_symmetric(d: int, terms: int, seed) -> DensityMatrix:
 # state file format (shared with the CLI)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     """Decimal text with 17 significant digits (lossless for doubles)."""
     return format(float(x), ".17g")
 
@@ -240,7 +240,7 @@ def write_state_file(path, rho: DensityMatrix) -> None:
     back reproduces the doubles exactly.
     """
     flat = rho.matrix.reshape(-1)
-    pairs = ",\n    ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in flat)
+    pairs = ",\n    ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in flat)
     text = (
         "{\n"
         f'  "dims": [{rho.dim_a}, {rho.dim_b}],\n'

@@ -10,11 +10,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 
 from .config import DEFAULT
-from .criteria import q1_realignment_moments, q2_rmoment, spa_r_upper_bound, spa_r_verdict
+from .criteria import q1_realignment_moments, q2_rmoment, spa_r_criterion, spa_r_verdict
 from .exceptions import DomainError
-from .linalg import trace_norm
-from .realign import Verdict, realign
-from .spa import apply_spa, spa_threshold
+from .realign import StateLike, Verdict, as_realigned, realign
+from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
 __all__ = [
@@ -23,6 +22,7 @@ __all__ = [
     "bisect_boundary",
     "violation_p_max",
     "sweep_rows",
+    "SWEEP_COLUMNS",
     "table1_rows",
     "TABLE1_ALPHAS",
 ]
@@ -35,6 +35,8 @@ FAMILIES: dict[str, Callable[[float], DensityMatrix]] = {
 }
 
 TABLE1_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+SWEEP_COLUMNS = ("param", "p", "traceNormSpaR", "upperBound", "violated", "l", "k", "q1", "q2")
 
 
 def family_state(name: str, param: float) -> DensityMatrix:
@@ -66,7 +68,7 @@ def bisect_boundary(
 
 
 def violation_p_max(
-    rho: DensityMatrix, tol: float = 1e-7, verdict_tol: float = DEFAULT.verdict
+    rho: StateLike, tol: float = 1e-7, verdict_tol: float = DEFAULT.verdict
 ) -> float | None:
     """Largest p at which the SPA separability bound is violated.
 
@@ -74,8 +76,10 @@ def violation_p_max(
     ends before p = 1, where the bound is saturated). Returns None when the
     state is not detected even at p = 0.
     """
+    r = as_realigned(rho)
+
     def violated(p: float) -> bool:
-        return spa_r_verdict(rho, p, tol=verdict_tol) == Verdict.ENTANGLED
+        return spa_r_verdict(r, p, tol=verdict_tol) == Verdict.ENTANGLED
 
     if not violated(0.0):
         return None
@@ -90,32 +94,28 @@ def sweep_rows(
 ) -> Iterator[dict]:
     """Grid rows for one family, parameter-major.
 
-    Columns: param, p, traceNormSpaR, upperBound, violated, l, k, q1, q2
-    (q2 empty outside 3x3 systems). Threshold data that cannot be certified
-    for a grid point (realigned spectrum not real) is reported as NaN rather
-    than aborting the sweep.
+    Columns: :data:`SWEEP_COLUMNS` (q2 empty outside 3x3 systems). Threshold
+    data that cannot be certified for a grid point (realigned spectrum not
+    real) is reported as NaN rather than aborting the sweep.
     """
     ps = list(ps)
     for param in params:
-        rho = family_state(family, param)
-        r = realign(rho)
-        trace_r = r.trace
+        r = realign(family_state(family, param))
         try:
-            threshold = spa_threshold(rho)
+            threshold = spa_threshold(r)
             l, k = threshold.l, threshold.k
         except DomainError:
             l, k = float("nan"), float("nan")
-        q1 = q1_realignment_moments(rho)
-        q2 = q2_rmoment(rho) if (rho.dim_a, rho.dim_b) == (3, 3) else None
+        q1 = q1_realignment_moments(r)
+        q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
         for p in ps:
-            norm = trace_norm(apply_spa(rho, p))
-            bound = spa_r_upper_bound(trace_r, p)
+            verdict, norm, bound = spa_r_criterion(r, p, verdict_tol)
             yield {
                 "param": param,
                 "p": p,
                 "traceNormSpaR": norm,
                 "upperBound": bound,
-                "violated": int(norm > bound + verdict_tol),
+                "violated": int(verdict == Verdict.ENTANGLED),
                 "l": l,
                 "k": k,
                 "q1": q1,

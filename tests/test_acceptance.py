@@ -17,7 +17,6 @@ from spar import (
     alpha_state,
     apply_spa,
     descartes_psd_test,
-    elementary_symmetric,
     error_suite,
     isotropic,
     lambda_min_lower_bound,
@@ -38,7 +37,13 @@ from spar import (
 from spar.linalg import hermitian_eigenvalues, power_trace
 from spar.sweeps import TABLE1_ALPHAS, bisect_boundary, table1_rows
 
-from util import random_complex, random_hermitian, random_real_spectrum, rng_for
+from util import (
+    elementary_symmetric,
+    random_complex,
+    random_hermitian,
+    random_real_spectrum,
+    rng_for,
+)
 
 A_LOW = 1 / math.sqrt(2)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spar import rho_t, write_state_file
+from spar import random_separable, rho_t, write_state_file
 from spar.cli import main
 
 
@@ -52,8 +52,22 @@ class TestAnalyze:
         assert "invalid state" in err
 
     def test_missing_source_exits_1(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--p", "0.5")
+        code, _, err = run(capsys, "analyze", "--p", "0.5")
         assert code == 1
+        assert "analyze needs --state or --family with --param" in err
+
+    def test_non_square_state_reports_realignment_and_q1_only(self, capsys, tmp_path):
+        path = tmp_path / "state23.json"
+        write_state_file(path, random_separable(2, 3, terms=3, seed=7))
+        code, out, _ = run(capsys, "analyze", "--state", str(path), "--p", "0.2")
+        assert code == 0
+        record = json.loads(out)
+        assert record["dims"] == [2, 3]
+        assert list(record) == ["input", "dims", "p", "tolerance", "realignment", "moments"]
+        assert list(record["realignment"]) == ["trace_norm", "verdict"]
+        assert record["realignment"]["verdict"] == "inconclusive"
+        assert record["moments"]["q2"] is None
+        assert isinstance(record["moments"]["q1"], float)
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["analyze", "--family", "rho_t", "--param", "0.1"]) == 1  # no --p
@@ -184,6 +198,11 @@ class TestEstimateM1:
     def test_missing_arguments_exit_1(self, capsys):
         code, _, _ = run(capsys, "estimate-m1", "--s", "0.2")
         assert code == 1
+
+    def test_family_without_param_exits_1(self, capsys):
+        code, _, err = run(capsys, "estimate-m1", "--family", "rho_t", "--p", "0.3")
+        assert code == 1
+        assert "estimate-m1 needs --state or --family with --param" in err
 
 
 def test_unknown_command_exits_1():

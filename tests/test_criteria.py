@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from spar import (
     spa_r_verdict,
     validate_density,
 )
+from spar.sweeps import violation_p_max
 
 
 def mm_state(d=2):
@@ -177,3 +180,24 @@ class TestCriterionReport:
 
     def test_q2_absent_outside_qutrits(self):
         assert criterion_report(rho_t(0.2), 0.1).q2 is None
+
+
+SHARED_ANALYSIS_CASES = [
+    (rho_t(-0.7), 0.4),
+    (rho_t(0.3), 0.0),
+    (isotropic(0.6), 0.2),
+    (isotropic(0.9, 4), 0.5),
+    (alpha_state(0.5), 0.01),
+]
+
+
+class TestSharedAnalysis:
+    @pytest.mark.parametrize("rho,p", SHARED_ANALYSIS_CASES)
+    def test_report_from_realigned_matrix_equals_report_from_state(self, rho, p):
+        from_state = dataclasses.asdict(criterion_report(rho, p))
+        from_realigned = dataclasses.asdict(criterion_report(realign(rho), p))
+        assert from_realigned == from_state
+
+    @pytest.mark.parametrize("rho,p", SHARED_ANALYSIS_CASES)
+    def test_violation_p_max_from_realigned_matrix(self, rho, p):
+        assert violation_p_max(realign(rho)) == violation_p_max(rho)

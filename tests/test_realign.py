@@ -4,22 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spar import (
+    alpha_state,
     bell_state,
     is_schmidt_symmetric,
     isotropic,
+    random_schmidt_symmetric,
     random_separable,
     realign,
-    realign_blockwise,
     realign_matrix,
     realignment_criterion,
+    rho_a,
     rho_t,
     validate_density,
     realignment_moment,
 )
-from spar.linalg import singular_values
+from spar.linalg import power_trace, singular_values
 from spar.realign import Verdict
 
-from util import random_complex, random_hermitian, rng_for
+from util import random_complex, random_hermitian, realign_blockwise, rng_for
 
 
 def bell_density(d=2):
@@ -199,3 +201,44 @@ def test_moments_require_square_dims():
     rho = random_separable(2, 3, terms=2, seed=3)
     with pytest.raises(ValueError):
         realign(rho).moment(1)
+
+
+def _moment_states():
+    states = [rho_t(t) for t in (-0.7, -0.2, 0.0, 0.3, 0.79)]
+    states += [rho_a(a) for a in (0.71, 0.85, 1.0)]
+    states += [alpha_state(a) for a in (0.1, 0.5, 0.9)]
+    for d in range(2, 7):
+        states += [isotropic(b, d) for b in (-0.5 / (d * d - 1), 0.3, 0.9)]
+        states += [random_schmidt_symmetric(d, 1 + seed % 4, seed=50_000 + seed) for seed in range(3)]
+    return states
+
+
+@pytest.mark.parametrize("rho", _moment_states(), ids=repr)
+def test_running_product_moments_match_power_trace_exactly(rho):
+    # results/ depends on the running product reproducing the per-k power
+    # loop bit for bit, so this compares with ==, not approx
+    r = realign(rho)
+    n = rho.dim_a**2
+    want = [power_trace(r.matrix, k).real for k in range(1, n + 1)]
+    assert list(r.moments(n)) == want
+    # a fresh analysis filled in two steps agrees too
+    r = realign(rho)
+    assert r.moment(2) == want[1]
+    assert list(r.moments(n)) == want
+
+
+def test_realigned_matrix_keeps_its_state():
+    rho = rho_t(0.3)
+    r = realign(rho)
+    assert r.state is rho
+    assert (r.dim_a, r.dim_b) == (2, 2)
+    assert r.singular_values is r.singular_values
+    assert r.eigenvalues is r.eigenvalues
+
+
+def test_criteria_accept_the_realigned_matrix():
+    for rho in (rho_t(-0.5), isotropic(0.2), random_separable(2, 3, terms=2, seed=5)):
+        r = realign(rho)
+        assert realignment_criterion(r) == realignment_criterion(rho)
+        assert is_schmidt_symmetric(r) == is_schmidt_symmetric(rho)
+        assert realignment_moment(r, 3) == realignment_moment(rho, 3)

@@ -9,11 +9,9 @@ import spar.spa
 from spar import (
     DomainError,
     alpha_state,
-    analyze_spa,
     apply_spa,
     certify_completely_positive,
     descartes_psd_test,
-    elementary_symmetric,
     isotropic,
     lambda_min_lower_bound,
     newton_coefficients,
@@ -28,7 +26,7 @@ from spar import (
 )
 from spar.linalg import general_eigenvalues, hermitian_eigenvalues, power_trace
 
-from util import random_hermitian, random_real_spectrum, rng_for
+from util import elementary_symmetric, random_hermitian, random_real_spectrum, rng_for
 
 A_LOW = 1 / math.sqrt(2)
 
@@ -233,16 +231,6 @@ class TestApplySpa:
             assert descartes_psd_test(newton_coefficients(moments))
 
 
-class TestAnalyzeSpa:
-    def test_bundles_threshold_and_matrix(self):
-        analysis = analyze_spa(rho_t(-0.5), 0.9)
-        assert analysis.p == 0.9
-        assert analysis.spa_matrix is not None
-        assert abs(np.trace(analysis.spa_matrix) - 1) <= 1e-10
-        assert analysis.l == spa_threshold(rho_t(-0.5)).l
-        assert len(analysis.coefficients) == 4
-
-
 class TestCertifyCompletelyPositive:
     def test_depolarizing_limit_always_certified(self):
         cert = certify_completely_positive(rho_t(-0.5), 1.0)
@@ -258,6 +246,11 @@ class TestCertifyCompletelyPositive:
     def test_isotropic_certified_for_all_p(self):
         for p in (0.0, 0.5, 1.0):
             assert certify_completely_positive(isotropic(0.5), p).certified
+
+    def test_reads_the_threshold_from_a_spa_analysis(self):
+        for rho, p in ((rho_t(-0.7), 0.0), (rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2)):
+            analysis = spa_threshold(realign(rho))
+            assert certify_completely_positive(analysis, p) == certify_completely_positive(rho, p)
 
     def test_witnesses_satisfy_the_two_inequalities(self):
         for rho, p in ((rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2), (isotropic(0.8), 0.0)):
