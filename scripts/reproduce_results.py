@@ -13,7 +13,6 @@ Writes into results/ (created if missing):
 Run from the repository root:  python3 scripts/reproduce_results.py
 """
 
-import csv
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from spar import (
     spa_r_verdict,
     spa_threshold,
 )
-from spar.sweeps import SWEEP_COLUMNS, TABLE1_ALPHAS, bisect_boundary, sweep_rows, table1_rows
+from spar.sweeps import SWEEP_COLUMNS, bisect_boundary, csv_text, sweep_rows, table1_rows
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
@@ -39,10 +38,7 @@ OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 def write_csv(name, rows, columns):
     path = os.path.join(OUT_DIR, name)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] if row[c] is not None else "" for c in columns])
+        fh.write(csv_text(rows, columns))
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -53,7 +49,7 @@ def sweep_to_csv(name, family, params, ps):
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
 
-    write_csv("table1.csv", table1_rows(TABLE1_ALPHAS), ["alpha", "p_max"])
+    write_csv("table1.csv", table1_rows(), ["alpha", "p_max"])
 
     ps = np.linspace(0.0, 1.0, 21)
     sweep_to_csv("fig_rho_t_negative.csv", "rho_t", np.linspace(-0.79, -0.60, 20), ps)

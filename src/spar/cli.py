@@ -3,88 +3,66 @@
 Subcommands: ``analyze`` (full criterion report for one state as JSON),
 ``sweep`` (CSV grid over a family), ``table1`` (detection-window table for
 the bound entangled alpha family) and ``estimate-m1`` (first-moment
-intervals). Exit codes: 0 success, 1 usage error, 2 invalid state file,
-3 domain violation.
+intervals). JSON goes through :func:`json.dumps` and CSV through
+:func:`spar.sweeps.csv_text`; both write each float as its shortest
+round-trip ``repr`` ('.' decimal separator, no locale), so output parses
+back to the same doubles and its bytes are deterministic for fixed inputs.
+A range option also takes a negative value as its own argument
+(``--param-range -0.7:-0.6:2``).
 
-Numbers are serialized with 17 significant digits ('.' decimal separator,
-no locale), so reports round-trip doubles exactly and output bytes are
-deterministic for fixed inputs.
+:func:`main` alone maps errors to exit codes: 0 success, 1 usage error
+(including an unwritable output path), 2 invalid state file, 3 domain
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import math
+import os
 import sys
-from collections.abc import Sequence
 
 from .config import DEFAULT
 from .criteria import criterion_report, q1_realignment_moments
 from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
-from .realign import Verdict, realign, realignment_criterion
+from .realign import realign, realignment_criterion
 from .spa import certify_completely_positive, spa_threshold
-from .states import DensityMatrix, format_float, read_matrix_file, read_state_file, write_state_file
-from .sweeps import FAMILIES, SWEEP_COLUMNS, family_state, sweep_rows, table1_rows
+from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
+from .sweeps import FAMILIES, SWEEP_COLUMNS, csv_text, family_state, sweep_rows, table1_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_STATE = 2
 EXIT_DOMAIN = 3
 
-
-def _fmt(value) -> str:
-    """Serialize one scalar deterministically."""
-    if value is None:
-        return "null"
-    if isinstance(value, Verdict):
-        return f'"{value.value}"'
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        if value != value:
-            return '"nan"'
-        return format_float(value)
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(value)}")
+RANGE_OPTIONS = ("--param-range", "--p-range")
 
 
-def _json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f'{inner}"{k}": {_json(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        return "[" + ", ".join(_json(v, indent) for v in obj) + "]"
-    return _fmt(obj)
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failed write under ``path`` as a usage error, not as a bad state."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to ``out_path``, or to stdout when no path is given."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
-def _csv(rows: list[dict], columns: Sequence[str]) -> str:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
-
-    lines = [",".join(columns)]
-    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+def _emit_json(record: dict, out_path) -> None:
+    """Emit one JSON document; verdicts are written as their value."""
+    text = json.dumps(record, indent=2, allow_nan=False, default=lambda verdict: verdict.value)
+    _emit(text + "\n", out_path)
 
 
 def _load_state(args) -> tuple[DensityMatrix, dict]:
@@ -105,6 +83,8 @@ def _parse_range(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:n, got {spec!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {spec!r}")
     if n < 1:
         raise ValueError("range needs at least one step")
     if n == 1:
@@ -165,82 +145,51 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> d
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rho, source = _load_state(args)
-    except (StateValidationError, OSError) as exc:
-        print(f"error: invalid state: {exc}", file=sys.stderr)
-        return EXIT_BAD_STATE
-    try:
-        record = analysis_record(rho, args.p, source, args.tol)
-    except DomainError as exc:
-        print(f"error: domain violation: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    _emit(_json(record) + "\n", args.out)
+    rho, source = _load_state(args)
+    _emit_json(analysis_record(rho, args.p, source, args.tol), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        params = _parse_range(args.param_range)
-        ps = _parse_range(args.p_range)
-        if args.family not in FAMILIES:
-            raise ValueError(f"unknown family {args.family!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rows = list(sweep_rows(args.family, params, ps, verdict_tol=args.tol))
-    except DomainError as exc:
-        print(f"error: domain violation: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    params = _parse_range(args.param_range)
+    ps = _parse_range(args.p_range)
+    if args.family not in FAMILIES:
+        raise ValueError(f"unknown family {args.family!r}")
+    rows = list(sweep_rows(args.family, params, ps, verdict_tol=args.tol))
     if args.dump_states:
-        import os
-
-        os.makedirs(args.dump_states, exist_ok=True)
-        for i, param in enumerate(params):
-            path = os.path.join(args.dump_states, f"{args.family}_{i:04d}.json")
-            write_state_file(path, family_state(args.family, param))
-    _emit(_csv(rows, SWEEP_COLUMNS), args.out)
+        with _writing(args.dump_states):
+            os.makedirs(args.dump_states, exist_ok=True)
+            for i, param in enumerate(params):
+                path = os.path.join(args.dump_states, f"{args.family}_{i:04d}.json")
+                write_state_file(path, family_state(args.family, param))
+    _emit(csv_text(rows, SWEEP_COLUMNS), args.out)
     return EXIT_OK
 
 
 def cmd_table1(args) -> int:
-    rows = table1_rows()
-    _emit(_csv(rows, ["alpha", "p_max"]), args.out)
+    _emit(csv_text(table1_rows(), ["alpha", "p_max"]), args.out)
     return EXIT_OK
 
 
 def cmd_estimate_m1(args) -> int:
-    try:
-        if args.state or args.family:
-            rho, _ = _load_state(args)
-            if args.p is None:
-                print("error: --p is required when estimating from a state", file=sys.stderr)
-                return EXIT_USAGE
-            perm = read_matrix_file(args.perm) if args.perm else None
-            r = realign(rho)
-            s = simulate_s(r, args.p, permutation=perm)
-            k = spa_threshold(r).k if args.k is None else args.k
-            d = r.dim_a
-        else:
-            if args.s is None or args.d is None or args.k is None:
-                print("error: provide --s, --d and --k (or a state source)", file=sys.stderr)
-                return EXIT_USAGE
-            s, d, k = args.s, args.d, args.k
-        inp = EstimationInput(s=s, d=d, k=k)
-        if inp.x < -1e-12:
-            raise DomainError(f"x = 1 - d^2 s = {inp.x:.3e} is negative")
-        quad = m1_interval_quadratic(inp)
-        case = m1_case_bounds(inp)
-    except (StateValidationError, OSError) as exc:
-        print(f"error: invalid state: {exc}", file=sys.stderr)
-        return EXIT_BAD_STATE
-    except DomainError as exc:
-        print(f"error: domain violation: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.state or args.family:
+        rho, _ = _load_state(args)
+        if args.p is None:
+            raise ValueError("--p is required when estimating from a state")
+        perm = read_matrix_file(args.perm) if args.perm else None
+        r = realign(rho)
+        s = simulate_s(r, args.p, permutation=perm)
+        k = spa_threshold(r).k if args.k is None else args.k
+        d = r.dim_a
+    else:
+        if args.s is None or args.d is None or args.k is None:
+            raise ValueError("provide --s, --d and --k (or a state source)")
+        s, d, k = args.s, args.d, args.k
+    inp = EstimationInput(s=s, d=d, k=k)
+    if inp.x < -1e-12:
+        raise DomainError(f"x = 1 - d^2 s = {inp.x:.3e} is negative")
+    quad = m1_interval_quadratic(inp)
+    case = m1_case_bounds(inp)
     record = {
         "s": s,
         "d": d,
@@ -249,13 +198,32 @@ def cmd_estimate_m1(args) -> int:
         "quadratic": {"lower": quad.lower, "upper": quad.upper, "case": quad.case.value},
         "case_bounds": {"lower": case.lower, "upper": case.upper, "case": case.case.value},
     }
-    _emit(_json(record) + "\n", args.out)
+    _emit_json(record, args.out)
     return EXIT_OK
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, nonnegative float."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT.verdict,
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT.verdict,
                         help="verdict tolerance on strict inequalities")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -265,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", parents=[common], help="full criterion report for one state")
     pa.add_argument("--family", choices=sorted(FAMILIES), default=None)
-    pa.add_argument("--param", type=float, default=None)
+    pa.add_argument("--param", type=_finite, default=None)
     pa.add_argument("--state", default=None, help="path to a state file")
-    pa.add_argument("--p", type=float, required=True, help="mixing probability")
+    pa.add_argument("--p", type=_finite, required=True, help="mixing probability")
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", parents=[common], help="CSV grid over one family")
@@ -282,28 +250,47 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_table1)
 
     pe = sub.add_parser("estimate-m1", parents=[common], help="first-moment intervals")
-    pe.add_argument("--s", type=float, default=None, help="measured expectation value")
+    pe.add_argument("--s", type=_finite, default=None, help="measured expectation value")
     pe.add_argument("--d", type=int, default=None, help="subsystem dimension")
-    pe.add_argument("--k", type=float, default=None, help="eigenvalue offset")
+    pe.add_argument("--k", type=_finite, default=None, help="eigenvalue offset")
     pe.add_argument("--family", choices=sorted(FAMILIES), default=None)
-    pe.add_argument("--param", type=float, default=None)
+    pe.add_argument("--param", type=_finite, default=None)
     pe.add_argument("--state", default=None)
-    pe.add_argument("--p", type=float, default=None)
+    pe.add_argument("--p", type=_finite, default=None)
     pe.add_argument("--perm", default=None,
                     help="matrix file with a unit-trace observable (default: SWAP/d)")
     pe.set_defaults(func=cmd_estimate_m1)
     return parser
 
 
+def _bind_ranges(argv: list[str]) -> list[str]:
+    """Join each range option with its value, as in ``--p-range=lo:hi:n``,
+    so that a value starting with a minus sign is not read as an option."""
+    bound: list[str] = []
+    for arg in argv:
+        if bound and bound[-1] in RANGE_OPTIONS and not arg.startswith("--"):
+            bound[-1] += "=" + arg
+        else:
+            bound.append(arg)
+    return bound
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; every error is mapped to its exit code here."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_ranges(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
+    except (StateValidationError, OSError) as exc:
+        print(f"error: invalid state: {exc}", file=sys.stderr)
+        return EXIT_BAD_STATE
+    except DomainError as exc:
+        print(f"error: domain violation: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

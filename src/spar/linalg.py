@@ -57,16 +57,16 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT.precondition) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in ascending order.
 
-    Raises ``ValueError`` for non-square or non-Hermitian (beyond ``tol``)
-    input.
+    Raises ``ValueError`` for non-square or non-Hermitian (beyond
+    ``DEFAULT.precondition``) input.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("eigenvalues require a square matrix")
-    defect = hermiticity_defect(a)
+    defect, tol = hermiticity_defect(a), DEFAULT.precondition
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
     return np.linalg.eigvalsh(a)

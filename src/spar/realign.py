@@ -150,8 +150,8 @@ def realignment_criterion(rho: StateLike, tol: float = DEFAULT.verdict) -> tuple
     return Verdict.from_score(score, 1, tol), score
 
 
-def is_schmidt_symmetric(rho: StateLike, tol: float = DEFAULT.verdict) -> bool:
-    """True iff ||R(rho)||_1 equals Tr[R(rho)] within tol.
+def is_schmidt_symmetric(rho: StateLike) -> bool:
+    """True iff ||R(rho)||_1 equals Tr[R(rho)] within ``DEFAULT.verdict``.
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
@@ -159,9 +159,9 @@ def is_schmidt_symmetric(rho: StateLike, tol: float = DEFAULT.verdict) -> bool:
     """
     r = as_realigned(rho)
     tr = r.complex_trace
-    if abs(tr.imag) > tol:
+    if abs(tr.imag) > DEFAULT.verdict:
         return False
-    return abs(r.trace_norm - tr.real) <= tol
+    return abs(r.trace_norm - tr.real) <= DEFAULT.verdict
 
 
 def realignment_moment(rho: StateLike, k: int) -> float:

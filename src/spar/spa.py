@@ -94,15 +94,15 @@ def newton_coefficients(moments) -> CharPolyCoeffs:
     return CharPolyCoeffs(a, scale)
 
 
-def descartes_psd_test(coeffs: CharPolyCoeffs, tol: float = DEFAULT.coefficient) -> bool:
+def descartes_psd_test(coeffs: CharPolyCoeffs) -> bool:
     """Sign test: all eigenvalues nonnegative iff every a_k is nonnegative.
 
-    A coefficient within ``tol`` times its recursion scale of zero counts as
-    zero, so structurally vanishing coefficients (products of small
-    eigenvalues) cannot flip the verdict through rounding noise.
+    A coefficient within ``DEFAULT.coefficient`` times its recursion scale
+    of zero counts as zero, so structurally vanishing coefficients (products
+    of small eigenvalues) cannot flip the verdict through rounding noise.
     """
     values = coeffs.values[1:]
-    thresholds = tol * coeffs.scales[1:]
+    thresholds = DEFAULT.coefficient * coeffs.scales[1:]
     return bool(np.all(values >= -thresholds))
 
 
@@ -146,24 +146,25 @@ class CpCertificate:
     gamma2: float | None
 
 
-def require_positive_trace(r: RealignedMatrix, tol: float = DEFAULT.trace_positive) -> float:
-    """Return Tr[R] after checking it is real and positive."""
+def require_positive_trace(r: RealignedMatrix) -> float:
+    """Return Tr[R] after checking it is real and above ``DEFAULT.trace_positive``."""
     tr = r.complex_trace
-    if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= tol:
+    if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= DEFAULT.trace_positive:
         raise DomainError(f"realigned trace {tr} is not positive")
     return tr.real
 
 
-def require_real_spectrum(r: RealignedMatrix, tol: float = DEFAULT.spectrum_imag) -> np.ndarray:
-    """Return the (oracle) eigenvalues of R after checking they are real."""
+def require_real_spectrum(r: RealignedMatrix) -> np.ndarray:
+    """Return the (oracle) eigenvalues of R after checking they are real
+    within ``DEFAULT.spectrum_imag``."""
     eigs = r.eigenvalues
     worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
-    if worst > tol:
+    if worst > DEFAULT.spectrum_imag:
         raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
     return eigs.real
 
 
-def spa_threshold(rho: StateLike, tol: float = DEFAULT.coefficient) -> SpaAnalysis:
+def spa_threshold(rho: StateLike) -> SpaAnalysis:
     """Moment-certified positivity threshold for the SPA of one state.
 
     Requires equal subsystem dimensions with positive realigned trace and
@@ -180,8 +181,10 @@ def spa_threshold(rho: StateLike, tol: float = DEFAULT.coefficient) -> SpaAnalys
     n = d * d
     moments = r.moments(n)
     coeffs = newton_coefficients(moments)
-    psd = descartes_psd_test(coeffs, tol=tol)
-    lower = lambda_min_lower_bound(moments[0], moments[1], n)
+    psd = descartes_psd_test(coeffs)
+    # the cached Python floats, not numpy scalars: l and k are written out
+    # once per sweep row, and a numpy scalar formats more slowly
+    lower = lambda_min_lower_bound(r.moment(1), r.moment(2), n)
     k = max(0.0, -lower)
     if psd:
         l = 0.0

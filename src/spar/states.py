@@ -54,15 +54,14 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dim_a}x{self.dim_b})"
 
 
-def validate_density(m, dims: tuple[int, int], tol: float | None = None) -> DensityMatrix:
+def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     """Check and wrap a candidate density matrix.
 
     Verifies squareness, dimension product, finite entries, Hermiticity,
-    unit trace and positive semidefiniteness (each failure raised as a
-    distinct :class:`StateValidationError`).
+    unit trace and positive semidefiniteness within ``DEFAULT.validation``
+    (each failure raised as a distinct :class:`StateValidationError`).
     """
-    if tol is None:
-        tol = DEFAULT.validation
+    tol = DEFAULT.validation
     dim_a, dim_b = int(dims[0]), int(dims[1])
     if dim_a < 1 or dim_b < 1:
         raise StateValidationError("dims", f"subsystem dimensions must be positive, got {dims}")
@@ -82,7 +81,7 @@ def validate_density(m, dims: tuple[int, int], tol: float | None = None) -> Dens
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    lam_min = float(linalg.hermitian_eigenvalues(a, tol=max(tol, DEFAULT.precondition))[0])
+    lam_min = float(linalg.hermitian_eigenvalues(a)[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
     return DensityMatrix(dim_a, dim_b, a)
@@ -228,27 +227,18 @@ def random_schmidt_symmetric(d: int, terms: int, seed) -> DensityMatrix:
 # state file format (shared with the CLI)
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    """Decimal text with 17 significant digits (lossless for doubles)."""
-    return format(float(x), ".17g")
-
-
 def write_state_file(path, rho: DensityMatrix) -> None:
-    """Write ``{"dims": [dA, dB], "matrix": [[re, im], ...]}`` as JSON.
+    """Write ``{"dims": [dA, dB], "matrix": [[re, im], ...]}`` as one line of JSON.
 
-    Entries are row-major; floats carry 17 significant digits so a read
-    back reproduces the doubles exactly.
+    Entries are row-major; floats are written as their shortest round-trip
+    repr, so a read back reproduces the doubles exactly.
     """
     flat = rho.matrix.reshape(-1)
-    pairs = ",\n    ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in flat)
-    text = (
-        "{\n"
-        f'  "dims": [{rho.dim_a}, {rho.dim_b}],\n'
-        f'  "matrix": [\n    {pairs}\n  ]\n'
-        "}\n"
-    )
+    pairs = np.column_stack((flat.real, flat.imag)).tolist()
+    payload = {"dims": [rho.dim_a, rho.dim_b], "matrix": pairs}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        # one encode, one write: json.dump would write in many small chunks
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _load_payload(path) -> dict:
@@ -275,7 +265,7 @@ def read_matrix_file(path) -> np.ndarray:
     return flat.reshape(n, n)
 
 
-def read_state_file(path, tol: float | None = None) -> DensityMatrix:
+def read_state_file(path) -> DensityMatrix:
     """Read and validate a state file written by :func:`write_state_file`."""
     payload = _load_payload(path)
     if "dims" not in payload:
@@ -283,4 +273,4 @@ def read_state_file(path, tol: float | None = None) -> DensityMatrix:
     dims = payload["dims"]
     if not (isinstance(dims, list) and len(dims) == 2):
         raise StateValidationError("dims", f"dims must be [dA, dB], got {dims!r}")
-    return validate_density(read_matrix_file(path), (int(dims[0]), int(dims[1])), tol=tol)
+    return validate_density(read_matrix_file(path), (int(dims[0]), int(dims[1])))

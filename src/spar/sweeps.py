@@ -7,7 +7,9 @@ the swept variable (true for every family handled here).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+import csv
+import io
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT
 from .criteria import q1_realignment_moments, q2_rmoment, spa_r_criterion, spa_r_verdict
@@ -23,6 +25,7 @@ __all__ = [
     "violation_p_max",
     "sweep_rows",
     "SWEEP_COLUMNS",
+    "csv_text",
     "table1_rows",
     "TABLE1_ALPHAS",
 ]
@@ -37,6 +40,19 @@ FAMILIES: dict[str, Callable[[float], DensityMatrix]] = {
 TABLE1_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 SWEEP_COLUMNS = ("param", "p", "traceNormSpaR", "upperBound", "violated", "l", "k", "q1", "q2")
+
+
+def csv_text(rows: Iterable[dict], columns: Sequence[str]) -> str:
+    """Rows as CSV: a header line, then one line per row, each ended by a bare LF.
+
+    Floats are written as their shortest round-trip repr and None as an
+    empty cell, so the text is lossless and byte-deterministic.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    return out.getvalue()
 
 
 def family_state(name: str, param: float) -> DensityMatrix:
@@ -67,9 +83,7 @@ def bisect_boundary(
     return 0.5 * (lo + hi)
 
 
-def violation_p_max(
-    rho: StateLike, tol: float = 1e-7, verdict_tol: float = DEFAULT.verdict
-) -> float | None:
+def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     """Largest p at which the SPA separability bound is violated.
 
     Assumes the violated set is an interval starting at p = 0 (it always
@@ -79,7 +93,7 @@ def violation_p_max(
     r = as_realigned(rho)
 
     def violated(p: float) -> bool:
-        return spa_r_verdict(r, p, tol=verdict_tol) == Verdict.ENTANGLED
+        return spa_r_verdict(r, p) == Verdict.ENTANGLED
 
     if not violated(0.0):
         return None
@@ -123,12 +137,8 @@ def sweep_rows(
             }
 
 
-def table1_rows(
-    alphas: Iterable[float] = TABLE1_ALPHAS, tol: float = 1e-7
-) -> list[dict]:
-    """Largest violating p for each alpha-state parameter."""
-    rows = []
-    for alpha in alphas:
-        p_max = violation_p_max(alpha_state(alpha), tol=tol)
-        rows.append({"alpha": alpha, "p_max": p_max})
-    return rows
+def table1_rows() -> list[dict]:
+    """Largest violating p for each alpha-state parameter in TABLE1_ALPHAS."""
+    return [
+        {"alpha": alpha, "p_max": violation_p_max(alpha_state(alpha))} for alpha in TABLE1_ALPHAS
+    ]

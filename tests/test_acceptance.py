@@ -7,7 +7,9 @@ tests right next to a passing test that pins down the actual behavior; each
 xfail reason states the contradiction.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from spar import (
     EstimationInput,
 )
 from spar.linalg import hermitian_eigenvalues, power_trace
-from spar.sweeps import TABLE1_ALPHAS, bisect_boundary, table1_rows
+from spar.sweeps import bisect_boundary, table1_rows
 
 from util import (
     elementary_symmetric,
@@ -204,7 +206,7 @@ TABLE1_EXPECTED = {
 
 
 def test_c3_table1_reproduction():
-    rows = table1_rows(TABLE1_ALPHAS, tol=1e-7)
+    rows = table1_rows()
     for row in rows:
         want = TABLE1_EXPECTED[row["alpha"]]
         assert row["p_max"] == pytest.approx(want, abs=1e-3), row
@@ -420,3 +422,23 @@ def test_c8_case_windows_disjoint_on_grid():
                 in_high = hi <= d**4 * k <= d**4
                 assert not (in_low and in_high)
     ok("criterion 8c: case windows disjoint on a 100x100 grid per dimension")
+
+
+# ---------------------------------------------------------------------------
+# the committed results/ CSVs are what scripts/reproduce_results.py writes
+# ---------------------------------------------------------------------------
+
+def test_reproduce_script_rewrites_results_byte_for_byte(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_results", root / "scripts" / "reproduce_results.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT_DIR", str(tmp_path))
+    assert script.main() == 0
+    committed = sorted(path.name for path in (root / "results").glob("*.csv"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (root / "results" / name).read_bytes(), name
+    ok(f"results: reproduce_results.py rewrites all {len(committed)} CSVs byte for byte")

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spar import random_separable, rho_t, write_state_file
 from spar.cli import main
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def run(capsys, *argv):
@@ -80,6 +83,16 @@ class TestAnalyze:
         assert out == ""
         json.loads(out_path.read_text())
 
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        target = not_a_dir / "report.json"
+        code, out, err = run(capsys, "analyze", "--family", "rho_t", "--param", "0.3",
+                             "--p", "0.1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
     def test_output_round_trips_to_17_digits(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "rho_t",
                            "--param", "0.3", "--p", "0.25")
@@ -117,6 +130,33 @@ class TestSweep:
                         "--param-range", "0.5:0.5:1", "--p-range", "0:0:1")
         assert not out.strip().split("\n")[1].endswith(",")
 
+    @pytest.mark.parametrize("ranges", [
+        ("--param-range", "-0.7:-0.6:2", "--p-range", "0:1:2"),
+        ("--param-range", "0.1:0.2:2", "--p-range", "-0.0:1:3"),
+    ], ids=["param-range", "p-range"])
+    def test_negative_range_as_separate_argument(self, capsys, ranges):
+        joined = [f"{opt}={value}" for opt, value in zip(ranges[::2], ranges[1::2])]
+        code, out_joined, _ = run(capsys, "sweep", "--family", "rho_t", *joined)
+        assert code == 0
+        assert run(capsys, "sweep", "--family", "rho_t", *ranges) == (0, out_joined, "")
+
+    @pytest.mark.parametrize("spec", ["nan:0.1:2", "0:inf:2"])
+    def test_non_finite_range_exits_1(self, capsys, spec):
+        code, out, err = run(capsys, "sweep", "--family", "rho_t", "--param-range", spec,
+                             "--p-range", "0:1:2")
+        assert (code, out) == (1, "")
+        assert err == f"error: range bounds must be finite, got {spec!r}\n"
+
+    def test_unwritable_dump_states_exits_1(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        target = not_a_dir / "states"
+        code, out, err = run(capsys, "sweep", "--family", "rho_t", "--param-range", "0.1:0.2:2",
+                             "--p-range", "0:1:2", "--dump-states", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
     def test_malformed_range_exits_1(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "rho_t",
                          "--param-range", "0.1:0.2", "--p-range", "0:1:2")
@@ -150,6 +190,11 @@ class TestTable1:
         by_alpha = {round(float(a), 1): float(p) for a, p in
                     (line.split(",") for line in lines[1:])}
         assert by_alpha[0.5] == pytest.approx(0.018284, abs=1e-3)
+
+    def test_stdout_equals_committed_table(self, capsys):
+        code, out, _ = run(capsys, "table1")
+        assert code == 0
+        assert out.encode() == (RESULTS / "table1.csv").read_bytes()
 
 
 class TestEstimateM1:
@@ -203,6 +248,21 @@ class TestEstimateM1:
         code, _, err = run(capsys, "estimate-m1", "--family", "rho_t", "--p", "0.3")
         assert code == 1
         assert "estimate-m1 needs --state or --family with --param" in err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--tol", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "0", "--tol", "-0.5"]),
+    ("--tol", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "0", "--tol", "inf"]),
+    ("--p", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "nan"]),
+    ("--param", ["analyze", "--family", "isotropic", "--param", "inf", "--p", "0"]),
+    ("--k", ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "inf"]),
+    ("--s", ["estimate-m1", "--s", "nan", "--d", "2", "--k", "0"]),
+], ids=["tol-negative", "tol-inf", "p-nan", "param-inf", "k-inf", "s-nan"])
+def test_unsound_or_non_finite_number_exits_1(capsys, option, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: must be " in err
 
 
 def test_unknown_command_exits_1():
