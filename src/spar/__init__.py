@@ -9,6 +9,7 @@ from .criteria import (
     error_suite,
     q1_realignment_moments,
     q2_rmoment,
+    spa_r_scores,
     spa_r_upper_bound,
     spa_r_verdict,
 )
@@ -65,7 +66,8 @@ __all__ = [
     "DEFAULT", "Tolerances", "DomainError", "StateValidationError",
     # criteria
     "CriterionReport", "ErrorReport", "criterion_report", "error_suite",
-    "q1_realignment_moments", "q2_rmoment", "spa_r_upper_bound", "spa_r_verdict",
+    "q1_realignment_moments", "q2_rmoment", "spa_r_scores", "spa_r_upper_bound",
+    "spa_r_verdict",
     # moment_estimation
     "CaseTag", "EstimationInput", "MomentInterval", "m1_case_bounds",
     "m1_interval_quadratic", "simulate_s", "swap_operator",

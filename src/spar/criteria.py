@@ -7,19 +7,28 @@ anything else is inconclusive.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .config import DEFAULT
-from .realign import StateLike, Verdict, as_realigned, realignment_criterion, realignment_moment
+from .realign import (
+    RealignedMatrix,
+    StateLike,
+    Verdict,
+    as_realigned,
+    realignment_criterion,
+    realignment_moment,
+)
 from .spa import apply_spa, require_positive_trace
 
 __all__ = [
     "ErrorReport",
     "CriterionReport",
     "spa_r_upper_bound",
+    "spa_r_scores",
     "spa_r_verdict",
     "error_suite",
     "q1_realignment_moments",
@@ -39,16 +48,41 @@ def spa_r_upper_bound(trace_r: float, p: float) -> float:
     return p + (1.0 - p) / trace_r
 
 
+def spa_r_scores(
+    rho: StateLike, ps: Sequence[float], tol: float = DEFAULT.verdict
+) -> list[tuple[Verdict, float, float]]:
+    """SPA separability test over a p-grid: for each p the verdict,
+    ||spa(rho; p)||_1 and the separable bound it is compared against.
+
+    The whole grid is one stack of SPA matrices and one stacked SVD; each
+    norm is the same double as for that p alone. A p outside [0, 1] raises
+    before anything is scored. An empty grid scores nothing and checks
+    nothing.
+    """
+    ps = list(ps)
+    if not ps:
+        return []
+    r = as_realigned(rho)
+    trace_r = require_positive_trace(r)
+    return _score_spa_r(apply_spa(r, ps), trace_r, ps, tol)
+
+
+def _score_spa_r(
+    spa: np.ndarray, trace_r: float, ps: list[float], tol: float
+) -> list[tuple[Verdict, float, float]]:
+    """Verdict, norm and bound per p from the stack of SPA matrices."""
+    scores = []
+    for p, norm in zip(ps, linalg.trace_norm(spa).tolist()):
+        bound = spa_r_upper_bound(trace_r, p)
+        scores.append((Verdict.from_score(norm, bound, tol), norm, bound))
+    return scores
+
+
 def spa_r_criterion(
     rho: StateLike, p: float, tol: float = DEFAULT.verdict
 ) -> tuple[Verdict, float, float]:
-    """SPA separability test with its numbers: the verdict, ||spa(rho; p)||_1
-    and the separable bound it is compared against."""
-    r = as_realigned(rho)
-    trace_r = require_positive_trace(r)
-    norm = linalg.trace_norm(apply_spa(r, p))
-    bound = spa_r_upper_bound(trace_r, p)
-    return Verdict.from_score(norm, bound, tol), norm, bound
+    """:func:`spa_r_scores` at a single p."""
+    return spa_r_scores(rho, [p], tol)[0]
 
 
 def spa_r_verdict(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Verdict:
@@ -79,7 +113,13 @@ def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Error
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds."""
     r = as_realigned(rho)
     trace_r = require_positive_trace(r)
-    spa = apply_spa(r, p)
+    return _error_report(r, trace_r, apply_spa(r, p), p, tol)
+
+
+def _error_report(
+    r: RealignedMatrix, trace_r: float, spa: np.ndarray, p: float, tol: float
+) -> ErrorReport:
+    """:func:`error_suite` from an SPA matrix already built."""
     error_norm = linalg.trace_norm(spa - r.matrix)
     bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
     bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
@@ -134,11 +174,16 @@ class CriterionReport:
 
 
 def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> CriterionReport:
-    """Run every criterion that applies to the state at the given p."""
+    """Run every criterion that applies to the state at the given p.
+
+    The SPA matrix is built once and shared by the SPA-R score and the
+    approximation error.
+    """
     r = as_realigned(rho)
     trace_r = require_positive_trace(r)
     realignment_verdict, score = realignment_criterion(r, tol)
-    spa_verdict, norm, bound = spa_r_criterion(r, p, tol)
+    spa = apply_spa(r, [p])
+    [(spa_verdict, norm, bound)] = _score_spa_r(spa, trace_r, [p], tol)
     return CriterionReport(
         p=p,
         trace_r=trace_r,
@@ -147,7 +192,7 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
         trace_norm_spa_r=norm,
         upper_bound=bound,
         spa_r_verdict=spa_verdict,
-        error=error_suite(r, p, tol=tol),
+        error=_error_report(r, trace_r, spa[0], p, tol),
         q1=q1_realignment_moments(r),
         q2=q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None,
     )

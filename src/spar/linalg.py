@@ -2,7 +2,8 @@
 
 Everything here operates on plain ``numpy.ndarray`` values (complex128) and
 delegates the heavy lifting to LAPACK through numpy. Matrices in this package
-are small (9 x 9 at most in practice), so no sparse or blocked paths exist.
+are small (9 x 9 at most in practice), so no sparse or blocked paths exist;
+many small matrices of one size go to LAPACK as one stack instead.
 All functions are pure; inputs are never mutated.
 """
 
@@ -27,10 +28,17 @@ __all__ = [
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D complex128 array and require finite entries."""
+    return _finite_complex(m, stacked=False)
+
+
+def _finite_complex(m, stacked: bool) -> np.ndarray:
+    """A complex128 array of finite entries: one matrix, or with ``stacked``
+    also a stack of them (leading axes index the matrices)."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
+        expected = "a matrix or a stack of matrices" if stacked else "a 2-D matrix"
+        raise ValueError(f"expected {expected}, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -87,13 +95,23 @@ def general_eigenvalues(m) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values in descending order, min(rows, cols) of them."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+    """Singular values in descending order, min(rows, cols) of them.
+
+    A stack of shape (..., rows, cols) goes to LAPACK in one gufunc call and
+    gives shape (..., min(rows, cols)); each row equals the values of its
+    matrix on its own.
+    """
+    return np.linalg.svd(_finite_complex(m, stacked=True), compute_uv=False)
 
 
-def trace_norm(m) -> float:
-    """Trace norm: the sum of singular values."""
-    return float(np.sum(singular_values(m)))
+def trace_norm(m) -> float | np.ndarray:
+    """Trace norm: the sum of singular values.
+
+    A single matrix gives a float, a stack one norm per matrix as an array;
+    each equals the float of that matrix on its own.
+    """
+    norms = np.sum(singular_values(m), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def power_trace(m, k: int) -> complex:

@@ -16,6 +16,7 @@ l = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,22 +202,37 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     )
 
 
-def apply_spa(rho: StateLike, p: float) -> np.ndarray:
+def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
 
     Needs equal subsystem dimensions and positive realigned trace; the
     output always has unit trace. Unlike :func:`spa_threshold` this does not
     gate on a real realigned spectrum, since the mixture and its trace norm
     are well defined without it.
+
+    A 1-D sequence of weights gives the stack of shape (len(p), n, n). Every
+    slice is built with the same elementwise operations as a single weight,
+    so slice i equals ``apply_spa(rho, p[i])`` exactly. A weight outside
+    [0, 1] (NaN included) raises before anything is built.
     """
     r = as_realigned(rho)
     if not r.is_square:
         raise ValueError("the SPA requires equal subsystem dimensions")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    weights = np.asarray(p, dtype=float)
+    if weights.ndim > 1:
+        raise ValueError(f"p must be a number or a 1-D sequence, got ndim={weights.ndim}")
+    stacked = weights.ndim == 1
+    values = weights.reshape(-1).tolist()
+    for i, w in enumerate(values):
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p[i] if stacked else p}")
     trace_r = require_positive_trace(r)
     n = r.dim_a * r.dim_b
-    return (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / trace_r) * r.matrix
+    # the mixing weights as Python floats, with the arithmetic of a single p
+    coef = np.array([(w / n, (1.0 - w) / trace_r) for w in values], dtype=np.complex128)
+    coef = coef.reshape(-1, 2, 1, 1)
+    spa = coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
+    return spa if stacked else spa[0]
 
 
 def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCertificate:

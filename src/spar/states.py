@@ -254,7 +254,11 @@ def _load_payload(path) -> dict:
 
 def read_matrix_file(path) -> np.ndarray:
     """Read a square matrix in the state-file layout, without density checks."""
-    raw = _load_payload(path)["matrix"]
+    return _payload_matrix(_load_payload(path))
+
+
+def _payload_matrix(payload: dict) -> np.ndarray:
+    raw = payload["matrix"]
     try:
         flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
@@ -273,4 +277,4 @@ def read_state_file(path) -> DensityMatrix:
     dims = payload["dims"]
     if not (isinstance(dims, list) and len(dims) == 2):
         raise StateValidationError("dims", f"dims must be [dA, dB], got {dims!r}")
-    return validate_density(read_matrix_file(path), (int(dims[0]), int(dims[1])))
+    return validate_density(_payload_matrix(payload), (int(dims[0]), int(dims[1])))

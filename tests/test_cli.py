@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spar import random_separable, rho_t, write_state_file
+from spar import criterion_report, random_separable, rho_t, write_state_file
 from spar.cli import main
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
@@ -93,12 +93,12 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
-    def test_output_round_trips_to_17_digits(self, capsys):
+    def test_printed_spa_r_trace_norm_is_the_computed_double(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "rho_t",
                            "--param", "0.3", "--p", "0.25")
-        record = json.loads(out)
-        norm = record["spa_r"]["trace_norm"]
-        assert float(format(norm, ".17g")) == norm
+        assert code == 0
+        norm = json.loads(out)["spa_r"]["trace_norm"]
+        assert norm == criterion_report(rho_t(0.3), 0.25).trace_norm_spa_r
 
 
 class TestSweep:
@@ -139,6 +139,12 @@ class TestSweep:
         code, out_joined, _ = run(capsys, "sweep", "--family", "rho_t", *joined)
         assert code == 0
         assert run(capsys, "sweep", "--family", "rho_t", *ranges) == (0, out_joined, "")
+
+    def test_p_outside_unit_interval_exits_1_before_any_row(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "rho_t",
+                             "--param-range", "0.1:0.2:2", "--p-range=0:2:3")
+        assert (code, out) == (1, "")
+        assert err == "error: p must lie in [0, 1], got 2.0\n"
 
     @pytest.mark.parametrize("spec", ["nan:0.1:2", "0:inf:2"])
     def test_non_finite_range_exits_1(self, capsys, spec):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from spar import (
     isotropic,
     q1_realignment_moments,
     q2_rmoment,
+    random_schmidt_symmetric,
     realign,
     realignment_criterion,
+    rho_a,
     rho_t,
     spa_r_upper_bound,
     spa_r_verdict,
     validate_density,
 )
-from spar.sweeps import violation_p_max
+from spar.criteria import spa_r_criterion, spa_r_scores
+from spar.sweeps import family_state, sweep_rows, violation_p_max
 
 
 def mm_state(d=2):
@@ -201,3 +205,71 @@ class TestSharedAnalysis:
     @pytest.mark.parametrize("rho,p", SHARED_ANALYSIS_CASES)
     def test_violation_p_max_from_realigned_matrix(self, rho, p):
         assert violation_p_max(realign(rho)) == violation_p_max(rho)
+
+
+# p-grid with both zeros, the end point and off-grid weights
+P_GRID = [-0.0, 0.0, 1.0] + np.linspace(0.0, 1.0, 41).tolist() + [1e-12, 0.123456789, 1 - 1e-12]
+
+GRID_STATES = (
+    [rho_t(t) for t in (-0.79, -0.6, 0.0, 0.11, 0.3, 0.79)]
+    + [rho_a(a) for a in (1 / 2**0.5, 0.8, 1.0)]
+    + [isotropic(b, d) for d in range(2, 7) for b in (-1 / (d * d - 1) + 1e-3, 0.2, 0.9)]
+    + [alpha_state(a) for a in (0.0, 0.3, 0.7, 1.0)]
+    + [random_schmidt_symmetric(d, 3, seed=d) for d in range(2, 6)]
+)
+
+
+def per_cell_norm(r, p):
+    """||spa(rho; p)||_1 from one SPA matrix and one SVD for this p alone."""
+    n = r.dim_a * r.dim_b
+    spa = (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / r.trace) * r.matrix
+    return float(np.sum(np.linalg.svd(spa, compute_uv=False)))
+
+
+class TestSpaRScores:
+    @pytest.mark.parametrize("rho", GRID_STATES, ids=repr)
+    def test_grid_equals_per_p_scores(self, rho):
+        r = realign(rho)
+        scores = spa_r_scores(r, P_GRID)
+        assert scores == [spa_r_criterion(r, p) for p in P_GRID]
+        assert [norm for _, norm, _ in scores] == [per_cell_norm(r, p) for p in P_GRID]
+        assert [bound for _, _, bound in scores] == [spa_r_upper_bound(r.trace, p) for p in P_GRID]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_p_outside_unit_interval_raises_with_the_first_offender(self, bad):
+        message = f"p must lie in [0, 1], got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spa_r_scores(rho_t(0.3), [0.0, 0.5, bad, 2.0])
+
+    def test_empty_grid_scores_nothing(self):
+        assert spa_r_scores(rho_t(0.3), []) == []
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("family,params", [
+        ("rho_t", [-0.7, 0.05, 0.4]),
+        ("rho_a", [0.75, 1.0]),
+        ("isotropic", [0.0, 0.3, 0.95]),
+        ("alpha_state", [0.2, 0.8]),
+    ])
+    def test_rows_equal_per_cell_scores(self, family, params):
+        rows = list(sweep_rows(family, params, P_GRID))
+        assert [(row["param"], row["p"]) for row in rows] == [
+            (param, p) for param in params for p in P_GRID
+        ]
+        for row in rows:
+            r = realign(family_state(family, row["param"]))
+            verdict, norm, bound = spa_r_criterion(r, row["p"])
+            assert row["traceNormSpaR"] == norm == per_cell_norm(r, row["p"])
+            assert row["upperBound"] == bound
+            assert row["violated"] == int(verdict == Verdict.ENTANGLED)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, float("nan")])
+    def test_p_outside_unit_interval_raises_before_any_row(self, bad):
+        rows = sweep_rows("rho_t", [0.1, 0.2], [0.0, 0.5, bad])
+        with pytest.raises(ValueError, match=re.escape(f"p must lie in [0, 1], got {bad}")):
+            next(rows)
+
+    def test_empty_p_list_yields_no_rows(self):
+        # the first isotropic parameter has realigned trace 0: nothing is scored
+        assert list(sweep_rows("isotropic", [-1 / 8, 0.5], [])) == []

@@ -90,6 +90,24 @@ def test_trace_norm_examples():
     assert linalg.trace_norm(np.diag([1.0, -1.0, 0.0])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_stacked_singular_values_and_trace_norms_equal_per_matrix(n):
+    rng = rng_for(n)
+    stack = np.stack([random_complex(rng, n) for _ in range(7)])
+    sigma = linalg.singular_values(stack)
+    norms = linalg.trace_norm(stack)
+    assert sigma.shape == (7, n) and norms.shape == (7,)
+    for m, row, norm in zip(stack, sigma, norms.tolist()):
+        assert np.array_equal(row, linalg.singular_values(m))
+        assert norm == linalg.trace_norm(m)
+
+
+def test_trace_norm_of_empty_stack_and_bad_rank():
+    assert linalg.trace_norm(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        linalg.singular_values(np.ones(3))
+
+
 def test_trace_norm_realigned_bell():
     bell = np.zeros(4)
     bell[[0, 3]] = 1 / np.sqrt(2)

@@ -201,6 +201,21 @@ class TestApplySpa:
         with pytest.raises(ValueError):
             apply_spa(rho_t(0.3), 1.5)
 
+    def test_weight_sequence_gives_the_stack_of_single_weights(self):
+        ps = [-0.0, 0.0, 0.25, 0.7, 1.0]
+        for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
+            stack = apply_spa(rho, ps)
+            assert stack.shape == (len(ps),) + (rho.dim,) * 2
+            for p, spa in zip(ps, stack):
+                assert np.array_equal(spa, apply_spa(rho, p))
+        assert apply_spa(rho_t(0.3), []).shape == (0, 4, 4)
+
+    def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
+        with pytest.raises(ValueError, match=r"got -0\.5$"):
+            apply_spa(rho_t(0.3), [0.1, -0.5, 1.5])
+        with pytest.raises(ValueError, match="1-D"):
+            apply_spa(rho_t(0.3), [[0.1, 0.2]])
+
     def test_schmidt_symmetric_norm_is_one(self, schmidt_symmetric_states):
         from spar.linalg import trace_norm
 

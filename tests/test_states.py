@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -167,6 +168,20 @@ class TestStateFiles:
         write_state_file(p1, rho)
         write_state_file(p2, read_state_file(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_reads_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        write_state_file(path, rho_t(0.3))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        read_state_file(path)
+        assert opened == [path]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
