@@ -31,7 +31,7 @@ from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quad
 from .realign import realign, realignment_criterion
 from .spa import certify_completely_positive, spa_threshold
 from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
-from .sweeps import FAMILIES, SWEEP_COLUMNS, csv_text, family_state, sweep_rows, table1_rows
+from .sweeps import FAMILIES, SWEEP_COLUMNS, csv_text, family_state, state_rows, table1_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,13 +155,17 @@ def cmd_sweep(args) -> int:
     ps = _parse_range(args.p_range)
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
-    rows = list(sweep_rows(args.family, params, ps, verdict_tol=args.tol))
+    rows, states = [], []
+    for param in params:
+        rho = family_state(args.family, param)
+        rows += state_rows(param, rho, ps, verdict_tol=args.tol)
+        states.append(rho)
     if args.dump_states:
         with _writing(args.dump_states):
             os.makedirs(args.dump_states, exist_ok=True)
-            for i, param in enumerate(params):
+            for i, rho in enumerate(states):
                 path = os.path.join(args.dump_states, f"{args.family}_{i:04d}.json")
-                write_state_file(path, family_state(args.family, param))
+                write_state_file(path, rho)
     _emit(csv_text(rows, SWEEP_COLUMNS), args.out)
     return EXIT_OK
 
@@ -186,10 +190,8 @@ def cmd_estimate_m1(args) -> int:
             raise ValueError("provide --s, --d and --k (or a state source)")
         s, d, k = args.s, args.d, args.k
     inp = EstimationInput(s=s, d=d, k=k)
-    if inp.x < -1e-12:
-        raise DomainError(f"x = 1 - d^2 s = {inp.x:.3e} is negative")
+    case = m1_case_bounds(inp)  # raises DomainError for x = 1 - d^2 s < 0
     quad = m1_interval_quadratic(inp)
-    case = m1_case_bounds(inp)
     record = {
         "s": s,
         "d": d,

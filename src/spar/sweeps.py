@@ -1,24 +1,33 @@
-"""Parameter sweeps, boundary bisection and the detection-window table.
+"""Parameter sweeps, boundary search and the detection-window table.
 
 Grid evaluation is deterministic and parameter-major. Each parameter row
 scores its whole p-grid with one stacked SVD (one LAPACK call for all the
 SPA matrices of the row); every norm is the same double as a per-cell
 evaluation would give, so the rows are byte for byte those of a cell-by-cell
-loop. Boundary search uses plain bisection, which relies on the violation
-region being an interval in the swept variable (true for every family
-handled here).
+loop.
+
+The detection edge in p needs no interval assumption: the excess
+||spa(rho; p)||_1 - (p + (1-p)/Tr R) is convex in p and vanishes at p = 1, so
+the violated set is an interval [0, p*). :func:`violation_p_max` brackets p*
+from both sides by convexity and returns the midpoint of the cell of the
+dyadic grid that :func:`bisect_boundary` on [0, 1] would return.
+:func:`bisect_boundary` stays for searches in other variables, where it
+relies on the predicate flipping once between its end points.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT
-from .criteria import q1_realignment_moments, q2_rmoment, spa_r_scores, spa_r_verdict
+from .criteria import q1_realignment_moments, q2_rmoment, spa_r_scores
 from .exceptions import DomainError
-from .realign import StateLike, Verdict, as_realigned, realign
+from .realign import StateLike, Verdict, as_realigned
 from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
@@ -27,6 +36,7 @@ __all__ = [
     "family_state",
     "bisect_boundary",
     "violation_p_max",
+    "state_rows",
     "sweep_rows",
     "SWEEP_COLUMNS",
     "csv_text",
@@ -67,19 +77,30 @@ def family_state(name: str, param: float) -> DensityMatrix:
     return ctor(param)
 
 
+def _require_tolerance(tol: float) -> None:
+    """A search tolerance must be finite and positive, or the search never ends."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def bisect_boundary(
     predicate: Callable[[float], bool], lo: float, hi: float, tol: float = 1e-7
 ) -> float:
     """Locate the flip point of a boolean predicate between lo and hi.
 
     ``predicate(lo)`` and ``predicate(hi)`` must differ; the returned value
-    is within ``tol`` of the crossing.
+    is within ``tol`` of the crossing. ``tol`` must be finite and positive; a
+    tol below the double spacing near the crossing raises once the bracket
+    stops shrinking.
     """
+    _require_tolerance(tol)
     flo = bool(predicate(lo))
     if bool(predicate(hi)) == flo:
         raise ValueError(f"predicate does not change between {lo} and {hi}")
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            raise ValueError(f"tol {tol} is below the double spacing near {mid}")
         if bool(predicate(mid)) == flo:
             lo = mid
         else:
@@ -87,21 +108,128 @@ def bisect_boundary(
     return 0.5 * (lo + hi)
 
 
-def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
-    """Largest p at which the SPA separability bound is violated.
+_SECANT_STEPS = 32
+"""Probes of :func:`violation_p_max` guided by secant and chord roots; later
+probes bisect, so a search ends after at most _SECANT_STEPS + 52 probes."""
 
-    Assumes the violated set is an interval starting at p = 0 (it always
-    ends before p = 1, where the bound is saturated). Returns None when the
-    state is not detected even at p = 0.
+
+def _grid_step(tol: float) -> float:
+    """Cell width h = 2**-j at which bisection of [0, 1] with ``tol`` stops:
+    the largest power of two not above tol, and 1 for tol >= 1."""
+    _require_tolerance(tol)
+    if tol < sys.float_info.epsilon:
+        raise ValueError(f"tol {tol} is below the double spacing at p = 1")
+    h = 1.0
+    while h > tol:
+        h *= 0.5
+    return h
+
+
+def _zero(x0: float, y0: float, x1: float, y1: float) -> float:
+    """Where the line through (x0, y0) and (x1, y1) crosses zero; NaN if it is flat."""
+    return x0 + y0 * (x1 - x0) / (y0 - y1) if y0 != y1 else math.nan
+
+
+def _flip_cell(excess: Callable[[float], float], h: float, g0: float, g1: float) -> int:
+    """Index k of a grid cell [k h, (k+1) h] whose left end is violated
+    (``excess > 0``) and whose right end is not, given g0 = excess(0) > 0 and
+    g1 = excess(1) <= 0.
+
+    Only grid points are probed and the bracket [a h, b h] (a violated, b
+    not) shrinks with every probe. For a convex excess the chord from a to b
+    crosses zero at an upper bound of the edge, and the secant through the
+    last two violated points crosses zero at a lower bound. The first probe
+    is the grid point below the chord root, which ends the search when the
+    excess is linear. Later probes take the grid point below the secant
+    root, or below the chord root once the two roots are at most a cell
+    apart; a probe at or beyond an end of the bracket moves inside it.
+    Roots that are not finite or not ordered a <= lower <= upper <= b
+    (values that are not convex) give a bisection step, as does every probe
+    after the first :data:`_SECANT_STEPS`.
     """
+    a, ga = 0, g0
+    b, gb = round(1 / h), g1
+    prev = None  # (index, excess) of the violated point before a
+    for step in itertools.count():
+        if b == a + 1:
+            return a
+        upper = _zero(a * h, ga, b * h, gb)
+        lower = a * h if prev is None else _zero(prev[0] * h, prev[1], a * h, ga)
+        if step < _SECANT_STEPS and a * h <= lower <= upper <= b * h:
+            k_lower, k_upper = math.floor(lower / h), math.floor(upper / h)
+            k = k_upper if step == 0 or k_upper <= k_lower + 1 else k_lower
+            k = min(max(k, a + 1), b - 1)
+        else:
+            k = (a + b) // 2
+        gk = excess(k * h)
+        if gk > 0:
+            prev, a, ga = (a, ga), k, gk
+        else:
+            b, gb = k, gk
+
+
+def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
+    """Largest p at which the SPA separability bound is violated, or None
+    when the state is not detected even at p = 0.
+
+    The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
+    from the same doubles as the verdict, is positive exactly where the
+    verdict is ENTANGLED. It is convex in p and negative at p = 1, so the
+    violated set is an interval [0, p*). Let h = 2**-j be the largest power
+    of two not above ``tol``. The result is the midpoint of the grid cell
+    [k h, (k+1) h] whose left end is violated and whose right end is not:
+    the value ``bisect_boundary(violated, 0.0, 1.0, tol)`` returns, bit for
+    bit, whenever the computed verdict flips once on the grid. Convex
+    brackets find that cell in a few evaluations (see :func:`_flip_cell`).
+    ``tol`` must be finite and at least the double spacing at 1, 2**-52.
+    """
+    h = _grid_step(tol)
     r = as_realigned(rho)
 
-    def violated(p: float) -> bool:
-        return spa_r_verdict(r, p) == Verdict.ENTANGLED
+    def excess(p: float) -> float:
+        [(_, norm, bound)] = spa_r_scores(r, [p])
+        return norm - (bound + DEFAULT.verdict)
 
-    if not violated(0.0):
+    g0 = excess(0.0)
+    if g0 <= 0:
         return None
-    return bisect_boundary(violated, 0.0, 1.0, tol=tol)
+    g1 = excess(1.0)
+    if g1 > 0:
+        raise ValueError("predicate does not change between 0.0 and 1.0")
+    k = _flip_cell(excess, h, g0, g1)
+    return 0.5 * (k * h + (k + 1) * h)
+
+
+def state_rows(
+    param: float, rho: StateLike, ps: Sequence[float], verdict_tol: float = DEFAULT.verdict
+) -> Iterator[dict]:
+    """The :data:`SWEEP_COLUMNS` rows of one state over a p-grid, labelled ``param``.
+
+    The state is realigned once and scored over the whole grid by
+    :func:`spa_r_scores`; a p outside [0, 1] raises before the first row.
+    Threshold data that cannot be certified (realigned spectrum not real) is
+    reported as NaN rather than aborting the sweep.
+    """
+    r = as_realigned(rho)
+    try:
+        threshold = spa_threshold(r)
+        l, k = threshold.l, threshold.k
+    except DomainError:
+        l, k = float("nan"), float("nan")
+    q1 = q1_realignment_moments(r)
+    q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
+    for p, (verdict, norm, bound) in zip(ps, spa_r_scores(r, ps, verdict_tol)):
+        yield {
+            "param": param,
+            "p": p,
+            "traceNormSpaR": norm,
+            "upperBound": bound,
+            "violated": int(verdict == Verdict.ENTANGLED),
+            "l": l,
+            "k": k,
+            "q1": q1,
+            "q2": q2,
+        }
 
 
 def sweep_rows(
@@ -110,36 +238,11 @@ def sweep_rows(
     ps: Iterable[float],
     verdict_tol: float = DEFAULT.verdict,
 ) -> Iterator[dict]:
-    """Grid rows for one family, parameter-major.
-
-    Columns: :data:`SWEEP_COLUMNS` (q2 empty outside 3x3 systems). Threshold
-    data that cannot be certified for a grid point (realigned spectrum not
-    real) is reported as NaN rather than aborting the sweep. Each parameter
-    row is realigned once and scored over the whole p-grid by
-    :func:`spa_r_scores`; a p outside [0, 1] raises before the first row.
-    """
+    """Grid rows for one family, parameter-major: :func:`state_rows` of
+    each family state (q2 empty outside 3x3 systems)."""
     ps = list(ps)
     for param in params:
-        r = realign(family_state(family, param))
-        try:
-            threshold = spa_threshold(r)
-            l, k = threshold.l, threshold.k
-        except DomainError:
-            l, k = float("nan"), float("nan")
-        q1 = q1_realignment_moments(r)
-        q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
-        for p, (verdict, norm, bound) in zip(ps, spa_r_scores(r, ps, verdict_tol)):
-            yield {
-                "param": param,
-                "p": p,
-                "traceNormSpaR": norm,
-                "upperBound": bound,
-                "violated": int(verdict == Verdict.ENTANGLED),
-                "l": l,
-                "k": k,
-                "q1": q1,
-                "q2": q2,
-            }
+        yield from state_rows(param, family_state(family, param), ps, verdict_tol)
 
 
 def table1_rows() -> list[dict]:

@@ -7,7 +7,9 @@ tests right next to a passing test that pins down the actual behavior; each
 xfail reason states the contradiction.
 """
 
+import hashlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -442,3 +444,15 @@ def test_reproduce_script_rewrites_results_byte_for_byte(tmp_path, monkeypatch, 
     for name in committed:
         assert (tmp_path / name).read_bytes() == (root / "results" / name).read_bytes(), name
     ok(f"results: reproduce_results.py rewrites all {len(committed)} CSVs byte for byte")
+
+
+def test_benchmark_reference_digests_match_results():
+    # the benchmark falls back to these digests when a checkout has no results/
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads((root / "benchmarks" / "results_sha256.json").read_text())
+    committed = {
+        path.name: [hashlib.sha256(path.read_bytes()).hexdigest(), path.read_bytes().count(b"\n") - 1]
+        for path in sorted((root / "results").glob("*.csv"))
+    }
+    assert committed == reference
+    ok(f"results: benchmarks/results_sha256.json pins all {len(committed)} CSVs")

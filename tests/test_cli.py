@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spar import criterion_report, random_separable, rho_t, write_state_file
+from spar import cli, criterion_report, random_separable, rho_t, sweeps, write_state_file
 from spar.cli import main
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
@@ -168,6 +168,34 @@ class TestSweep:
                          "--param-range", "0.1:0.2", "--p-range", "0:1:2")
         assert code == 1
 
+    def test_dump_states_builds_each_state_once(self, capsys, tmp_path, monkeypatch):
+        params = [0.1 + 0.2 * i for i in range(5)]
+        ps = [0.0, 0.5, 1.0]
+        expected_csv = sweeps.csv_text(sweeps.sweep_rows("alpha_state", params, ps),
+                                       sweeps.SWEEP_COLUMNS)
+        expected_files = {}
+        for i, param in enumerate(params):
+            path = tmp_path / f"expected_{i}.json"
+            write_state_file(str(path), sweeps.family_state("alpha_state", param))
+            expected_files[f"alpha_state_{i:04d}.json"] = path.read_bytes()
+        built = []
+        build = sweeps.family_state
+
+        def family_state(name, param):
+            built.append(param)
+            return build(name, param)
+
+        monkeypatch.setattr(cli, "family_state", family_state)
+        monkeypatch.setattr(sweeps, "family_state", family_state)
+        dump = tmp_path / "states"
+        code, out, _ = run(capsys, "sweep", "--family", "alpha_state",
+                           "--param-range=0.1:0.9:5", "--p-range=0:1:3",
+                           "--dump-states", str(dump))
+        assert code == 0
+        assert built == params
+        assert out == expected_csv
+        assert {path.name: path.read_bytes() for path in dump.iterdir()} == expected_files
+
     def test_dump_states_round_trip(self, capsys, tmp_path):
         dump = tmp_path / "states"
         code, out, _ = run(capsys, "sweep", "--family", "alpha_state",
@@ -222,6 +250,11 @@ class TestEstimateM1:
         code, _, err = run(capsys, "estimate-m1", "--s", "0.3", "--d", "2", "--k", "0")
         assert code == 3
         assert "domain" in err
+
+    def test_negative_x_message(self, capsys):
+        code, out, err = run(capsys, "estimate-m1", "--s", "0.2", "--d", "3", "--k", "0.1")
+        assert (code, out) == (3, "")
+        assert err == "error: domain violation: x = 1 - d^2 s = -8.000e-01 is negative\n"
 
     def test_from_state_with_default_swap_hits_x_gate(self, capsys):
         # the SWAP expectation of these states exceeds 1/d^2, so the

@@ -1,0 +1,170 @@
+"""Detection edges: violation_p_max against plain bisection, and tolerance checks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spar import (
+    DEFAULT,
+    Verdict,
+    alpha_state,
+    isotropic,
+    random_schmidt_symmetric,
+    realign,
+    rho_a,
+    rho_t,
+    spa_r_verdict,
+    validate_density,
+)
+from spar import sweeps
+from spar.criteria import spa_r_scores
+from spar.sweeps import TABLE1_ALPHAS, bisect_boundary, violation_p_max
+
+from util import time_limit
+
+
+def depolarized(rho, weight):
+    n = rho.dim_a * rho.dim_b
+    return validate_density((1 - weight) * rho.matrix + weight * np.eye(n) / n, (rho.dim_a, rho.dim_b))
+
+
+EDGE_STATES = (
+    [alpha_state(a) for a in TABLE1_ALPHAS]
+    + [rho_t(float(t)) for t in np.linspace(-0.79, 0.79, 17)]
+    + [rho_a(a) for a in (1 / math.sqrt(2) + 1e-6, 0.8, 0.9, 1.0)]
+    + [isotropic(b, d) for d in range(2, 7) for b in (0.1, 0.5, 0.9)]
+    + [depolarized(random_schmidt_symmetric(d, 3, seed=d), 0.3) for d in range(2, 6)]
+)
+
+
+def bisected_edge(rho, tol):
+    """The detection edge by plain bisection of [0, 1]; None when undetected at p = 0."""
+    r = realign(rho)
+
+    def violated(p):
+        return spa_r_verdict(r, p) == Verdict.ENTANGLED
+
+    return bisect_boundary(violated, 0.0, 1.0, tol) if violated(0.0) else None
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-9])
+def test_edge_equals_bisection_bit_for_bit(tol):
+    edges = [violation_p_max(rho, tol) for rho in EDGE_STATES]
+    assert edges == [bisected_edge(rho, tol) for rho in EDGE_STATES]
+    # both detected and undetected states are covered
+    assert 0 < edges.count(None) < len(edges) // 2
+
+
+@pytest.mark.parametrize("rho", [
+    rho_t(0.0), rho_t(0.1), isotropic(0.2), isotropic(0.1, 5), alpha_state(0.0),
+    depolarized(random_schmidt_symmetric(3, 3, seed=3), 0.3),
+], ids=repr)
+def test_undetected_state_has_no_edge(rho):
+    assert spa_r_verdict(rho, 0.0) == Verdict.INCONCLUSIVE
+    assert violation_p_max(rho) is None
+
+
+def counting_scores(monkeypatch):
+    """Count the spa_r_scores calls made by the sweeps module."""
+    calls = []
+
+    def scores(r, ps, tol=DEFAULT.verdict):
+        calls.append(list(ps))
+        return spa_r_scores(r, ps, tol)
+
+    monkeypatch.setattr(sweeps, "spa_r_scores", scores)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", TABLE1_ALPHAS)
+def test_table1_edge_takes_at_most_16_evaluations(monkeypatch, alpha):
+    calls = counting_scores(monkeypatch)
+    violation_p_max(alpha_state(alpha))
+    assert 3 <= len(calls) <= 16  # bisection takes 27
+    assert all(len(ps) == 1 for ps in calls)
+
+
+def fake_excess(monkeypatch, norm):
+    """Replace the SPA scores by (verdict, norm(p), 0.0) and record the probed p.
+
+    The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
+    matching predicate for bisect_boundary.
+    """
+    probes = []
+
+    def scores(r, ps, tol=DEFAULT.verdict):
+        probes.extend(ps)
+        return [(None, norm(p), 0.0) for p in ps]
+
+    monkeypatch.setattr(sweeps, "spa_r_scores", scores)
+    return probes, lambda p: norm(p) > 0.0 + DEFAULT.verdict
+
+
+def test_non_finite_root_takes_a_bisection_step(monkeypatch):
+    # an infinite excess at p = 0 makes the first chord root NaN
+    probes, violated = fake_excess(monkeypatch, lambda p: math.inf if p == 0 else 0.3 - p)
+    edge = violation_p_max(alpha_state(0.5))
+    assert probes[:3] == [0.0, 1.0, 0.5]
+    assert edge == bisect_boundary(violated, 0.0, 1.0, 1e-7)
+
+
+@pytest.mark.parametrize("shape", ["concave", "wiggly"])
+@pytest.mark.parametrize("edge", [1e-6, 0.02, 0.3, 0.7, 0.99])
+@pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-9])
+def test_excess_that_is_not_convex_still_gives_the_bisection_cell(monkeypatch, shape, edge, tol):
+    # one sign change at the edge; secant and chord roots are not bounds here
+    def norm(p):
+        if shape == "concave":
+            return edge * edge - p * p + DEFAULT.verdict
+        return (edge - p) * (1.2 + math.sin(40 * p)) + DEFAULT.verdict
+
+    probes, violated = fake_excess(monkeypatch, norm)
+    assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
+    assert len(probes) <= 2 + sweeps._SECANT_STEPS + 52
+
+
+def test_capped_search_probes_the_bisection_points(monkeypatch):
+    # with no secant steps allowed the search is plain bisection on the grid
+    calls = counting_scores(monkeypatch)
+    monkeypatch.setattr(sweeps, "_SECANT_STEPS", 0)
+    rho = alpha_state(0.5)
+    edge = violation_p_max(rho)
+    r = realign(rho)
+    bisected = []
+
+    def violated(p):
+        bisected.append(p)
+        return spa_r_verdict(r, p) == Verdict.ENTANGLED
+
+    assert edge == bisect_boundary(violated, 0.0, 1.0, 1e-7)
+    assert [ps[0] for ps in calls] == bisected
+
+
+BAD_TOLERANCES = [0.0, -1e-7, math.nan, math.inf]
+BAD_IDS = ["zero", "negative", "nan", "inf"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=BAD_IDS)
+def test_violation_p_max_rejects_a_tolerance_that_cannot_end(tol):
+    with time_limit(10), pytest.raises(ValueError, match="tol must be finite and > 0"):
+        violation_p_max(alpha_state(0.5), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=BAD_IDS)
+def test_bisect_boundary_rejects_a_tolerance_that_cannot_end(tol):
+    with time_limit(10), pytest.raises(ValueError, match="tol must be finite and > 0"):
+        bisect_boundary(lambda p: p < 0.3, 0.0, 1.0, tol=tol)
+
+
+def test_tolerance_below_double_spacing_raises():
+    with time_limit(10):
+        with pytest.raises(ValueError, match="below the double spacing"):
+            violation_p_max(alpha_state(0.5), tol=1e-17)
+        with pytest.raises(ValueError, match="below the double spacing"):
+            bisect_boundary(lambda p: p < 0.3, 0.0, 1.0, tol=1e-300)
+
+
+def test_coarse_tolerance_gives_the_midpoint():
+    # bisection of [0, 1] stops at once for tol >= 1
+    assert violation_p_max(alpha_state(0.5), tol=1.0) == 0.5 == violation_p_max(alpha_state(0.5), 3.0)

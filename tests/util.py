@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 
 from spar import linalg
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once it has run ``seconds`` of
+    wall time, so a search that never ends fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rng_for(seed: int) -> np.random.Generator:
