@@ -8,7 +8,14 @@ intervals). JSON goes through :func:`json.dumps` and CSV through
 round-trip ``repr`` ('.' decimal separator, no locale), so output parses
 back to the same doubles and its bytes are deterministic for fixed inputs.
 A range option also takes a negative value as its own argument
-(``--param-range -0.7:-0.6:2``).
+(``--param-range -0.7:-0.6:2``). ``--tol`` is accepted only where a verdict
+is made: by ``analyze`` and ``sweep``.
+
+:func:`main` may be called any number of times in one process. The parser
+is built on the first call and shared by every later one: each
+``parse_args`` returns a fresh namespace, and help and usage text are
+written to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers of
+:func:`build_parser` get that same parser and must not mutate it.
 
 :func:`main` alone maps errors to exit codes: 0 success, 1 usage error
 (including an unwritable output path), 2 invalid state file, 3 domain
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -223,10 +231,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; do not mutate it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT.verdict,
-                        help="verdict tolerance on strict inequalities")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     parser = argparse.ArgumentParser(prog="spar",
@@ -246,6 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p-range", required=True, help="lo:hi:n")
     ps.add_argument("--dump-states", default=None, help="directory for per-grid-point state files")
     ps.set_defaults(func=cmd_sweep)
+
+    for verdict_parser in (pa, ps):
+        verdict_parser.add_argument("--tol", type=_tolerance, default=DEFAULT.verdict,
+                                    help="verdict tolerance on strict inequalities")
 
     pt = sub.add_parser("table1", parents=[common],
                         help="largest violating p per alpha-state parameter")

@@ -156,8 +156,8 @@ def require_positive_trace(r: RealignedMatrix) -> float:
 
 
 def require_real_spectrum(r: RealignedMatrix) -> np.ndarray:
-    """Return the (oracle) eigenvalues of R after checking they are real
-    within ``DEFAULT.spectrum_imag``."""
+    """Return the real parts of the eigenvalues of R after checking that
+    their imaginary parts are within ``DEFAULT.spectrum_imag``."""
     eigs = r.eigenvalues
     worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
     if worst > DEFAULT.spectrum_imag:

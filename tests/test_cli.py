@@ -1,13 +1,19 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spar
 from spar import cli, criterion_report, random_separable, rho_t, sweeps, write_state_file
 from spar.cli import main
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
+SRC = Path(spar.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -310,3 +316,74 @@ def test_unknown_command_exits_1():
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--tol", "5"],
+    ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01", "--tol", "7"],
+], ids=["table1", "estimate-m1"])
+def test_tol_where_no_verdict_is_made_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: --tol {argv[-1]}" in err
+
+
+def test_analyze_and_sweep_take_tol(capsys):
+    code, out, _ = run(capsys, "analyze", "--family", "rho_t", "--param", "0.3",
+                       "--p", "0.2", "--tol", "0.5")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 0.5
+    ps = [0.0, 0.5, 1.0]
+    code, out, _ = run(capsys, "sweep", "--family", "isotropic", "--param-range", "0.9:0.9:1",
+                       "--p-range", "0:1:3", "--tol", "0.5")
+    assert code == 0
+    assert out == sweeps.csv_text(sweeps.sweep_rows("isotropic", [0.9], ps, verdict_tol=0.5),
+                                  sweeps.SWEEP_COLUMNS)
+    assert out != sweeps.csv_text(sweeps.sweep_rows("isotropic", [0.9], ps),
+                                  sweeps.SWEEP_COLUMNS)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2"],
+                 ["sweep", "--family", "rho_t", "--param-range=0.1:0.2:2", "--p-range=0:1:2"],
+                 ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01"]):
+        assert run(capsys, *argv)[0] == 0
+    # spar itself, the parent holding --out and the four subcommands
+    assert len(built) == 6
+
+
+def test_shared_parser_keeps_no_state_between_requests(capsys):
+    analyze = ("analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2")
+    sweep = ("sweep", "--family", "rho_t", "--param-range", "-0.7:-0.6:2", "--p-range", "0:1:3")
+    estimate = ("estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01")
+    sequence = [
+        (analyze + ("--tol", "0.5"), 0),
+        (analyze, 0),
+        (("sweep", "--family", "rho_t", "--param-range", "0.1:0.2:2"), 1),  # no --p-range
+        (sweep, 0),
+        (("--help",), 0),
+        (estimate, 0),
+    ]
+    first = {}
+    for _ in range(2):
+        for argv, expected_code in sequence:
+            code, out, err = run(capsys, *argv)
+            assert code == expected_code
+            if code == 0:
+                assert first.setdefault(argv, (out, err)) == (out, err)
+    assert json.loads(first[analyze][0])["tolerance"] == 1e-09
+    assert json.loads(first[analyze + ("--tol", "0.5")][0])["tolerance"] == 0.5
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-c", "from spar.cli import entry; entry()", *analyze],
+                           capture_output=True, env=env, timeout=60, check=True)
+    assert fresh.stdout == first[analyze][0].encode()
