@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Print a digest of what the CLI does on a fixed, seeded list of commands.
+
+Each command runs in process through ``spar.cli.main``. One line is printed
+per command: the command, its exit code, and the SHA-256 of its exit code,
+stdout and stderr. Two checkouts whose lines are equal gave the same bytes and exit
+codes on every command, so a change that claims identical output is checked
+by diffing this script's output at both:
+
+    PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
+    diff before.txt after.txt
+
+The list covers ``sweep`` over all four families (random and negative
+ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``,
+``table1``, and usage, domain and bad-state errors. State files are written
+to a temporary directory that is the working directory while the commands
+run, so the messages that name them do not depend on where it is.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import shlex
+import sys
+import tempfile
+
+import numpy as np
+
+from spar import random_density, random_separable, rho_t, write_state_file
+from spar.cli import main
+
+SEED = 20261018
+
+# parameter domains of the sweep families, kept clear of the validity edges
+FAMILY_DOMAINS = {
+    "rho_t": (-0.79, 0.79),
+    "rho_a": (1 / math.sqrt(2) + 1e-9, 1.0),
+    "isotropic": (-0.12, 1.0),
+    "alpha_state": (0.0, 1.0),
+}
+
+
+def _range(lo: float, hi: float, n: int) -> str:
+    return f"{lo!r}:{hi!r}:{n}"
+
+
+def sweep_commands(rng: random.Random) -> list[list[str]]:
+    commands = []
+    for family, (lo, hi) in FAMILY_DOMAINS.items():
+        for _ in range(10):
+            a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+            p_lo = rng.choice([0.0, round(rng.random(), 2)])
+            params = _range(a, b, rng.randint(1, 6))
+            ps = _range(p_lo, 1.0, rng.randint(1, 120))
+            commands.append(["sweep", "--family", family, f"--param-range={params}",
+                             f"--p-range={ps}"])
+        commands.append(["sweep", "--family", family, f"--param-range={_range(lo, hi, 4)}",
+                         "--p-range=0:1:50", "--tol", "0"])
+    commands += [
+        ["sweep", "--family", "rho_t", "--param-range", "-0.7:-0.6:3", "--p-range", "0:1:11"],
+        ["sweep", "--family", "rho_t", "--param-range=-0.79:0.79:5", "--p-range=0:1:101"],
+        ["sweep", "--family", "rho_t", "--param-range=0.2:0.3:2", "--p-range=0.08:1:4"],
+        ["sweep", "--family", "isotropic", "--param-range=-0.1:0.9:3", "--p-range=0.07:1:8"],
+        ["sweep", "--family", "alpha_state", "--param-range=0.5:0.5:1", "--p-range=1:0:5"],
+        ["sweep", "--family", "alpha_state", "--param-range=0.1:0.9:2", "--p-range=0:2:3"],
+        ["sweep", "--family", "rho_t", "--param-range=0:2:3", "--p-range=0:1:3"],
+        ["sweep", "--family", "nope", "--param-range=0:1:2", "--p-range=0:1:2"],
+        ["sweep", "--family", "rho_t", "--param-range=0:1", "--p-range=0:1:2"],
+        ["sweep", "--family", "rho_t", "--param-range=0:0.5:0", "--p-range=0:1:2"],
+        ["sweep", "--family", "rho_t", "--param-range=0:inf:2", "--p-range=0:1:2"],
+        ["sweep", "--family", "rho_t", "--param-range=0:0.5:2"],
+    ]
+    return commands
+
+
+def analyze_commands(rng: random.Random) -> list[list[str]]:
+    commands = []
+    for family, (lo, hi) in FAMILY_DOMAINS.items():
+        for _ in range(3):
+            commands.append(["analyze", "--family", family, "--param", repr(rng.uniform(lo, hi)),
+                             "--p", repr(round(rng.random(), 3))])
+    for name in ("separable.json", "separable23.json", "ginibre.json"):
+        commands.append(["analyze", "--state", name, "--p", "0.3"])
+    commands += [
+        ["analyze", "--family", "isotropic", "--param", "0.9", "--p", "0.5", "--tol", "0"],
+        ["analyze", "--state", "rho_t.json", "--p", "0", "--tol", "0"],
+        ["analyze", "--family", "rho_t", "--param", "0.2", "--p", "1.5"],
+        ["analyze", "--family", "rho_t", "--param", "0.2"],
+        ["analyze", "--family", "rho_t", "--param", "nan", "--p", "0"],
+        ["analyze", "--family", "rho_t", "--param", "0.2", "--state", "rho_t.json", "--p", "0"],
+        ["analyze", "--p", "0"],
+        ["analyze", "--state", "missing.json", "--p", "0"],
+        ["analyze", "--state", "not_json.json", "--p", "0"],
+        ["analyze", "--state", "not_psd.json", "--p", "0"],
+    ]
+    return commands
+
+
+def estimate_commands(rng: random.Random) -> list[list[str]]:
+    commands = []
+    for _ in range(4):
+        d = rng.randint(2, 4)
+        commands.append(["estimate-m1", "--s", repr(rng.uniform(0, 1 / d**2)), "--d", str(d),
+                         "--k", repr(rng.uniform(0, 0.2))])
+    commands += [
+        ["estimate-m1", "--family", "alpha_state", "--param", "0.4", "--p", "0.2"],
+        ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1", "--k", "0.05"],
+        ["estimate-m1", "--state", "separable.json", "--p", "0.5"],
+        ["estimate-m1", "--family", "rho_t", "--param", "0.3"],
+        ["estimate-m1", "--s", "0.9", "--d", "2", "--k", "0.1"],
+        ["estimate-m1", "--s", "0.1"],
+    ]
+    return commands
+
+
+def other_commands() -> list[list[str]]:
+    return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"], ["sweep", "--help"]]
+
+
+def _write_matrix(name: str, m: np.ndarray, dims: list[int]) -> None:
+    """A matrix in the state-file layout, written without density checks."""
+    flat = m.reshape(-1)
+    pairs = np.column_stack((flat.real, flat.imag)).tolist()
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"dims": dims, "matrix": pairs}) + "\n")
+
+
+def write_states() -> None:
+    """The state files the commands name, in the working directory."""
+    write_state_file("separable.json", random_separable(3, 3, 4, seed=7))
+    write_state_file("separable23.json", random_separable(2, 3, 3, seed=8))
+    write_state_file("rho_t.json", rho_t(-0.7))
+    _write_matrix("ginibre.json", random_density(9, seed=3), [3, 3])
+    _write_matrix("not_psd.json", np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex), [2, 2])
+    with open("not_json.json", "w", encoding="utf-8") as fh:
+        fh.write("{not json")
+
+
+def digest(argv: list[str]) -> str:
+    """The exit code, then the SHA-256 of exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    h = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        data = part.encode("utf-8")
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return f"{code}  {h.hexdigest()}"
+
+
+def main_digests() -> int:
+    rng = random.Random(SEED)
+    commands = (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
+                + other_commands())
+    home = os.getcwd()
+    os.environ["COLUMNS"] = "80"  # usage and help text wrap at the terminal width
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            write_states()
+            lines = [f"{shlex.join(argv) or '(no arguments)'}  {digest(argv)}" for argv in commands]
+        finally:
+            os.chdir(home)
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

@@ -30,20 +30,25 @@ from spar import (
     spa_r_verdict,
     spa_threshold,
 )
-from spar.sweeps import SWEEP_COLUMNS, bisect_boundary, csv_text, sweep_rows, table1_rows
+from spar.sweeps import bisect_boundary, csv_text, family_state, sweep_csv, table1_rows
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
 
-def write_csv(name, rows, columns):
+def write_text(name, text, n_rows):
     path = os.path.join(OUT_DIR, name)
     with open(path, "w", newline="") as fh:
-        fh.write(csv_text(rows, columns))
-    print(f"wrote {path} ({len(rows)} rows)")
+        fh.write(text)
+    print(f"wrote {path} ({n_rows} rows)")
+
+
+def write_csv(name, rows, columns):
+    write_text(name, csv_text(rows, columns), len(rows))
 
 
 def sweep_to_csv(name, family, params, ps):
-    write_csv(name, list(sweep_rows(family, params, ps)), SWEEP_COLUMNS)
+    states = ((param, family_state(family, param)) for param in params)
+    write_text(name, sweep_csv(states, ps), len(params) * len(ps))
 
 
 def main():

@@ -3,13 +3,17 @@
 Subcommands: ``analyze`` (full criterion report for one state as JSON),
 ``sweep`` (CSV grid over a family), ``table1`` (detection-window table for
 the bound entangled alpha family) and ``estimate-m1`` (first-moment
-intervals). JSON goes through :func:`json.dumps` and CSV through
-:func:`spar.sweeps.csv_text`; both write each float as its shortest
+intervals). JSON goes through :func:`json.dumps`, the sweep table through
+:func:`spar.sweeps.sweep_csv` (the same bytes as
+:func:`spar.sweeps.csv_text` over :func:`spar.sweeps.sweep_rows`, each
+repeated cell formatted once) and other CSV through
+:func:`spar.sweeps.csv_text`. All write each float as its shortest
 round-trip ``repr`` ('.' decimal separator, no locale), so output parses
 back to the same doubles and its bytes are deterministic for fixed inputs.
 A range option also takes a negative value as its own argument
-(``--param-range -0.7:-0.6:2``). ``--tol`` is accepted only where a verdict
-is made: by ``analyze`` and ``sweep``.
+(``--param-range -0.7:-0.6:2``); the points of ``--p-range`` are clamped
+into the range, so one that ends at 1 ends at 1.0. ``--tol`` is accepted
+only where a verdict is made: by ``analyze`` and ``sweep``.
 
 :func:`main` may be called any number of times in one process. The parser
 is built on the first call and shared by every later one: each
@@ -39,7 +43,7 @@ from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quad
 from .realign import realign, realignment_criterion
 from .spa import certify_completely_positive, spa_threshold
 from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
-from .sweeps import FAMILIES, SWEEP_COLUMNS, csv_text, family_state, state_rows, table1_rows
+from .sweeps import FAMILIES, csv_text, family_state, sweep_csv, table1_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,8 +89,13 @@ def _load_state(args) -> tuple[DensityMatrix, dict]:
     return rho, {"family": args.family, "param": args.param}
 
 
-def _parse_range(spec: str) -> list[float]:
-    """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive."""
+def _parse_range(spec: str, clamp: bool = False) -> list[float]:
+    """'lo:hi:n' -> n evenly spaced values from lo to hi inclusive.
+
+    ``lo + step * i`` can round one ulp past hi (``0.08:1:4`` ends at
+    1.0000000000000002); with ``clamp`` each value is clamped into the range,
+    so a p-grid that ends at 1 ends at 1.0.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:n, got {spec!r}")
@@ -98,7 +107,11 @@ def _parse_range(spec: str) -> list[float]:
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
-    return [lo + step * i for i in range(n)]
+    values = [lo + step * i for i in range(n)]
+    if clamp:
+        bottom, top = min(lo, hi), max(lo, hi)
+        values = [min(max(v, bottom), top) for v in values]
+    return values
 
 
 def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> dict:
@@ -160,21 +173,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _parse_range(args.param_range)
-    ps = _parse_range(args.p_range)
+    ps = _parse_range(args.p_range, clamp=True)
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
-    rows, states = [], []
-    for param in params:
-        rho = family_state(args.family, param)
-        rows += state_rows(param, rho, ps, verdict_tol=args.tol)
-        states.append(rho)
+    states = []
+
+    def built():
+        # each state is built once, scored before the next is built, and
+        # kept for --dump-states
+        for param in params:
+            states.append(family_state(args.family, param))
+            yield param, states[-1]
+
+    text = sweep_csv(built(), ps, verdict_tol=args.tol)
     if args.dump_states:
         with _writing(args.dump_states):
             os.makedirs(args.dump_states, exist_ok=True)
             for i, rho in enumerate(states):
                 path = os.path.join(args.dump_states, f"{args.family}_{i:04d}.json")
                 write_state_file(path, rho)
-    _emit(csv_text(rows, SWEEP_COLUMNS), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -242,8 +242,9 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     ``rho`` when it is already a :class:`SpaAnalysis`. The witnesses use
     the eigensolver: gamma1 is fixed to 0 (the smallest valid choice; the
     minimum eigenvalue of a state can itself be 0, making ratios undefined)
-    and gamma2 is the ratio of maximum eigenvalues. An uncertified result is
-    a valid outcome, not an error.
+    and gamma2 is the ratio of maximum eigenvalues, the state's read from
+    its validated spectrum. An uncertified result is a valid outcome, not
+    an error.
     """
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
@@ -251,8 +252,7 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     r = analysis.realigned
     spa = apply_spa(r, p)
     lam_spa = linalg.general_eigenvalues(spa).real
-    lam_rho = linalg.hermitian_eigenvalues(r.state.matrix)
-    gamma2 = float(np.max(lam_spa) / np.max(lam_rho))
+    gamma2 = float(np.max(lam_spa) / np.max(r.state.spectrum))
     return CpCertificate(True, 0.0, gamma2)
 
 

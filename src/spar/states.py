@@ -40,11 +40,16 @@ RHO_T_MAX = math.sqrt(2.5) / 2
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated bipartite state with subsystem dimensions (dimA, dimB)."""
+    """A validated bipartite state with subsystem dimensions (dimA, dimB).
+
+    ``spectrum`` holds the eigenvalues of ``matrix`` in ascending order,
+    read-only, as :func:`validate_density` computed them for its PSD check.
+    """
 
     dim_a: int
     dim_b: int
     matrix: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -81,10 +86,12 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    lam_min = float(linalg.hermitian_eigenvalues(a)[0])
+    spectrum = linalg.hermitian_eigenvalues(a)
+    lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
-    return DensityMatrix(dim_a, dim_b, a)
+    spectrum.setflags(write=False)
+    return DensityMatrix(dim_a, dim_b, a, spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ SPA matrices of the row); every norm is the same double as a per-cell
 evaluation would give, so the rows are byte for byte those of a cell-by-cell
 loop.
 
+:func:`state_rows` and :func:`sweep_rows` give the table as dicts, and
+:func:`csv_text` writes rows of dicts. :func:`sweep_csv` writes the sweep
+table itself, the same bytes as :func:`csv_text` over :func:`sweep_rows`:
+it formats each p once per sweep and the columns that depend only on the
+state once per state, which both paths take from one helper.
+
 The detection edge in p needs no interval assumption: the excess
 ||spa(rho; p)||_1 - (p + (1-p)/Tr R) is convex in p and vanishes at p = 1, so
 the violated set is an interval [0, p*). :func:`violation_p_max` brackets p*
@@ -27,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from .config import DEFAULT
 from .criteria import q1_realignment_moments, q2_rmoment, spa_r_scores
 from .exceptions import DomainError
-from .realign import StateLike, Verdict, as_realigned
+from .realign import RealignedMatrix, StateLike, Verdict, as_realigned
 from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
@@ -38,6 +44,7 @@ __all__ = [
     "violation_p_max",
     "state_rows",
     "sweep_rows",
+    "sweep_csv",
     "SWEEP_COLUMNS",
     "csv_text",
     "table1_rows",
@@ -200,6 +207,22 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     return 0.5 * (k * h + (k + 1) * h)
 
 
+def _state_columns(r: RealignedMatrix) -> tuple[float, float, float, float | None]:
+    """The columns of a sweep row that depend on the state alone: l, k, q1, q2.
+
+    Threshold data that cannot be certified (realigned spectrum not real) is
+    NaN; q2 is None outside 3x3 systems.
+    """
+    try:
+        threshold = spa_threshold(r)
+        l, k = threshold.l, threshold.k
+    except DomainError:
+        l, k = float("nan"), float("nan")
+    q1 = q1_realignment_moments(r)
+    q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
+    return l, k, q1, q2
+
+
 def state_rows(
     param: float, rho: StateLike, ps: Sequence[float], verdict_tol: float = DEFAULT.verdict
 ) -> Iterator[dict]:
@@ -211,13 +234,7 @@ def state_rows(
     reported as NaN rather than aborting the sweep.
     """
     r = as_realigned(rho)
-    try:
-        threshold = spa_threshold(r)
-        l, k = threshold.l, threshold.k
-    except DomainError:
-        l, k = float("nan"), float("nan")
-    q1 = q1_realignment_moments(r)
-    q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
+    l, k, q1, q2 = _state_columns(r)
     for p, (verdict, norm, bound) in zip(ps, spa_r_scores(r, ps, verdict_tol)):
         yield {
             "param": param,
@@ -230,6 +247,39 @@ def state_rows(
             "q1": q1,
             "q2": q2,
         }
+
+
+def _cell(value) -> str:
+    """One CSV cell as :mod:`csv` writes a number: ``str``, None as empty."""
+    return "" if value is None else str(value)
+
+
+def sweep_csv(
+    states: Iterable[tuple[float, StateLike]],
+    ps: Iterable[float],
+    verdict_tol: float = DEFAULT.verdict,
+) -> str:
+    """The sweep table of ``(param, state)`` pairs over a p-grid as CSV text.
+
+    The same bytes as ``csv_text`` over the :func:`state_rows` of each pair,
+    with far less formatting: each p is formatted once per sweep, and
+    ``param``, l, k, q1 and q2 once per state, so a cell formats only its
+    norm, bound and verdict. Every cell is a number or empty, so none needs
+    quoting. States are taken from ``states`` one at a time, each scored
+    before the next is drawn.
+    """
+    ps = list(ps)
+    p_cells = [_cell(p) for p in ps]
+    lines = [",".join(SWEEP_COLUMNS)]
+    for param, rho in states:
+        r = as_realigned(rho)
+        head = _cell(param) + ","
+        tail = "," + ",".join(map(_cell, _state_columns(r)))
+        for p, (verdict, norm, bound) in zip(p_cells, spa_r_scores(r, ps, verdict_tol)):
+            violated = "1" if verdict == Verdict.ENTANGLED else "0"
+            lines.append(f"{head}{p},{norm!s},{bound!s},{violated}{tail}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def sweep_rows(

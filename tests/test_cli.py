@@ -99,6 +99,26 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
+    @pytest.mark.parametrize("source", ["family", "state"])
+    def test_certified_report_runs_the_hermitian_eigensolver_once(self, capsys, tmp_path,
+                                                                  monkeypatch, source):
+        path = tmp_path / "state.json"
+        write_state_file(str(path), spar.isotropic(0.9))
+        calls = []
+        solve = spar.linalg.hermitian_eigenvalues
+
+        def hermitian_eigenvalues(m):
+            calls.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(spar.linalg, "hermitian_eigenvalues", hermitian_eigenvalues)
+        argv = (["--family", "isotropic", "--param", "0.9"] if source == "family"
+                else ["--state", str(path)])
+        code, out, _ = run(capsys, "analyze", *argv, "--p", "0.5")
+        assert code == 0
+        assert json.loads(out)["cp_certificate"]["certified"] is True
+        assert len(calls) == 1  # the validation's; the certificate reuses it
+
     def test_printed_spa_r_trace_norm_is_the_computed_double(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "rho_t",
                            "--param", "0.3", "--p", "0.25")
@@ -146,6 +166,19 @@ class TestSweep:
         assert code == 0
         assert run(capsys, "sweep", "--family", "rho_t", *ranges) == (0, out_joined, "")
 
+    def test_p_range_ending_at_1_does_not_overshoot(self, capsys):
+        # 0.08 + 3 * ((1 - 0.08) / 3) rounds to 1.0000000000000002
+        code, out, err = run(capsys, "sweep", "--family", "rho_t",
+                             "--param-range=0.2:0.3:2", "--p-range=0.08:1:4")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[1] for row in rows[:4]] == ["0.08", "0.3866666666666667",
+                                                "0.6933333333333334", "1.0"]
+        assert rows[-1][1] == "1.0"
+
+    def test_param_range_is_not_clamped(self):
+        assert cli._parse_range("0.08:1:4")[-1] == 0.08 + 3 * ((1 - 0.08) / 3) > 1.0
+
     def test_p_outside_unit_interval_exits_1_before_any_row(self, capsys):
         code, out, err = run(capsys, "sweep", "--family", "rho_t",
                              "--param-range", "0.1:0.2:2", "--p-range=0:2:3")
@@ -184,21 +217,30 @@ class TestSweep:
             path = tmp_path / f"expected_{i}.json"
             write_state_file(str(path), sweeps.family_state("alpha_state", param))
             expected_files[f"alpha_state_{i:04d}.json"] = path.read_bytes()
-        built = []
-        build = sweeps.family_state
+        built, events = [], []
+        build, score = sweeps.family_state, sweeps.spa_r_scores
 
         def family_state(name, param):
             built.append(param)
+            events.append("build")
             return build(name, param)
+
+        def spa_r_scores(*args):
+            events.append("score")
+            return score(*args)
 
         monkeypatch.setattr(cli, "family_state", family_state)
         monkeypatch.setattr(sweeps, "family_state", family_state)
+        monkeypatch.setattr(sweeps, "spa_r_scores", spa_r_scores)
         dump = tmp_path / "states"
         code, out, _ = run(capsys, "sweep", "--family", "alpha_state",
                            "--param-range=0.1:0.9:5", "--p-range=0:1:3",
                            "--dump-states", str(dump))
         assert code == 0
-        assert built == params
+        assert len(built) == 5 and built == params
+        # each state is scored before the next is built, as a loop over
+        # the params would do, so errors surface in the same order
+        assert events == ["build", "score"] * 5
         assert out == expected_csv
         assert {path.name: path.read_bytes() for path in dump.iterdir()} == expected_files
 

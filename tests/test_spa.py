@@ -15,6 +15,7 @@ from spar import (
     isotropic,
     lambda_min_lower_bound,
     newton_coefficients,
+    random_schmidt_symmetric,
     random_separable,
     realign,
     rho_a,
@@ -275,6 +276,18 @@ class TestCertifyCompletelyPositive:
             lam_rho = hermitian_eigenvalues(rho.matrix)
             assert np.min(lam_spa) >= cert.gamma1 * lam_rho[0] - 1e-8
             assert np.max(lam_spa) <= cert.gamma2 * lam_rho[-1] + 1e-12
+
+
+    def test_gamma2_reads_the_validated_spectrum(self):
+        states = [rho_t(-0.5), alpha_state(0.3), isotropic(0.8), rho_a(0.9),
+                  random_schmidt_symmetric(3, 2, seed=5)]
+        for rho in states:
+            assert not rho.spectrum.flags.writeable
+            assert np.array_equal(rho.spectrum, hermitian_eigenvalues(rho.matrix))
+            p = 1.0 if spa_threshold(rho).l > 0.9 else 0.9
+            lam_spa = general_eigenvalues(apply_spa(rho, p)).real
+            gamma2 = float(np.max(lam_spa) / np.max(hermitian_eigenvalues(rho.matrix)))
+            assert certify_completely_positive(rho, p).gamma2 == gamma2
 
 
 class TestReferenceThresholds:

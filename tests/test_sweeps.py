@@ -1,4 +1,5 @@
-"""Detection edges: violation_p_max against plain bisection, and tolerance checks."""
+"""Detection edges: violation_p_max against plain bisection, and tolerance checks;
+the sweep writer against csv_text over sweep_rows."""
 
 import math
 
@@ -10,6 +11,7 @@ from spar import (
     Verdict,
     alpha_state,
     isotropic,
+    random_density,
     random_schmidt_symmetric,
     realign,
     rho_a,
@@ -19,7 +21,17 @@ from spar import (
 )
 from spar import sweeps
 from spar.criteria import spa_r_scores
-from spar.sweeps import TABLE1_ALPHAS, bisect_boundary, violation_p_max
+from spar.sweeps import (
+    SWEEP_COLUMNS,
+    TABLE1_ALPHAS,
+    bisect_boundary,
+    csv_text,
+    family_state,
+    state_rows,
+    sweep_csv,
+    sweep_rows,
+    violation_p_max,
+)
 
 from util import time_limit
 
@@ -168,3 +180,57 @@ def test_tolerance_below_double_spacing_raises():
 def test_coarse_tolerance_gives_the_midpoint():
     # bisection of [0, 1] stops at once for tol >= 1
     assert violation_p_max(alpha_state(0.5), tol=1.0) == 0.5 == violation_p_max(alpha_state(0.5), 3.0)
+
+
+# the sweep writer: the bytes of csv_text over sweep_rows, case by case
+
+SWEEP_GRIDS = {
+    # the CLI's grids are lists of Python floats; -0.0 is written as such
+    "rho_t": [-0.79, -0.7, -0.0, 0.0, 0.1161, 0.3, 0.79],
+    "rho_a": [1 / math.sqrt(2) + 1e-6, 0.8, 1.0],
+    "isotropic": [-0.1, 0.0, 0.25, 0.9, 1.0],
+    "alpha_state": list(TABLE1_ALPHAS) + [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("family", sorted(SWEEP_GRIDS))
+@pytest.mark.parametrize("tol", [DEFAULT.verdict, 0.0])
+def test_sweep_csv_writes_the_bytes_of_csv_text(family, tol):
+    params, ps = SWEEP_GRIDS[family], [0.0, 0.05, 1 / 3, 0.5, 0.99, 1.0]
+    states = ((param, family_state(family, param)) for param in params)
+    assert sweep_csv(states, ps, tol) == csv_text(sweep_rows(family, params, ps, tol), SWEEP_COLUMNS)
+
+
+@pytest.mark.parametrize("family,lo,hi", [
+    ("rho_t", -0.79, -0.60), ("rho_t", 0.10, 0.79), ("rho_a", 1 / math.sqrt(2) + 1e-6, 1.0),
+    ("isotropic", 0.0, 1.0), ("alpha_state", 0.05, 0.95),
+])
+def test_sweep_csv_formats_numpy_floats_as_csv_does(family, lo, hi):
+    # the reproduce script's grids: np.float64, whose repr is not its str
+    params, ps = np.linspace(lo, hi, 7), np.linspace(0.0, 1.0, 21)
+    states = ((param, family_state(family, param)) for param in params)
+    text = sweep_csv(states, ps)
+    assert text == csv_text(sweep_rows(family, params, ps), SWEEP_COLUMNS)
+    assert "np.float64" not in text
+
+
+def test_sweep_csv_of_a_two_qubit_state_leaves_q2_empty():
+    text = sweep_csv([(0.3, rho_t(0.3))], [0.0, 1.0])
+    assert text == csv_text(sweep_rows("rho_t", [0.3], [0.0, 1.0]), SWEEP_COLUMNS)
+    assert all(line.endswith(",") for line in text.splitlines()[1:])
+
+
+def test_sweep_csv_writes_nan_for_a_complex_realigned_spectrum():
+    rho = validate_density(random_density(9, seed=3), (3, 3))
+    ps = [0.0, 0.4, 1.0]
+    text = sweep_csv([(7, rho)], ps)
+    assert text == csv_text(state_rows(7, rho, ps), SWEEP_COLUMNS)
+    assert all(line.split(",")[5:7] == ["nan", "nan"] for line in text.splitlines()[1:])
+
+
+def test_sweep_csv_of_an_empty_grid_is_the_header():
+    params = [0.2, 0.4]
+    states = ((param, alpha_state(param)) for param in params)
+    header = ",".join(SWEEP_COLUMNS) + "\n"
+    assert sweep_csv(states, []) == csv_text(sweep_rows("alpha_state", params, []), SWEEP_COLUMNS)
+    assert sweep_csv([], [0.5]) == header == csv_text([], SWEEP_COLUMNS)
