@@ -12,10 +12,12 @@ by diffing this script's output at both:
     diff before.txt after.txt
 
 The list covers ``sweep`` over all four families (random and negative
-ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``,
-``table1``, and usage, domain and bad-state errors. State files are written
-to a temporary directory that is the working directory while the commands
-run, so the messages that name them do not depend on where it is.
+ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``
+(also on d = 4..6 state files with a Hermitian realignment: isotropic,
+Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
+bad-state errors. State files are written to a temporary directory that is
+the working directory while the commands run, so the messages that name
+them do not depend on where it is.
 """
 
 import contextlib
@@ -31,7 +33,15 @@ import tempfile
 
 import numpy as np
 
-from spar import random_density, random_separable, rho_t, write_state_file
+from spar import (
+    isotropic,
+    random_density,
+    random_schmidt_symmetric,
+    random_separable,
+    rho_t,
+    validate_density,
+    write_state_file,
+)
 from spar.cli import main
 
 SEED = 20261018
@@ -101,6 +111,17 @@ def analyze_commands(rng: random.Random) -> list[list[str]]:
     return commands
 
 
+# d >= 4 states whose realigned matrix is Hermitian
+LARGE_STATES = ("isotropic4.json", "isotropic5.json", "isotropic6.json", "schmidt4.json",
+                "schmidt5.json", "near_psd4.json")
+
+
+def large_state_commands() -> list[list[str]]:
+    # at p = 1, s = 1/d^2 and x = 0, so estimate-m1 prints k
+    return [argv for name in LARGE_STATES for argv in (
+        ["analyze", "--state", name, "--p", "0.3"], ["estimate-m1", "--state", name, "--p", "1"])]
+
+
 def estimate_commands(rng: random.Random) -> list[list[str]]:
     commands = []
     for _ in range(4):
@@ -139,6 +160,21 @@ def write_states() -> None:
     _write_matrix("not_psd.json", np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex), [2, 2])
     with open("not_json.json", "w", encoding="utf-8") as fh:
         fh.write("{not json")
+    for d in (4, 5, 6):
+        write_state_file(f"isotropic{d}.json", isotropic(0.3, d))
+    for d in (4, 5):
+        write_state_file(f"schmidt{d}.json", random_schmidt_symmetric(d, d, seed=d))
+    write_state_file("near_psd4.json", near_psd_state(4, 1e-6, seed=4))
+
+
+def near_psd_state(d: int, eps: float, seed: int):
+    """rho ~ rho_SS/2 + I/(2 d^2) - eps H (x) conj(H): R has an eigenvalue of order -eps."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (g + g.conj().T) / np.linalg.norm(g + g.conj().T)
+    ss = random_schmidt_symmetric(d, d, seed=seed).matrix
+    m = 0.5 * ss + 0.5 * np.eye(d * d) / (d * d) - eps * np.kron(h, h.conj())
+    return validate_density(m / np.trace(m).real, (d, d))
 
 
 def digest(argv: list[str]) -> str:
@@ -157,7 +193,7 @@ def digest(argv: list[str]) -> str:
 def main_digests() -> int:
     rng = random.Random(SEED)
     commands = (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
-                + other_commands())
+                + large_state_commands() + other_commands())
     home = os.getcwd()
     os.environ["COLUMNS"] = "80"  # usage and help text wrap at the terminal width
     with tempfile.TemporaryDirectory() as work:

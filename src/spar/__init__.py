@@ -40,6 +40,7 @@ from .spa import (
     apply_spa,
     certify_completely_positive,
     descartes_psd_test,
+    eigenvalue_offset,
     lambda_min_lower_bound,
     newton_coefficients,
     rho_t_reference_thresholds,
@@ -76,8 +77,9 @@ __all__ = [
     "realignment_criterion", "realignment_moment",
     # spa
     "CharPolyCoeffs", "CpCertificate", "ReferenceThresholds", "SpaAnalysis", "apply_spa",
-    "certify_completely_positive", "descartes_psd_test", "lambda_min_lower_bound",
-    "newton_coefficients", "rho_t_reference_thresholds", "spa_threshold", "threshold_value",
+    "certify_completely_positive", "descartes_psd_test", "eigenvalue_offset",
+    "lambda_min_lower_bound", "newton_coefficients", "rho_t_reference_thresholds",
+    "spa_threshold", "threshold_value",
     # states
     "RHO_T_MAX", "DensityMatrix", "alpha_state", "bell_state", "isotropic", "random_density",
     "random_schmidt_symmetric", "random_separable", "read_state_file", "rho_a", "rho_t",

@@ -41,7 +41,7 @@ from .criteria import criterion_report, q1_realignment_moments
 from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
 from .realign import realign, realignment_criterion
-from .spa import certify_completely_positive, spa_threshold
+from .spa import certify_completely_positive, eigenvalue_offset, spa_threshold
 from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
 from .sweeps import FAMILIES, csv_text, family_state, sweep_csv, table1_rows
 
@@ -202,6 +202,13 @@ def cmd_table1(args) -> int:
 
 
 def cmd_estimate_m1(args) -> int:
+    """First-moment intervals from s, d and the offset k.
+
+    With a state source, s is simulated at ``--p`` and k, unless given by
+    ``--k``, is :func:`spar.spa.eigenvalue_offset`'s: the first two moments
+    of R behind the trace and real-spectrum checks, without the higher
+    moments or the sign test of the full threshold.
+    """
     if args.state or args.family:
         rho, _ = _load_state(args)
         if args.p is None:
@@ -209,7 +216,7 @@ def cmd_estimate_m1(args) -> int:
         perm = read_matrix_file(args.perm) if args.perm else None
         r = realign(rho)
         s = simulate_s(r, args.p, permutation=perm)
-        k = spa_threshold(r).k if args.k is None else args.k
+        k = eigenvalue_offset(r)[1] if args.k is None else args.k
         d = r.dim_a
     else:
         if args.s is None or args.d is None or args.k is None:

@@ -56,23 +56,24 @@ def spa_r_scores(
 
     The whole grid is one stack of SPA matrices and one stacked SVD; each
     norm is the same double as for that p alone. A p outside [0, 1] raises
-    before anything is scored. An empty grid scores nothing and checks
+    ``ValueError`` before anything is scored, and a realigned trace that is
+    not positive then raises :class:`DomainError`. An empty grid scores nothing and checks
     nothing.
     """
     ps = list(ps)
     if not ps:
         return []
     r = as_realigned(rho)
-    trace_r = require_positive_trace(r)
-    return _score_spa_r(apply_spa(r, ps), trace_r, ps, tol)
+    spa = apply_spa(r, ps)
+    return _score_spa_r(linalg.trace_norm(spa).tolist(), require_positive_trace(r), ps, tol)
 
 
 def _score_spa_r(
-    spa: np.ndarray, trace_r: float, ps: list[float], tol: float
+    norms: list[float], trace_r: float, ps: list[float], tol: float
 ) -> list[tuple[Verdict, float, float]]:
-    """Verdict, norm and bound per p from the stack of SPA matrices."""
+    """Verdict, norm and bound per p from the trace norms of the SPA matrices."""
     scores = []
-    for p, norm in zip(ps, linalg.trace_norm(spa).tolist()):
+    for p, norm in zip(ps, norms):
         bound = spa_r_upper_bound(trace_r, p)
         scores.append((Verdict.from_score(norm, bound, tol), norm, bound))
     return scores
@@ -113,14 +114,13 @@ def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Error
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds."""
     r = as_realigned(rho)
     trace_r = require_positive_trace(r)
-    return _error_report(r, trace_r, apply_spa(r, p), p, tol)
+    return _error_report(r, trace_r, linalg.trace_norm(apply_spa(r, p) - r.matrix), p, tol)
 
 
 def _error_report(
-    r: RealignedMatrix, trace_r: float, spa: np.ndarray, p: float, tol: float
+    r: RealignedMatrix, trace_r: float, error_norm: float, p: float, tol: float
 ) -> ErrorReport:
-    """:func:`error_suite` from an SPA matrix already built."""
-    error_norm = linalg.trace_norm(spa - r.matrix)
+    """:func:`error_suite` from the error norm ||spa - R||_1 already computed."""
     bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
     bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
     return ErrorReport(
@@ -152,8 +152,12 @@ def q2_rmoment(rho: StateLike) -> float:
     r = as_realigned(rho)
     if (r.dim_a, r.dim_b) != (3, 3):
         raise ValueError("q2_rmoment is defined for 3x3 systems only")
-    sigma = linalg.singular_values(r.state.matrix)[:8]
-    d8 = float(np.prod(sigma**2))
+    return _q2_score(r, linalg.singular_values(r.state.matrix))
+
+
+def _q2_score(r: RealignedMatrix, state_singular_values: np.ndarray) -> float:
+    """:func:`q2_rmoment` from the singular values of the state."""
+    d8 = float(np.prod(state_singular_values[:8] ** 2))
     return 56.0 * d8 ** (1.0 / 8.0) + r.trace - 1.0
 
 
@@ -176,14 +180,22 @@ class CriterionReport:
 def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> CriterionReport:
     """Run every criterion that applies to the state at the given p.
 
-    The SPA matrix is built once and shared by the SPA-R score and the
-    approximation error.
+    The SPA matrix is built once. One stacked SVD gives the singular values
+    of R, of the SPA matrix, of SPA - R and, when q2 applies, of the state;
+    R's row becomes the analysis' cached singular values, which the
+    realignment score and q1 read. Every value is the double that a separate
+    SVD of its matrix gives.
     """
     r = as_realigned(rho)
     trace_r = require_positive_trace(r)
+    spa = apply_spa(r, p)
+    with_q2 = (r.dim_a, r.dim_b) == (3, 3)
+    stack = [r.matrix, spa, spa - r.matrix] + ([r.state.matrix] if with_q2 else [])
+    sigma = linalg.singular_values(np.stack(stack))
+    r.singular_values = sigma[0]
     realignment_verdict, score = realignment_criterion(r, tol)
-    spa = apply_spa(r, [p])
-    [(spa_verdict, norm, bound)] = _score_spa_r(spa, trace_r, [p], tol)
+    spa_norm, error_norm = np.sum(sigma[1:3], axis=-1).tolist()
+    [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p], tol)
     return CriterionReport(
         p=p,
         trace_r=trace_r,
@@ -192,7 +204,7 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
         trace_norm_spa_r=norm,
         upper_bound=bound,
         spa_r_verdict=spa_verdict,
-        error=_error_report(r, trace_r, spa[0], p, tol),
+        error=_error_report(r, trace_r, error_norm, p, tol),
         q1=q1_realignment_moments(r),
-        q2=q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None,
+        q2=_q2_score(r, sigma[3]) if with_q2 else None,
     )

@@ -69,6 +69,7 @@ class RealignedMatrix:
     matrix: np.ndarray = field(repr=False)
     _moments: list[float] = field(default_factory=list, repr=False)
     _power: np.ndarray | None = field(default=None, repr=False)
+    _singular_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim_a(self) -> int:
@@ -114,9 +115,21 @@ class RealignedMatrix:
             self._power = power
             self._moments.append(value.real)
 
-    @cached_property
+    @property
     def singular_values(self) -> np.ndarray:
-        return linalg.singular_values(self.matrix)
+        if self._singular_values is None:
+            self._singular_values = linalg.singular_values(self.matrix)
+        return self._singular_values
+
+    @singular_values.setter
+    def singular_values(self, values: np.ndarray) -> None:
+        """Adopt the singular values of R computed elsewhere, such as one row
+        of a stacked SVD; they must be the values ``linalg.singular_values``
+        gives for R."""
+        expected, shape = (min(self.matrix.shape),), np.shape(values)
+        if shape != expected:
+            raise ValueError(f"expected singular values of shape {expected}, got {shape}")
+        self._singular_values = values
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

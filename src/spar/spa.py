@@ -6,11 +6,17 @@ The SPA mixes the (unphysical) realignment map with the depolarizing map:
 
 For states whose realigned matrix has a real spectrum and positive trace, the
 mixing weight needed to make this operator positive is certified from the
-first two moments of R(rho) alone (no eigensolve): a variance-type lower
-bound on the minimum eigenvalue yields the threshold l, and a Descartes sign
-test on the characteristic-polynomial coefficients (built from moments via
-the Newton recursion) decides whether R(rho) is already PSD, in which case
-l = 0.
+moments of R(rho): a variance-type lower bound on the minimum eigenvalue,
+from the first two moments alone, yields the offset k and the threshold l,
+and a Descartes sign test on the characteristic-polynomial coefficients
+(built from all d^2 moments via the Newton recursion) decides whether R(rho)
+is already PSD, in which case l = 0.
+
+The real-spectrum precondition runs an eigensolve only when it must. By
+Bendixson's theorem every eigenvalue of R has its imaginary part within the
+spectrum of the Hermitian (R - R^H)/2i, so |Im lambda| <= ||R - R^H||_F / 2.
+A Hermitian R (Schmidt-symmetric and isotropic states, for instance) passes
+on that bound alone; any other R has its eigenvalues computed and checked.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "newton_coefficients",
     "descartes_psd_test",
     "threshold_value",
+    "eigenvalue_offset",
     "spa_threshold",
     "apply_spa",
     "certify_completely_positive",
@@ -80,18 +87,24 @@ def newton_coefficients(moments) -> CharPolyCoeffs:
     """Characteristic-polynomial coefficients from power sums m_1..m_n.
 
     Newton's identities: a_k = (1/k) sum_{i=1..k} (-1)^(i-1) a_{k-i} m_i,
-    so a_1 = m_1, a_2 = (m_1^2 - m_2)/2, and so on.
+    so a_1 = m_1, a_2 = (m_1^2 - m_2)/2, and so on. Each step forms its k
+    signed products as one array and sums them exactly rounded with
+    :func:`math.fsum`, so a_k does not depend on the order of the terms.
     """
     m = np.asarray(moments, dtype=float)
     n = len(m)
+    # (-1)^(i-1) m_i: flipping a sign is exact, so every product below is
+    # the double (-1)^(i-1) a_{k-i} m_i
+    signed = m.copy()
+    signed[1::2] *= -1.0
     a = np.empty(n + 1)
     scale = np.empty(n + 1)
     a[0] = 1.0
     scale[0] = 1.0
     for k in range(1, n + 1):
-        terms = [(-1) ** (i - 1) * a[k - i] * m[i - 1] for i in range(1, k + 1)]
-        a[k] = math.fsum(terms) / k
-        scale[k] = math.fsum(abs(t) for t in terms) / k
+        terms = a[k - 1::-1] * signed[:k]
+        a[k] = math.fsum(terms.tolist()) / k
+        scale[k] = math.fsum(np.abs(terms).tolist()) / k
     return CharPolyCoeffs(a, scale)
 
 
@@ -155,38 +168,59 @@ def require_positive_trace(r: RealignedMatrix) -> float:
     return tr.real
 
 
-def require_real_spectrum(r: RealignedMatrix) -> np.ndarray:
-    """Return the real parts of the eigenvalues of R after checking that
-    their imaginary parts are within ``DEFAULT.spectrum_imag``."""
+def require_real_spectrum(r: RealignedMatrix) -> None:
+    """Check that the eigenvalues of R have imaginary parts within
+    ``DEFAULT.spectrum_imag``.
+
+    When ||R - R^H||_F is within that tolerance, Bendixson's theorem bounds
+    every |Im lambda| by half of it and no eigensolve runs; otherwise the
+    check reads ``r.eigenvalues``.
+    """
+    m = r.matrix
+    if np.linalg.norm(m - m.conj().T) <= DEFAULT.spectrum_imag:
+        return
     eigs = r.eigenvalues
     worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
     if worst > DEFAULT.spectrum_imag:
         raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
-    return eigs.real
+
+
+def eigenvalue_offset(rho: StateLike) -> tuple[float, float]:
+    """The moment lower bound on the minimum eigenvalue of R(rho) and the
+    offset k = max(0, -bound), from m_1 and m_2 alone.
+
+    The preconditions are those of :func:`spa_threshold`: equal subsystem
+    dimensions, positive realigned trace and real realigned spectrum. Unlike
+    the threshold, this builds neither the higher moments nor the
+    characteristic-polynomial coefficients.
+    """
+    r = as_realigned(rho)
+    if not r.is_square:
+        raise ValueError("the SPA threshold requires equal subsystem dimensions")
+    require_positive_trace(r)
+    require_real_spectrum(r)
+    # the cached Python floats, not numpy scalars: l and k are written out
+    # once per sweep row, and a numpy scalar formats more slowly
+    lower = lambda_min_lower_bound(r.moment(1), r.moment(2), r.dim_a * r.dim_a)
+    return lower, max(0.0, -lower)
 
 
 def spa_threshold(rho: StateLike) -> SpaAnalysis:
     """Moment-certified positivity threshold for the SPA of one state.
 
     Requires equal subsystem dimensions with positive realigned trace and
-    real realigned spectrum. The PSD branch (l = 0) is decided by the
-    moment-based sign test, not by the eigensolver; the eigensolver only
-    gates the real-spectrum precondition.
+    real realigned spectrum (see :func:`eigenvalue_offset`, which gives k).
+    The PSD branch (l = 0) is decided by the moment-based sign test, not by
+    the eigensolver; the eigensolver runs only for the real-spectrum
+    precondition, and only when R is not Hermitian within
+    ``DEFAULT.spectrum_imag`` (see :func:`require_real_spectrum`).
     """
     r = as_realigned(rho)
-    if not r.is_square:
-        raise ValueError("the SPA threshold requires equal subsystem dimensions")
-    trace_r = require_positive_trace(r)
-    require_real_spectrum(r)
+    lower, k = eigenvalue_offset(r)
+    trace_r = r.trace
     d = r.dim_a
-    n = d * d
-    moments = r.moments(n)
-    coeffs = newton_coefficients(moments)
+    coeffs = newton_coefficients(r.moments(d * d))
     psd = descartes_psd_test(coeffs)
-    # the cached Python floats, not numpy scalars: l and k are written out
-    # once per sweep row, and a numpy scalar formats more slowly
-    lower = lambda_min_lower_bound(r.moment(1), r.moment(2), n)
-    k = max(0.0, -lower)
     if psd:
         l = 0.0
     elif k <= 0.0:

@@ -282,6 +282,7 @@ def read_state_file(path) -> DensityMatrix:
     if "dims" not in payload:
         raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
     dims = payload["dims"]
-    if not (isinstance(dims, list) and len(dims) == 2):
-        raise StateValidationError("dims", f"dims must be [dA, dB], got {dims!r}")
-    return validate_density(_payload_matrix(payload), (int(dims[0]), int(dims[1])))
+    # JSON true and 2.0 decode to a bool and a float, which int() would take
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(x) is int for x in dims)):
+        raise StateValidationError("dims", f"dims must be two integers [dA, dB], got {dims!r}")
+    return validate_density(_payload_matrix(payload), (dims[0], dims[1]))

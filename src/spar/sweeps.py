@@ -210,8 +210,8 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 def _state_columns(r: RealignedMatrix) -> tuple[float, float, float, float | None]:
     """The columns of a sweep row that depend on the state alone: l, k, q1, q2.
 
-    Threshold data that cannot be certified (realigned spectrum not real) is
-    NaN; q2 is None outside 3x3 systems.
+    Threshold data that cannot be certified (realigned trace not positive or
+    spectrum not real) is NaN; q2 is None outside 3x3 systems.
     """
     try:
         threshold = spa_threshold(r)
@@ -223,6 +223,21 @@ def _state_columns(r: RealignedMatrix) -> tuple[float, float, float, float | Non
     return l, k, q1, q2
 
 
+def _grid_scores(
+    r: RealignedMatrix, ps: list[float], verdict_tol: float
+) -> list[tuple[Verdict, float, float]]:
+    """:func:`spa_r_scores` of one state; when its realigned trace is not
+    positive, NaN norms and bounds with an inconclusive verdict per p.
+
+    A p outside [0, 1] raises whatever the state.
+    """
+    try:
+        return spa_r_scores(r, ps, verdict_tol)
+    except DomainError:
+        nan = float("nan")
+        return [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps)
+
+
 def state_rows(
     param: float, rho: StateLike, ps: Sequence[float], verdict_tol: float = DEFAULT.verdict
 ) -> Iterator[dict]:
@@ -230,12 +245,15 @@ def state_rows(
 
     The state is realigned once and scored over the whole grid by
     :func:`spa_r_scores`; a p outside [0, 1] raises before the first row.
-    Threshold data that cannot be certified (realigned spectrum not real) is
-    reported as NaN rather than aborting the sweep.
+    Data that cannot be computed is reported as NaN rather than aborting the
+    sweep: l and k when the realigned spectrum is not real, and also the
+    norm and bound (with ``violated`` 0) when the realigned trace is not
+    positive.
     """
     r = as_realigned(rho)
+    ps = list(ps)
     l, k, q1, q2 = _state_columns(r)
-    for p, (verdict, norm, bound) in zip(ps, spa_r_scores(r, ps, verdict_tol)):
+    for p, (verdict, norm, bound) in zip(ps, _grid_scores(r, ps, verdict_tol)):
         yield {
             "param": param,
             "p": p,
@@ -275,7 +293,7 @@ def sweep_csv(
         r = as_realigned(rho)
         head = _cell(param) + ","
         tail = "," + ",".join(map(_cell, _state_columns(r)))
-        for p, (verdict, norm, bound) in zip(p_cells, spa_r_scores(r, ps, verdict_tol)):
+        for p, (verdict, norm, bound) in zip(p_cells, _grid_scores(r, ps, verdict_tol)):
             violated = "1" if verdict == Verdict.ENTANGLED else "0"
             lines.append(f"{head}{p},{norm!s},{bound!s},{violated}{tail}")
     lines.append("")

@@ -9,8 +9,21 @@ import numpy as np
 import pytest
 
 import spar
-from spar import cli, criterion_report, random_separable, rho_t, sweeps, write_state_file
+from spar import (
+    cli,
+    criterion_report,
+    isotropic,
+    random_schmidt_symmetric,
+    random_separable,
+    read_state_file,
+    rho_t,
+    spa_threshold,
+    sweeps,
+    write_state_file,
+)
 from spar.cli import main
+
+from util import near_psd_state
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SRC = Path(spar.__file__).resolve().parents[1]
@@ -119,6 +132,46 @@ class TestAnalyze:
         assert json.loads(out)["cp_certificate"]["certified"] is True
         assert len(calls) == 1  # the validation's; the certificate reuses it
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_certified_report_makes_one_svd_call(self, capsys, tmp_path, monkeypatch, d):
+        path = tmp_path / "state.json"
+        write_state_file(str(path), isotropic(0.5, d))
+        calls = []
+        svd = spar.linalg.singular_values
+
+        def singular_values(m):
+            calls.append(np.shape(m))
+            return svd(m)
+
+        monkeypatch.setattr(spar.linalg, "singular_values", singular_values)
+        code, out, _ = run(capsys, "analyze", "--state", str(path), "--p", "0.5")
+        assert code == 0
+        assert json.loads(out)["cp_certificate"]["certified"] is True
+        # R, the SPA matrix and SPA - R, and for two qutrits the state for q2
+        assert calls == [(4 if d == 3 else 3, d * d, d * d)]
+
+    def test_complex_realigned_spectrum_is_refused(self, capsys, tmp_path):
+        rho = spar.validate_density(spar.random_density(9, seed=3), (3, 3))
+        path = tmp_path / "ginibre.json"
+        write_state_file(str(path), rho)
+        worst = float(np.max(np.abs(np.linalg.eigvals(spar.realign(rho).matrix).imag)))
+        code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
+        assert (code, out) == (3, "")
+        message = f"realigned spectrum has imaginary part {worst:.3e}"
+        assert err == f"error: domain violation: {message}\n"
+
+    @pytest.mark.parametrize("dims", ['["a", 2]', "[2.7, 2]", "[true, 4]", "[2, 2.0]",
+                                      "[2, null]"])
+    def test_dims_that_are_not_two_integers_exit_2(self, capsys, tmp_path, dims):
+        # a valid 2x2 (or 1x4) matrix, so only dims can be at fault
+        path = tmp_path / "state.json"
+        pairs = ",".join("[0.25, 0.0]" if i % 5 == 0 else "[0.0, 0.0]" for i in range(16))
+        path.write_text('{"dims": %s, "matrix": [%s]}' % (dims, pairs))
+        code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
+        assert (code, out) == (2, "")
+        message = f"dims must be two integers [dA, dB], got {json.loads(dims)!r}"
+        assert err == f"error: invalid state: dims: {message}\n"
+
     def test_printed_spa_r_trace_norm_is_the_computed_double(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "rho_t",
                            "--param", "0.3", "--p", "0.25")
@@ -139,6 +192,15 @@ class TestSweep:
         assert lines[0] == "param,p,traceNormSpaR,upperBound,violated,l,k,q1,q2"
         assert len(lines) == 1 + 9
         assert "\r" not in out1
+
+    def test_state_without_positive_realigned_trace_keeps_the_other_rows(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "isotropic",
+                             "--param-range=-0.125:1:5", "--p-range=0:1:3")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 15
+        assert all(row[2:7] == ["nan", "nan", "0", "nan", "nan"] for row in rows[:3])
+        assert not any("nan" in row for row in rows[3:])
 
     def test_param_major_ordering(self, capsys):
         _, out, _ = run(capsys, "sweep", "--family", "isotropic",
@@ -326,6 +388,29 @@ class TestEstimateM1:
         assert record["quadratic"]["lower"] == 0
         assert record["quadratic"]["upper"] == pytest.approx(record["s"])
         assert np.isfinite(record["case_bounds"]["upper"])
+
+    @pytest.mark.parametrize("rho", (
+        [isotropic(b, d) for d in range(2, 7) for b in (0.1, 0.8)]
+        + [random_schmidt_symmetric(d, d, seed=d) for d in range(2, 6)]
+        + [near_psd_state(d, eps, seed=14) for d in (3, 4) for eps in (1e-4, 1e-6, 1e-8)]
+    ), ids=repr)
+    def test_k_is_the_thresholds_k(self, capsys, tmp_path, monkeypatch, rho):
+        path, perm = tmp_path / "state.json", tmp_path / "perm.json"
+        write_state_file(str(path), rho)
+        # I/n: s = 1/d^2 and x = 0, so every state gets its intervals
+        pairs = ",".join(f"[{1 / rho.dim!r}, 0.0]" if i % (rho.dim + 1) == 0 else "[0.0, 0.0]"
+                         for i in range(rho.dim ** 2))
+        perm.write_text('{"matrix": [%s]}' % pairs)
+        eigensolves, newton = [], []
+        monkeypatch.setattr(spar.linalg, "general_eigenvalues", eigensolves.append)
+        monkeypatch.setattr(spar.spa, "newton_coefficients", newton.append)
+        code, out, _ = run(capsys, "estimate-m1", "--state", str(path), "--p", "0.2",
+                           "--perm", str(perm))
+        assert code == 0
+        assert eigensolves == []  # R is Hermitian
+        assert newton == []  # k needs m_1 and m_2 only
+        monkeypatch.undo()
+        assert json.loads(out)["k"] == spa_threshold(read_state_file(path)).k
 
     def test_missing_arguments_exit_1(self, capsys):
         code, _, _ = run(capsys, "estimate-m1", "--s", "0.2")

@@ -7,6 +7,7 @@ import pytest
 from spar import (
     Verdict,
     alpha_state,
+    apply_spa,
     criterion_report,
     error_suite,
     isotropic,
@@ -224,6 +225,31 @@ def per_cell_norm(r, p):
     n = r.dim_a * r.dim_b
     spa = (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / r.trace) * r.matrix
     return float(np.sum(np.linalg.svd(spa, compute_uv=False)))
+
+
+def svd_norm(m):
+    """||m||_1 from one SVD of m alone."""
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+class TestStackedReport:
+    @pytest.mark.parametrize("rho", GRID_STATES, ids=repr)
+    def test_one_stacked_svd_gives_the_doubles_of_separate_ones(self, rho):
+        for p in (0.0, 0.3, 1.0):
+            report = criterion_report(rho, p)
+            r = realign(rho)
+            spa = apply_spa(r, p)
+            assert report.realignment_score == svd_norm(r.matrix) == r.trace_norm
+            assert report.trace_norm_spa_r == svd_norm(spa)
+            assert report.error.error_norm == svd_norm(spa - r.matrix)
+            assert report.error == error_suite(realign(rho), p)
+            assert report.q1 == q1_realignment_moments(realign(rho))
+            assert report.q2 == (q2_rmoment(r) if rho.dim == 9 else None)
+
+    def test_caches_r_singular_values(self):
+        r = realign(alpha_state(0.4))
+        criterion_report(r, 0.2)
+        assert np.array_equal(r.singular_values, np.linalg.svd(r.matrix, compute_uv=False))
 
 
 class TestSpaRScores:

@@ -236,6 +236,15 @@ def test_realigned_matrix_keeps_its_state():
     assert r.eigenvalues is r.eigenvalues
 
 
+def test_singular_values_can_be_adopted_once_computed_elsewhere():
+    r = realign(random_separable(2, 3, terms=2, seed=5))
+    sigma = singular_values(r.matrix)
+    r.singular_values = sigma
+    assert r.singular_values is sigma
+    with pytest.raises(ValueError, match=r"expected singular values of shape \(4,\)"):
+        r.singular_values = sigma[:3]
+
+
 def test_criteria_accept_the_realigned_matrix():
     for rho in (rho_t(-0.5), isotropic(0.2), random_separable(2, 3, terms=2, seed=5)):
         r = realign(rho)

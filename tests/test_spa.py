@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from spar import (
     apply_spa,
     certify_completely_positive,
     descartes_psd_test,
+    eigenvalue_offset,
     isotropic,
     lambda_min_lower_bound,
     newton_coefficients,
+    random_density,
     random_schmidt_symmetric,
     random_separable,
     realign,
@@ -26,8 +29,17 @@ from spar import (
     validate_density,
 )
 from spar.linalg import general_eigenvalues, hermitian_eigenvalues, power_trace
+from spar.realign import RealignedMatrix
+from spar.spa import require_real_spectrum
 
-from util import elementary_symmetric, random_hermitian, random_real_spectrum, rng_for
+from util import (
+    elementary_symmetric,
+    near_psd_state,
+    newton_reference,
+    random_hermitian,
+    random_real_spectrum,
+    rng_for,
+)
 
 A_LOW = 1 / math.sqrt(2)
 
@@ -92,6 +104,28 @@ class TestNewtonCoefficients:
         want = elementary_symmetric(lam)
         for k in range(n + 1):
             assert abs(got[k] - want[k]) <= 1e-8 * max(1.0, abs(want[k]))
+
+    @pytest.mark.parametrize("rho", (
+        [isotropic(b, d) for d in range(2, 7) for b in (-0.02, 0.4, 0.9)]
+        + [random_schmidt_symmetric(d, d, seed=d) for d in range(2, 7)]
+        + [near_psd_state(d, eps, seed=14) for d in (3, 4) for eps in (1e-4, 1e-8)]
+        + [rho_t(0.3), rho_t(-0.3), rho_a(A_LOW), rho_a(0.9), alpha_state(0.5)]
+    ), ids=repr)
+    def test_equals_the_scalar_recursion_bit_for_bit(self, rho):
+        r = realign(rho)
+        co = newton_coefficients(r.moments(rho.dim_a ** 2))
+        values, scales = newton_reference(r.moments(rho.dim_a ** 2))
+        assert np.array_equal(co.values, values)
+        assert np.array_equal(co.scales, scales)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_scalar_recursion_on_non_normal_matrices(self, seed):
+        m, _ = random_real_spectrum(rng_for(seed), 9)
+        moments = [power_trace(m, k).real for k in range(1, 10)]
+        co = newton_coefficients(moments)
+        values, scales = newton_reference(moments)
+        assert np.array_equal(co.values, values)
+        assert np.array_equal(co.scales, scales)
 
     def test_elementary_symmetric_sanity(self):
         assert np.allclose(elementary_symmetric([2.0, -1.0]), [1.0, 1.0, -2.0])
@@ -174,6 +208,57 @@ class TestSpaThreshold:
         monkeypatch.setattr(spar.spa, "descartes_psd_test", lambda *a, **k: False)
         with pytest.raises(DomainError):
             spa_threshold(rho_t(0.5))  # PSD state forced through the non-PSD branch
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Record every ``linalg.general_eigenvalues`` call from here on."""
+    calls = []
+    solve = spar.linalg.general_eigenvalues
+
+    def general_eigenvalues(m):
+        calls.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(spar.linalg, "general_eigenvalues", general_eigenvalues)
+    return calls
+
+
+def with_skew(r, norm):
+    """The analysis of r's state with a real antisymmetric part added to R,
+    scaled so that ||R - R^H||_F = norm."""
+    k = np.triu(np.ones(r.matrix.shape), 1)
+    k = k - k.T
+    return RealignedMatrix(r.state, r.matrix + norm / (2 * np.linalg.norm(k)) * k)
+
+
+class TestRealSpectrumCheck:
+    @pytest.mark.parametrize("rho", [isotropic(0.3, 6), random_schmidt_symmetric(5, 5, seed=3),
+                                     near_psd_state(4, 1e-6, seed=2)], ids=repr)
+    def test_hermitian_r_needs_no_eigensolve(self, monkeypatch, rho):
+        calls = count_eigensolves(monkeypatch)
+        threshold = spa_threshold(rho)
+        assert calls == []
+        assert eigenvalue_offset(rho) == (threshold.lower_bound, threshold.k)
+        assert calls == []
+
+    def test_skew_part_just_above_the_bound_runs_the_eigensolver(self, monkeypatch):
+        r = realign(isotropic(0.5, 3))
+        calls = count_eigensolves(monkeypatch)
+        require_real_spectrum(with_skew(r, 0.99 * spar.DEFAULT.spectrum_imag))
+        assert calls == []
+        skewed = with_skew(r, 1.01 * spar.DEFAULT.spectrum_imag)
+        require_real_spectrum(skewed)  # its eigenvalues are real within the tolerance
+        assert len(calls) == 1 and calls[0] is skewed.matrix
+
+    def test_complex_spectrum_is_refused_with_the_largest_imaginary_part(self, monkeypatch):
+        rho = validate_density(random_density(9, seed=3), (3, 3))
+        worst = float(np.max(np.abs(np.linalg.eigvals(realign(rho).matrix).imag)))
+        calls = count_eigensolves(monkeypatch)
+        message = f"realigned spectrum has imaginary part {worst:.3e}"
+        for refused in (spa_threshold, eigenvalue_offset):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                refused(realign(rho))
+        assert len(calls) == 2
 
 
 class TestApplySpa:

@@ -2,15 +2,19 @@
 the sweep writer against csv_text over sweep_rows."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spar import (
     DEFAULT,
+    DomainError,
     Verdict,
     alpha_state,
     isotropic,
+    q1_realignment_moments,
+    q2_rmoment,
     random_density,
     random_schmidt_symmetric,
     realign,
@@ -193,12 +197,34 @@ SWEEP_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(SWEEP_GRIDS))
+SWEEP_PS = [0.0, 0.05, 1 / 3, 0.5, 0.99, 1.0]
+SWEEP_CASES = [(family, params, SWEEP_PS) for family, params in sorted(SWEEP_GRIDS.items())] + [
+    # spar sweep --family isotropic --param-range=-0.125:1:5 --p-range=0:1:3:
+    # isotropic(-1/8) has Tr R = 0 up to rounding
+    ("isotropic", [-0.125, 0.15625, 0.4375, 0.71875, 1.0], [0.0, 0.5, 1.0]),
+]
+
+
+@pytest.mark.parametrize("family,params,ps", SWEEP_CASES,
+                         ids=[*sorted(SWEEP_GRIDS), "isotropic_trace_zero"])
 @pytest.mark.parametrize("tol", [DEFAULT.verdict, 0.0])
-def test_sweep_csv_writes_the_bytes_of_csv_text(family, tol):
-    params, ps = SWEEP_GRIDS[family], [0.0, 0.05, 1 / 3, 0.5, 0.99, 1.0]
+def test_sweep_csv_writes_the_bytes_of_csv_text(family, params, ps, tol):
     states = ((param, family_state(family, param)) for param in params)
     assert sweep_csv(states, ps, tol) == csv_text(sweep_rows(family, params, ps, tol), SWEEP_COLUMNS)
+
+
+def test_a_state_without_positive_realigned_trace_gets_nan_rows():
+    rho, ps = isotropic(-0.125), [0.0, 0.5, 1.0]
+    with pytest.raises(DomainError, match="realigned trace .* is not positive"):
+        spa_r_scores(rho, ps)
+    rows = list(state_rows(-0.125, rho, ps))
+    assert [row["p"] for row in rows] == ps
+    for row in rows:
+        assert all(math.isnan(row[c]) for c in ("traceNormSpaR", "upperBound", "l", "k"))
+        assert row["violated"] == 0
+        assert row["q1"] == q1_realignment_moments(rho) and row["q2"] == q2_rmoment(rho)
+    with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1], got 2.0")):
+        list(state_rows(-0.125, rho, [0.0, 2.0]))
 
 
 @pytest.mark.parametrize("family,lo,hi", [

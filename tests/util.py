@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import signal
 
 import numpy as np
 
-from spar import linalg
+from spar import linalg, random_schmidt_symmetric, validate_density
 
 
 @contextlib.contextmanager
@@ -95,3 +96,31 @@ def elementary_symmetric(eigenvalues) -> np.ndarray:
         for j in range(min(i + 1, len(eigs)), 0, -1):
             e[j] = e[j] + lam * e[j - 1]
     return e
+
+
+def newton_reference(moments) -> tuple[np.ndarray, np.ndarray]:
+    """Values and scales of ``spar.newton_coefficients`` by the scalar Newton
+    recursion, one term at a time: a_k = (1/k) sum_i (-1)^(i-1) a_{k-i} m_i,
+    with each sum (and the scale's sum of |terms|) exactly rounded."""
+    m = np.asarray(moments, dtype=float)
+    n = len(m)
+    a = np.empty(n + 1)
+    scale = np.empty(n + 1)
+    a[0] = 1.0
+    scale[0] = 1.0
+    for k in range(1, n + 1):
+        terms = [(-1) ** (i - 1) * a[k - i] * m[i - 1] for i in range(1, k + 1)]
+        a[k] = math.fsum(terms) / k
+        scale[k] = math.fsum(abs(t) for t in terms) / k
+    return a, scale
+
+
+def near_psd_state(d: int, eps: float, seed: int):
+    """A d x d state whose realigned matrix has a negative eigenvalue of order
+    -eps: rho ~ rho_SS/2 + I/(2 d^2) - eps H (x) conj(H), with rho_SS
+    Schmidt-symmetric and H Hermitian of unit Frobenius norm."""
+    ss = random_schmidt_symmetric(d, d, seed=seed).matrix
+    h = random_hermitian(np.random.default_rng(1000 + seed), d)
+    h /= np.linalg.norm(h)
+    m = 0.5 * ss + 0.5 * np.eye(d * d) / (d * d) - eps * np.kron(h, h.conj())
+    return validate_density(m / np.trace(m).real, (d, d))
