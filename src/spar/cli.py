@@ -4,12 +4,11 @@ Subcommands: ``analyze`` (full criterion report for one state as JSON),
 ``sweep`` (CSV grid over a family), ``table1`` (detection-window table for
 the bound entangled alpha family) and ``estimate-m1`` (first-moment
 intervals). JSON goes through :func:`json.dumps`, the sweep table through
-:func:`spar.sweeps.sweep_csv` (the same bytes as
-:func:`spar.sweeps.csv_text` over :func:`spar.sweeps.sweep_rows`, each
-repeated cell formatted once) and other CSV through
-:func:`spar.sweeps.csv_text`. All write each float as its shortest
-round-trip ``repr`` ('.' decimal separator, no locale), so output parses
-back to the same doubles and its bytes are deterministic for fixed inputs.
+:func:`spar.sweeps.sweep_csv` and the table1 CSV through
+:func:`spar.sweeps.csv_text`, which share one cell rule. All write each
+float as its shortest round-trip ``repr`` ('.' decimal separator, no
+locale), so output parses back to the same doubles and its bytes are
+deterministic for fixed inputs.
 A range option also takes a negative value as its own argument
 (``--param-range -0.7:-0.6:2``); the points of ``--p-range`` are clamped
 into the range, so one that ends at 1 ends at 1.0. ``--tol`` is accepted
@@ -22,8 +21,8 @@ written to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers of
 :func:`build_parser` get that same parser and must not mutate it.
 
 :func:`main` alone maps errors to exit codes: 0 success, 1 usage error
-(including an unwritable output path), 2 invalid state file, 3 domain
-violation.
+(including an unwritable output path and ``--p`` outside [0, 1]), 2 invalid
+state file or undecodable state or matrix file, 3 domain violation.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .criteria import criterion_report, q1_realignment_moments
 from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
 from .realign import realign, realignment_criterion
-from .spa import certify_completely_positive, eigenvalue_offset, spa_threshold
+from .spa import certify_completely_positive, eigenvalue_offset, require_weights, spa_threshold
 from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
 from .sweeps import FAMILIES, csv_text, family_state, sweep_csv, table1_rows
 
@@ -120,6 +119,7 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> d
     if not r.is_square:
         # the SPA machinery needs equal subsystem dimensions; report the
         # dimension-agnostic realignment data only
+        require_weights(p)
         verdict, score = realignment_criterion(r, tol=tol)
         return {
             **head,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["DEFAULT", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -79,16 +79,10 @@ def _score_spa_r(
     return scores
 
 
-def spa_r_criterion(
-    rho: StateLike, p: float, tol: float = DEFAULT.verdict
-) -> tuple[Verdict, float, float]:
-    """:func:`spa_r_scores` at a single p."""
-    return spa_r_scores(rho, [p], tol)[0]
-
-
 def spa_r_verdict(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Verdict:
-    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by tol."""
-    return spa_r_criterion(rho, p, tol)[0]
+    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by tol:
+    the verdict of :func:`spa_r_scores` at the single p."""
+    return spa_r_scores(rho, [p], tol)[0][0]
 
 
 @dataclass(frozen=True)

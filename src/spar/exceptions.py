@@ -1,5 +1,7 @@
 """Exception types raised by the package."""
 
+__all__ = ["DomainError", "StateValidationError"]
+
 
 class StateValidationError(ValueError):
     """A matrix failed one of the density-matrix checks.

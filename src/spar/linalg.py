@@ -15,8 +15,6 @@ from .config import DEFAULT
 
 __all__ = [
     "as_matrix",
-    "kron",
-    "vec",
     "hermiticity_defect",
     "hermitian_eigenvalues",
     "general_eigenvalues",
@@ -41,20 +39,6 @@ def _finite_complex(m, stacked: bool) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, size (a.rows*b.rows) x (a.cols*b.cols)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization.
-
-    Columns of ``m`` are stacked top to bottom, so entry (r, c) of an
-    n x k matrix lands at position c*n + r of the output (1-D array).
-    """
-    return as_matrix(m).flatten(order="F")
 
 
 def hermiticity_defect(m) -> float:

@@ -35,10 +35,15 @@ class Verdict(enum.Enum):
     ENTANGLED = "entangled"
     INCONCLUSIVE = "inconclusive"
 
+    @staticmethod
+    def margin(score: float, bound: float, tol: float) -> float:
+        """``score - (bound + tol)``: positive exactly when score > bound + tol."""
+        return score - (bound + tol)
+
     @classmethod
     def from_score(cls, score: float, bound: float, tol: float) -> Verdict:
-        """Entangled iff the score exceeds its separable bound by more than tol."""
-        return cls.ENTANGLED if score > bound + tol else cls.INCONCLUSIVE
+        """Entangled iff the score's :meth:`margin` over its separable bound is positive."""
+        return cls.ENTANGLED if cls.margin(score, bound, tol) > 0 else cls.INCONCLUSIVE
 
 
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:

@@ -236,6 +236,21 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     )
 
 
+def require_weights(p: float | Sequence[float]) -> tuple[bool, list[float]]:
+    """Whether the mixing weights ``p`` of the SPA are a 1-D sequence rather
+    than a number, and the weights as a list of floats; a weight outside
+    [0, 1] (NaN included) raises ``ValueError`` naming the first one."""
+    weights = np.asarray(p, dtype=float)
+    if weights.ndim > 1:
+        raise ValueError(f"p must be a number or a 1-D sequence, got ndim={weights.ndim}")
+    stacked = weights.ndim == 1
+    values = weights.reshape(-1).tolist()
+    for i, w in enumerate(values):
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p[i] if stacked else p}")
+    return stacked, values
+
+
 def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
 
@@ -252,14 +267,7 @@ def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     r = as_realigned(rho)
     if not r.is_square:
         raise ValueError("the SPA requires equal subsystem dimensions")
-    weights = np.asarray(p, dtype=float)
-    if weights.ndim > 1:
-        raise ValueError(f"p must be a number or a 1-D sequence, got ndim={weights.ndim}")
-    stacked = weights.ndim == 1
-    values = weights.reshape(-1).tolist()
-    for i, w in enumerate(values):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p[i] if stacked else p}")
+    stacked, values = require_weights(p)
     trace_r = require_positive_trace(r)
     n = r.dim_a * r.dim_b
     # the mixing weights as Python floats, with the arithmetic of a single p

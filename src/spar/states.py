@@ -30,7 +30,6 @@ __all__ = [
     "random_schmidt_symmetric",
     "write_state_file",
     "read_state_file",
-    "read_matrix_file",
     "RHO_T_MAX",
 ]
 
@@ -252,7 +251,9 @@ def _load_payload(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, text that is not UTF-8, an integer past the digit
+            # limit of int(), or arrays nested past the recursion limit
             raise StateValidationError("finite", f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise StateValidationError("dims", "file needs a 'matrix' field")
@@ -270,6 +271,8 @@ def _payload_matrix(payload: dict) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateValidationError("finite", f"matrix entries must be [re, im] pairs: {exc}") from exc
+    except OverflowError as exc:
+        raise StateValidationError("finite", f"matrix entry too large for a double: {exc}") from exc
     n = int(round(math.isqrt(flat.size)))
     if n * n != flat.size:
         raise StateValidationError("shape", f"matrix length {flat.size} is not a perfect square")

@@ -6,11 +6,11 @@ SPA matrices of the row); every norm is the same double as a per-cell
 evaluation would give, so the rows are byte for byte those of a cell-by-cell
 loop.
 
-:func:`state_rows` and :func:`sweep_rows` give the table as dicts, and
-:func:`csv_text` writes rows of dicts. :func:`sweep_csv` writes the sweep
-table itself, the same bytes as :func:`csv_text` over :func:`sweep_rows`:
-it formats each p once per sweep and the columns that depend only on the
-state once per state, which both paths take from one helper.
+One per-state helper feeds two views of a sweep table: :func:`sweep_rows`
+(dicts) and :func:`sweep_csv` (the CSV text of ``spar sweep`` and the
+reproduce script, each repeated cell formatted once). :func:`csv_text`
+writes other tables by the same cell rule: a value's ``str``, None as empty,
+nothing quoted, and a cell that would need quoting raises.
 
 The detection edge in p needs no interval assumption: the excess
 ||spa(rho; p)||_1 - (p + (1-p)/Tr R) is convex in p and vanishes at p = 1, so
@@ -23,8 +23,6 @@ relies on the predicate flipping once between its end points.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import sys
@@ -33,7 +31,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from .config import DEFAULT
 from .criteria import q1_realignment_moments, q2_rmoment, spa_r_scores
 from .exceptions import DomainError
-from .realign import RealignedMatrix, StateLike, Verdict, as_realigned
+from .realign import StateLike, Verdict, as_realigned
 from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
@@ -42,7 +40,6 @@ __all__ = [
     "family_state",
     "bisect_boundary",
     "violation_p_max",
-    "state_rows",
     "sweep_rows",
     "sweep_csv",
     "SWEEP_COLUMNS",
@@ -62,18 +59,37 @@ TABLE1_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 SWEEP_COLUMNS = ("param", "p", "traceNormSpaR", "upperBound", "violated", "l", "k", "q1", "q2")
 
+_QUOTED = frozenset(',"\r\n')  # a comma, a double quote, a line break
+
+
+def _cell(value) -> str:
+    """One CSV cell: the value's ``str`` (a float's shortest round-trip
+    repr), None as empty; a cell that CSV would quote raises ``ValueError``."""
+    text = "" if value is None else str(value)
+    if not _QUOTED.isdisjoint(text):
+        raise ValueError(f"CSV cell {text!r} would need quoting")
+    return text
+
+
+def _line(cells: Sequence) -> str:
+    """One CSV line, without its end: the cells joined by commas."""
+    line = ",".join(map(_cell, cells))
+    if not line and cells:
+        # a lone empty cell is quoted, or the row would read back as blank
+        raise ValueError("a row of one empty cell would need quoting")
+    return line
+
 
 def csv_text(rows: Iterable[dict], columns: Sequence[str]) -> str:
     """Rows as CSV: a header line, then one line per row, each ended by a bare LF.
 
-    Floats are written as their shortest round-trip repr and None as an
-    empty cell, so the text is lossless and byte-deterministic.
+    Cells follow :func:`_cell`, so the text is lossless, byte-deterministic
+    and what :mod:`csv`'s writer gives with ``lineterminator="\\n"``.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
-    return out.getvalue()
+    lines = [_line(columns)]
+    lines.extend(_line([row[c] for c in columns]) for row in rows)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def family_state(name: str, param: float) -> DensityMatrix:
@@ -180,7 +196,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     when the state is not detected even at p = 0.
 
     The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
-    from the same doubles as the verdict, is positive exactly where the
+    the verdict's own :meth:`Verdict.margin`, is positive exactly where the
     verdict is ENTANGLED. It is convex in p and negative at p = 1, so the
     violated set is an interval [0, p*). Let h = 2**-j be the largest power
     of two not above ``tol``. The result is the midpoint of the grid cell
@@ -195,7 +211,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
     def excess(p: float) -> float:
         [(_, norm, bound)] = spa_r_scores(r, [p])
-        return norm - (bound + DEFAULT.verdict)
+        return Verdict.margin(norm, bound, DEFAULT.verdict)
 
     g0 = excess(0.0)
     if g0 <= 0:
@@ -207,69 +223,47 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     return 0.5 * (k * h + (k + 1) * h)
 
 
-def _state_columns(r: RealignedMatrix) -> tuple[float, float, float, float | None]:
-    """The columns of a sweep row that depend on the state alone: l, k, q1, q2.
+def _state_blocks(
+    states: Iterable[tuple[float, StateLike]], ps: list[float], verdict_tol: float
+) -> Iterator[tuple[float, tuple, list[tuple[Verdict, float, float]]]]:
+    """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
+    the scores being :func:`spa_r_scores` over ``ps``; each state is scored
+    before the next is drawn, and a p outside [0, 1] raises at the first.
 
-    Threshold data that cannot be certified (realigned trace not positive or
-    spectrum not real) is NaN; q2 is None outside 3x3 systems.
+    What cannot be computed is NaN rather than aborting the sweep: l and k
+    when the realigned trace is not positive or its spectrum not real, and
+    also the norm and bound (verdict inconclusive) when the trace is not
+    positive. q2 is None outside 3x3 systems.
     """
-    try:
-        threshold = spa_threshold(r)
-        l, k = threshold.l, threshold.k
-    except DomainError:
-        l, k = float("nan"), float("nan")
-    q1 = q1_realignment_moments(r)
-    q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
-    return l, k, q1, q2
+    nan = float("nan")
+    for param, rho in states:
+        r = as_realigned(rho)
+        try:
+            threshold = spa_threshold(r)
+            l, k = threshold.l, threshold.k
+        except DomainError:
+            l, k = nan, nan
+        q1 = q1_realignment_moments(r)
+        q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
+        try:
+            scores = spa_r_scores(r, ps, verdict_tol)
+        except DomainError:
+            scores = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps)
+        yield param, (l, k, q1, q2), scores
 
 
-def _grid_scores(
-    r: RealignedMatrix, ps: list[float], verdict_tol: float
-) -> list[tuple[Verdict, float, float]]:
-    """:func:`spa_r_scores` of one state; when its realigned trace is not
-    positive, NaN norms and bounds with an inconclusive verdict per p.
-
-    A p outside [0, 1] raises whatever the state.
-    """
-    try:
-        return spa_r_scores(r, ps, verdict_tol)
-    except DomainError:
-        nan = float("nan")
-        return [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps)
-
-
-def state_rows(
-    param: float, rho: StateLike, ps: Sequence[float], verdict_tol: float = DEFAULT.verdict
+def sweep_rows(
+    states: Iterable[tuple[float, StateLike]],
+    ps: Iterable[float],
+    verdict_tol: float = DEFAULT.verdict,
 ) -> Iterator[dict]:
-    """The :data:`SWEEP_COLUMNS` rows of one state over a p-grid, labelled ``param``.
-
-    The state is realigned once and scored over the whole grid by
-    :func:`spa_r_scores`; a p outside [0, 1] raises before the first row.
-    Data that cannot be computed is reported as NaN rather than aborting the
-    sweep: l and k when the realigned spectrum is not real, and also the
-    norm and bound (with ``violated`` 0) when the realigned trace is not
-    positive.
-    """
-    r = as_realigned(rho)
+    """The sweep table of ``(param, state)`` pairs over a p-grid as
+    :data:`SWEEP_COLUMNS` dicts: the rows :func:`sweep_csv` writes."""
     ps = list(ps)
-    l, k, q1, q2 = _state_columns(r)
-    for p, (verdict, norm, bound) in zip(ps, _grid_scores(r, ps, verdict_tol)):
-        yield {
-            "param": param,
-            "p": p,
-            "traceNormSpaR": norm,
-            "upperBound": bound,
-            "violated": int(verdict == Verdict.ENTANGLED),
-            "l": l,
-            "k": k,
-            "q1": q1,
-            "q2": q2,
-        }
-
-
-def _cell(value) -> str:
-    """One CSV cell as :mod:`csv` writes a number: ``str``, None as empty."""
-    return "" if value is None else str(value)
+    for param, columns, scores in _state_blocks(states, ps, verdict_tol):
+        for p, (verdict, norm, bound) in zip(ps, scores):
+            violated = int(verdict == Verdict.ENTANGLED)
+            yield dict(zip(SWEEP_COLUMNS, (param, p, norm, bound, violated, *columns)))
 
 
 def sweep_csv(
@@ -279,38 +273,22 @@ def sweep_csv(
 ) -> str:
     """The sweep table of ``(param, state)`` pairs over a p-grid as CSV text.
 
-    The same bytes as ``csv_text`` over the :func:`state_rows` of each pair,
-    with far less formatting: each p is formatted once per sweep, and
-    ``param``, l, k, q1 and q2 once per state, so a cell formats only its
-    norm, bound and verdict. Every cell is a number or empty, so none needs
-    quoting. States are taken from ``states`` one at a time, each scored
-    before the next is drawn.
+    The bytes of :func:`csv_text` over :func:`sweep_rows`, with far less
+    formatting: each p is formatted once per sweep, and ``param``, l, k, q1
+    and q2 once per state, so a cell formats only its norm, bound and
+    verdict. Those are numbers, which never need quoting.
     """
     ps = list(ps)
     p_cells = [_cell(p) for p in ps]
-    lines = [",".join(SWEEP_COLUMNS)]
-    for param, rho in states:
-        r = as_realigned(rho)
+    lines = [_line(SWEEP_COLUMNS)]
+    for param, columns, scores in _state_blocks(states, ps, verdict_tol):
         head = _cell(param) + ","
-        tail = "," + ",".join(map(_cell, _state_columns(r)))
-        for p, (verdict, norm, bound) in zip(p_cells, _grid_scores(r, ps, verdict_tol)):
+        tail = "," + _line(columns)
+        for p, (verdict, norm, bound) in zip(p_cells, scores):
             violated = "1" if verdict == Verdict.ENTANGLED else "0"
             lines.append(f"{head}{p},{norm!s},{bound!s},{violated}{tail}")
     lines.append("")
     return "\n".join(lines)
-
-
-def sweep_rows(
-    family: str,
-    params: Iterable[float],
-    ps: Iterable[float],
-    verdict_tol: float = DEFAULT.verdict,
-) -> Iterator[dict]:
-    """Grid rows for one family, parameter-major: :func:`state_rows` of
-    each family state (q2 empty outside 3x3 systems)."""
-    ps = list(ps)
-    for param in params:
-        yield from state_rows(param, family_state(family, param), ps, verdict_tol)
 
 
 def table1_rows() -> list[dict]:

@@ -5,17 +5,18 @@ Each command runs in process through ``spar.cli.main``. One line is printed
 per command: the command, its exit code, and the SHA-256 of its exit code,
 stdout and stderr. Two checkouts whose lines are equal gave the same bytes and exit
 codes on every command, so a change that claims identical output is checked
-by diffing this script's output at both:
+by diffing this script's output at both (pytest does not collect it):
 
-    PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
-    PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
+    PYTHONPATH=src python3 tests/cli_digests.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tests/cli_digests.py > before.txt
     diff before.txt after.txt
 
 The list covers ``sweep`` over all four families (random and negative
 ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``
 (also on d = 4..6 state files with a Hermitian realignment: isotropic,
 Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
-bad-state errors. State files are written to a temporary directory that is
+bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
+state and matrix files that do not decode. State files are written to a temporary directory that is
 the working directory while the commands run, so the messages that name
 them do not depend on where it is.
 """
@@ -143,6 +144,20 @@ def other_commands() -> list[list[str]]:
     return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"], ["sweep", "--help"]]
 
 
+# files that do not decode: an entry too large for a double, text that is
+# not UTF-8, and arrays nested past the recursion limit
+UNDECODABLE = ("overflow.json", "latin1.json", "deep.json")
+
+
+def bad_input_commands() -> list[list[str]]:
+    commands = [["analyze", "--state", "separable23.json", "--p", p] for p in ("7", "-0.5")]
+    for name in UNDECODABLE:
+        commands += [["analyze", "--state", name, "--p", "0.3"],
+                     ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
+                      "--perm", name]]
+    return commands
+
+
 def _write_matrix(name: str, m: np.ndarray, dims: list[int]) -> None:
     """A matrix in the state-file layout, written without density checks."""
     flat = m.reshape(-1)
@@ -165,6 +180,12 @@ def write_states() -> None:
     for d in (4, 5):
         write_state_file(f"schmidt{d}.json", random_schmidt_symmetric(d, d, seed=d))
     write_state_file("near_psd4.json", near_psd_state(4, 1e-6, seed=4))
+    with open("overflow.json", "w", encoding="utf-8") as fh:
+        fh.write('{"dims": [1, 1], "matrix": [[1' + "0" * 400 + ', 0]]}')
+    with open("latin1.json", "wb") as fh:
+        fh.write('{"dims": [1, 1], "matrix": [[1, 0]], "note": "\u00e9"}'.encode("latin-1"))
+    with open("deep.json", "w", encoding="utf-8") as fh:
+        fh.write('{"dims": [1, 1], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
 def near_psd_state(d: int, eps: float, seed: int):
@@ -193,7 +214,7 @@ def digest(argv: list[str]) -> str:
 def main_digests() -> int:
     rng = random.Random(SEED)
     commands = (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
-                + large_state_commands() + other_commands())
+                + large_state_commands() + other_commands() + bad_input_commands())
     home = os.getcwd()
     os.environ["COLUMNS"] = "80"  # usage and help text wrap at the terminal width
     with tempfile.TemporaryDirectory() as work:

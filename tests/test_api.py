@@ -1,0 +1,67 @@
+"""The public surface: the names ``spar`` exports and the functions the
+benchmark's tracer wraps by name."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import spar
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# spar.__all__ before the package built it from its modules' lists
+EXPORTED = {
+    "DEFAULT", "Tolerances", "DomainError", "StateValidationError",
+    "CriterionReport", "ErrorReport", "criterion_report", "error_suite",
+    "q1_realignment_moments", "q2_rmoment", "spa_r_scores", "spa_r_upper_bound",
+    "spa_r_verdict",
+    "CaseTag", "EstimationInput", "MomentInterval", "m1_case_bounds",
+    "m1_interval_quadratic", "simulate_s", "swap_operator",
+    "RealignedMatrix", "Verdict", "is_schmidt_symmetric", "realign", "realign_matrix",
+    "realignment_criterion", "realignment_moment",
+    "CharPolyCoeffs", "CpCertificate", "ReferenceThresholds", "SpaAnalysis", "apply_spa",
+    "certify_completely_positive", "descartes_psd_test", "eigenvalue_offset",
+    "lambda_min_lower_bound", "newton_coefficients", "rho_t_reference_thresholds",
+    "spa_threshold", "threshold_value",
+    "RHO_T_MAX", "DensityMatrix", "alpha_state", "bell_state", "isotropic", "random_density",
+    "random_schmidt_symmetric", "random_separable", "read_state_file", "rho_a", "rho_t",
+    "validate_density", "write_state_file",
+}
+
+
+def load_traced():
+    """``TRACED`` of ``benchmarks/tracer.py``, loaded without installing it."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+TRACED = load_traced()
+
+
+def test_exported_names_are_unchanged_and_resolve():
+    assert len(spar.__all__) == len(set(spar.__all__))
+    assert set(spar.__all__) == EXPORTED
+    for name in spar.__all__:
+        assert getattr(spar, name) is not None, name
+
+
+@pytest.mark.parametrize("module", ["config", "exceptions", "criteria", "moment_estimation",
+                                    "realign", "spa", "states"])
+def test_each_export_is_the_object_of_its_module(module):
+    # spar.realign is the function, the module stays importable as spar.realign
+    source = importlib.import_module(f"spar.{module}")
+    assert source.__all__
+    for name in source.__all__:
+        assert getattr(spar, name) is getattr(source, name), name
+
+
+@pytest.mark.parametrize("module,qualname", TRACED, ids=[f"{m}.{q}" for m, q in TRACED])
+def test_every_traced_function_resolves(module, qualname):
+    target = importlib.import_module(f"spar.{module}")
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    assert callable(target)

@@ -23,7 +23,7 @@ from spar import (
 )
 from spar.cli import main
 
-from util import near_psd_state
+from util import near_psd_state, sweep_reference
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SRC = Path(spar.__file__).resolve().parents[1]
@@ -90,6 +90,14 @@ class TestAnalyze:
         assert record["realignment"]["verdict"] == "inconclusive"
         assert record["moments"]["q2"] is None
         assert isinstance(record["moments"]["q1"], float)
+
+    @pytest.mark.parametrize("p", ["7", "-0.5", "1.0000000000000002"])
+    def test_p_outside_unit_interval_exits_1_for_every_state(self, capsys, tmp_path, p):
+        path = tmp_path / "state23.json"
+        write_state_file(path, random_separable(2, 3, terms=3, seed=7))
+        message = f"error: p must lie in [0, 1], got {float(p)}\n"
+        for argv in (["--state", str(path)], ["--family", "rho_t", "--param", "0.3"]):
+            assert run(capsys, "analyze", *argv, "--p", p) == (1, "", message)
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["analyze", "--family", "rho_t", "--param", "0.1"]) == 1  # no --p
@@ -178,6 +186,32 @@ class TestAnalyze:
         assert code == 0
         norm = json.loads(out)["spa_r"]["trace_norm"]
         assert norm == criterion_report(rho_t(0.3), 0.25).trace_norm_spa_r
+
+
+UNDECODABLE = {
+    "overflow": ('{"dims": [1, 1], "matrix": [[1' + "0" * 400 + ', 0]]}').encode(),
+    "not_utf8": '{"dims": [1, 1], "matrix": [[1, 0]], "note": "\u00e9"}'.encode("latin-1"),
+    "deep": ('{"dims": [1, 1], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+}
+UNDECODABLE_MESSAGES = {
+    "overflow": "matrix entry too large for a double: int too large to convert to float",
+    "not_utf8": "not valid JSON: 'utf-8' codec can't decode byte 0xe9",
+    "deep": "not valid JSON: maximum recursion depth exceeded",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate-m1"])
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_file_that_does_not_decode_exits_2(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE[name])
+    argv = (["analyze", "--state", str(path), "--p", "0.3"] if command == "analyze" else
+            ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
+             "--perm", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid state: finite: {UNDECODABLE_MESSAGES[name]}")
+    assert "Traceback" not in err
 
 
 class TestSweep:
@@ -272,8 +306,7 @@ class TestSweep:
     def test_dump_states_builds_each_state_once(self, capsys, tmp_path, monkeypatch):
         params = [0.1 + 0.2 * i for i in range(5)]
         ps = [0.0, 0.5, 1.0]
-        expected_csv = sweeps.csv_text(sweeps.sweep_rows("alpha_state", params, ps),
-                                       sweeps.SWEEP_COLUMNS)
+        expected_csv = sweep_reference("alpha_state", params, ps)
         expected_files = {}
         for i, param in enumerate(params):
             path = tmp_path / f"expected_{i}.json"
@@ -464,10 +497,8 @@ def test_analyze_and_sweep_take_tol(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "isotropic", "--param-range", "0.9:0.9:1",
                        "--p-range", "0:1:3", "--tol", "0.5")
     assert code == 0
-    assert out == sweeps.csv_text(sweeps.sweep_rows("isotropic", [0.9], ps, verdict_tol=0.5),
-                                  sweeps.SWEEP_COLUMNS)
-    assert out != sweeps.csv_text(sweeps.sweep_rows("isotropic", [0.9], ps),
-                                  sweeps.SWEEP_COLUMNS)
+    assert out == sweep_reference("isotropic", [0.9], ps, verdict_tol=0.5)
+    assert out != sweep_reference("isotropic", [0.9], ps)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

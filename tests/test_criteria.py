@@ -22,8 +22,10 @@ from spar import (
     spa_r_verdict,
     validate_density,
 )
-from spar.criteria import spa_r_criterion, spa_r_scores
+from spar.criteria import spa_r_scores
 from spar.sweeps import family_state, sweep_rows, violation_p_max
+
+from util import family_pairs
 
 
 def mm_state(d=2):
@@ -257,7 +259,7 @@ class TestSpaRScores:
     def test_grid_equals_per_p_scores(self, rho):
         r = realign(rho)
         scores = spa_r_scores(r, P_GRID)
-        assert scores == [spa_r_criterion(r, p) for p in P_GRID]
+        assert scores == [spa_r_scores(r, [p])[0] for p in P_GRID]
         assert [norm for _, norm, _ in scores] == [per_cell_norm(r, p) for p in P_GRID]
         assert [bound for _, _, bound in scores] == [spa_r_upper_bound(r.trace, p) for p in P_GRID]
 
@@ -279,23 +281,23 @@ class TestSweepRows:
         ("alpha_state", [0.2, 0.8]),
     ])
     def test_rows_equal_per_cell_scores(self, family, params):
-        rows = list(sweep_rows(family, params, P_GRID))
+        rows = list(sweep_rows(family_pairs(family, params), P_GRID))
         assert [(row["param"], row["p"]) for row in rows] == [
             (param, p) for param in params for p in P_GRID
         ]
         for row in rows:
             r = realign(family_state(family, row["param"]))
-            verdict, norm, bound = spa_r_criterion(r, row["p"])
+            [(verdict, norm, bound)] = spa_r_scores(r, [row["p"]])
             assert row["traceNormSpaR"] == norm == per_cell_norm(r, row["p"])
             assert row["upperBound"] == bound
             assert row["violated"] == int(verdict == Verdict.ENTANGLED)
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, float("nan")])
     def test_p_outside_unit_interval_raises_before_any_row(self, bad):
-        rows = sweep_rows("rho_t", [0.1, 0.2], [0.0, 0.5, bad])
+        rows = sweep_rows(family_pairs("rho_t", [0.1, 0.2]), [0.0, 0.5, bad])
         with pytest.raises(ValueError, match=re.escape(f"p must lie in [0, 1], got {bad}")):
             next(rows)
 
     def test_empty_p_list_yields_no_rows(self):
         # the first isotropic parameter has realigned trace 0: nothing is scored
-        assert list(sweep_rows("isotropic", [-1 / 8, 0.5], [])) == []
+        assert list(sweep_rows(family_pairs("isotropic", [-1 / 8, 0.5]), [])) == []

@@ -10,33 +10,6 @@ from spar.states import rho_t
 from util import random_complex, random_hermitian, random_unitary, rng_for
 
 
-def test_kron_identity():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    out = linalg.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_basis_projector():
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    out = linalg.kron(p0, p1)
-    want = np.zeros((4, 4))
-    want[1, 1] = 1.0
-    assert np.array_equal(out, want)
-
-
-def test_vec_column_stacking():
-    assert np.array_equal(linalg.vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
-
-
-def test_vec_identity_and_zero():
-    assert np.array_equal(linalg.vec(np.eye(2)), [1, 0, 0, 1])
-    assert np.array_equal(linalg.vec(np.zeros((2, 2))), [0, 0, 0, 0])
-
-
 def test_hermitian_eigenvalues_diagonal():
     assert np.allclose(linalg.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
 

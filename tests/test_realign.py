@@ -251,3 +251,11 @@ def test_criteria_accept_the_realigned_matrix():
         assert realignment_criterion(r) == realignment_criterion(rho)
         assert is_schmidt_symmetric(r) == is_schmidt_symmetric(rho)
         assert realignment_moment(r, 3) == realignment_moment(rho, 3)
+
+
+@given(st.floats(), st.floats(), st.floats(min_value=0.0))
+@settings(max_examples=300, deadline=None)
+def test_verdict_margin_is_positive_exactly_when_the_score_exceeds_bound_plus_tol(s, b, t):
+    entangled = s > b + t
+    assert (Verdict.margin(s, b, t) > 0) == entangled
+    assert (Verdict.from_score(s, b, t) == Verdict.ENTANGLED) == entangled

@@ -1,5 +1,5 @@
 """Detection edges: violation_p_max against plain bisection, and tolerance checks;
-the sweep writer against csv_text over sweep_rows."""
+the CSV writers against the standard library's csv.writer."""
 
 import math
 import re
@@ -30,14 +30,13 @@ from spar.sweeps import (
     TABLE1_ALPHAS,
     bisect_boundary,
     csv_text,
-    family_state,
-    state_rows,
     sweep_csv,
     sweep_rows,
+    table1_rows,
     violation_p_max,
 )
 
-from util import time_limit
+from util import csv_writer_text, family_pairs, sweep_reference, time_limit
 
 
 def depolarized(rho, weight):
@@ -186,7 +185,7 @@ def test_coarse_tolerance_gives_the_midpoint():
     assert violation_p_max(alpha_state(0.5), tol=1.0) == 0.5 == violation_p_max(alpha_state(0.5), 3.0)
 
 
-# the sweep writer: the bytes of csv_text over sweep_rows, case by case
+# the CSV writers: the bytes of csv.writer, case by case
 
 SWEEP_GRIDS = {
     # the CLI's grids are lists of Python floats; -0.0 is written as such
@@ -209,22 +208,22 @@ SWEEP_CASES = [(family, params, SWEEP_PS) for family, params in sorted(SWEEP_GRI
                          ids=[*sorted(SWEEP_GRIDS), "isotropic_trace_zero"])
 @pytest.mark.parametrize("tol", [DEFAULT.verdict, 0.0])
 def test_sweep_csv_writes_the_bytes_of_csv_text(family, params, ps, tol):
-    states = ((param, family_state(family, param)) for param in params)
-    assert sweep_csv(states, ps, tol) == csv_text(sweep_rows(family, params, ps, tol), SWEEP_COLUMNS)
+    text = sweep_csv(iter(family_pairs(family, params)), ps, tol)
+    assert text == sweep_reference(family, params, ps, tol)
 
 
 def test_a_state_without_positive_realigned_trace_gets_nan_rows():
     rho, ps = isotropic(-0.125), [0.0, 0.5, 1.0]
     with pytest.raises(DomainError, match="realigned trace .* is not positive"):
         spa_r_scores(rho, ps)
-    rows = list(state_rows(-0.125, rho, ps))
+    rows = list(sweep_rows([(-0.125, rho)], ps))
     assert [row["p"] for row in rows] == ps
     for row in rows:
         assert all(math.isnan(row[c]) for c in ("traceNormSpaR", "upperBound", "l", "k"))
         assert row["violated"] == 0
         assert row["q1"] == q1_realignment_moments(rho) and row["q2"] == q2_rmoment(rho)
     with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1], got 2.0")):
-        list(state_rows(-0.125, rho, [0.0, 2.0]))
+        list(sweep_rows([(-0.125, rho)], [0.0, 2.0]))
 
 
 @pytest.mark.parametrize("family,lo,hi", [
@@ -234,15 +233,14 @@ def test_a_state_without_positive_realigned_trace_gets_nan_rows():
 def test_sweep_csv_formats_numpy_floats_as_csv_does(family, lo, hi):
     # the reproduce script's grids: np.float64, whose repr is not its str
     params, ps = np.linspace(lo, hi, 7), np.linspace(0.0, 1.0, 21)
-    states = ((param, family_state(family, param)) for param in params)
-    text = sweep_csv(states, ps)
-    assert text == csv_text(sweep_rows(family, params, ps), SWEEP_COLUMNS)
+    text = sweep_csv(family_pairs(family, params), ps)
+    assert text == sweep_reference(family, params, ps)
     assert "np.float64" not in text
 
 
 def test_sweep_csv_of_a_two_qubit_state_leaves_q2_empty():
     text = sweep_csv([(0.3, rho_t(0.3))], [0.0, 1.0])
-    assert text == csv_text(sweep_rows("rho_t", [0.3], [0.0, 1.0]), SWEEP_COLUMNS)
+    assert text == sweep_reference("rho_t", [0.3], [0.0, 1.0])
     assert all(line.endswith(",") for line in text.splitlines()[1:])
 
 
@@ -250,13 +248,50 @@ def test_sweep_csv_writes_nan_for_a_complex_realigned_spectrum():
     rho = validate_density(random_density(9, seed=3), (3, 3))
     ps = [0.0, 0.4, 1.0]
     text = sweep_csv([(7, rho)], ps)
-    assert text == csv_text(state_rows(7, rho, ps), SWEEP_COLUMNS)
+    assert text == csv_writer_text(sweep_rows([(7, rho)], ps), SWEEP_COLUMNS)
     assert all(line.split(",")[5:7] == ["nan", "nan"] for line in text.splitlines()[1:])
 
 
 def test_sweep_csv_of_an_empty_grid_is_the_header():
-    params = [0.2, 0.4]
-    states = ((param, alpha_state(param)) for param in params)
+    states = family_pairs("alpha_state", [0.2, 0.4])
     header = ",".join(SWEEP_COLUMNS) + "\n"
-    assert sweep_csv(states, []) == csv_text(sweep_rows("alpha_state", params, []), SWEEP_COLUMNS)
-    assert sweep_csv([], [0.5]) == header == csv_text([], SWEEP_COLUMNS)
+    assert sweep_csv(states, []) == sweep_reference("alpha_state", [0.2, 0.4], [])
+    assert sweep_csv([], [0.5]) == header == csv_writer_text([], SWEEP_COLUMNS)
+
+
+def test_table1_csv_is_the_bytes_of_csv_writer():
+    rows = table1_rows()
+    assert csv_text(rows, ["alpha", "p_max"]) == csv_writer_text(rows, ["alpha", "p_max"])
+
+
+CSV_TABLES = {
+    "mixed": ([
+        {"name": "rho_t onset at p=0", "value": 0.11611652351681556, "ref": None},
+        {"name": "a", "value": -0.0, "ref": np.float64(1 / 3)},
+        {"name": "", "value": 7, "ref": True},
+        {"name": "nan", "value": math.nan, "ref": math.inf},
+    ], ["name", "value", "ref"]),
+    "one column": ([{"x": 1.5}, {"x": "a b"}], ["x"]),
+    "no rows": ([], ["alpha", "p_max"]),
+}
+
+
+@pytest.mark.parametrize("rows,columns", CSV_TABLES.values(), ids=CSV_TABLES)
+def test_csv_text_writes_the_bytes_of_csv_writer(rows, columns):
+    assert csv_text(rows, columns) == csv_writer_text(rows, columns)
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\rlf", ","])
+def test_csv_text_refuses_a_cell_that_needs_quoting(cell):
+    with pytest.raises(ValueError, match="would need quoting"):
+        csv_text([{"name": cell, "value": 1.0}], ["name", "value"])
+    with pytest.raises(ValueError, match="would need quoting"):
+        csv_text([], ["value", cell])
+
+
+@pytest.mark.parametrize("empty", [None, ""])
+def test_csv_text_refuses_a_lone_empty_cell(empty):
+    # csv.writer writes it as "", so that the row is not a blank line
+    assert csv_writer_text([{"x": empty}], ["x"]) == 'x\n""\n'
+    with pytest.raises(ValueError, match="would need quoting"):
+        csv_text([{"x": empty}], ["x"])

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import signal
 
 import numpy as np
 
-from spar import linalg, random_schmidt_symmetric, validate_density
+from spar import DEFAULT, linalg, random_schmidt_symmetric, validate_density
+from spar.sweeps import SWEEP_COLUMNS, family_state, sweep_rows
 
 
 @contextlib.contextmanager
@@ -79,8 +82,30 @@ def realign_blockwise(m, dim_a: int, dim_b: int) -> np.ndarray:
     for j in range(dim_a):  # block column
         for i in range(dim_a):  # block row
             block = a[i * dim_b : (i + 1) * dim_b, j * dim_b : (j + 1) * dim_b]
-            rows[j * dim_a + i] = linalg.vec(block)
+            rows[j * dim_a + i] = block.flatten(order="F")  # column stacking
     return rows
+
+
+def csv_writer_text(rows, columns) -> str:
+    """The bytes the standard library's ``csv.writer`` gives for rows of dicts,
+    with a bare LF after each line: the independent reference for the
+    package's CSV writers."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    return out.getvalue()
+
+
+def family_pairs(family: str, params) -> list:
+    """The ``(param, state)`` pairs of a family sweep."""
+    return [(param, family_state(family, param)) for param in params]
+
+
+def sweep_reference(family: str, params, ps, verdict_tol=DEFAULT.verdict) -> str:
+    """``csv.writer``'s bytes for the :func:`spar.sweeps.sweep_rows` of a family sweep."""
+    rows = sweep_rows(family_pairs(family, params), ps, verdict_tol)
+    return csv_writer_text(rows, SWEEP_COLUMNS)
 
 
 def elementary_symmetric(eigenvalues) -> np.ndarray:
