@@ -174,8 +174,6 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     params = _parse_range(args.param_range)
     ps = _parse_range(args.p_range, clamp=True)
-    if args.family not in FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}")
     states = []
 
     def built():
@@ -214,6 +212,9 @@ def cmd_estimate_m1(args) -> int:
         if args.p is None:
             raise ValueError("--p is required when estimating from a state")
         perm = read_matrix_file(args.perm) if args.perm else None
+        if perm is not None and perm.shape != (rho.dim, rho.dim):
+            raise StateValidationError(
+                "shape", f"permutation operator has shape {perm.shape}, expected {(rho.dim,) * 2}")
         r = realign(rho)
         s = simulate_s(r, args.p, permutation=perm)
         k = eigenvalue_offset(r)[1] if args.k is None else args.k
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", parents=[common], help="CSV grid over one family")
-    ps.add_argument("--family", required=True)
+    ps.add_argument("--family", choices=sorted(FAMILIES), required=True)
     ps.add_argument("--param-range", required=True, help="lo:hi:n")
     ps.add_argument("--p-range", required=True, help="lo:hi:n")
     ps.add_argument("--dump-states", default=None, help="directory for per-grid-point state files")

@@ -186,7 +186,7 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     stack = [r.matrix, spa, spa - r.matrix] + ([r.state.matrix] if with_q2 else [])
     sigma = linalg.singular_values(np.stack(stack))
-    r.singular_values = sigma[0]
+    r._singular_values = sigma[0]
     realignment_verdict, score = realignment_criterion(r, tol)
     spa_norm, error_norm = np.sum(sigma[1:3], axis=-1).tolist()
     [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p], tol)

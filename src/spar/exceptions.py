@@ -19,6 +19,5 @@ class DomainError(ValueError):
     """The realigned matrix is outside the applicability domain.
 
     The moment-based machinery needs a realigned matrix with positive trace
-    and a real spectrum; raised when either fails, or when the sign test and
-    the moment lower bound contradict each other near a boundary.
+    and a real spectrum; raised when either fails.
     """

@@ -69,13 +69,13 @@ def general_eigenvalues(m) -> np.ndarray:
 
     Standard balanced Hessenberg + shifted-QR path via LAPACK; numpy raises
     ``LinAlgError`` if the iteration fails to converge, which signals a
-    pathological input. Two production paths call it:
-    ``RealignedMatrix.eigenvalues``, read by ``spa.require_real_spectrum``
-    only when R is not Hermitian within ``DEFAULT.spectrum_imag`` (for a
-    Hermitian R, Bendixson's theorem settles the check without it), and
-    ``spa.certify_completely_positive``, which takes ``gamma2`` from the
-    largest eigenvalue of the SPA output. The PSD verdict itself comes from
-    the moments, not from these eigenvalues; the tests also use this
+    pathological input. One production path calls it:
+    ``RealignedMatrix.eigenvalues``, eig(R) computed at most once per state.
+    ``spa.require_real_spectrum`` reads it only when R is not Hermitian
+    within ``DEFAULT.spectrum_imag`` (for a Hermitian R, Bendixson's theorem
+    settles the check without it), and ``spa.certify_completely_positive``
+    takes ``gamma2`` from its largest real part. The PSD verdict itself comes
+    from the moments, not from these eigenvalues; the tests also use this
     function as the oracle for that verdict.
     """
     a = as_matrix(m)

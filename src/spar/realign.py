@@ -63,7 +63,11 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
 class RealignedMatrix:
     """The shared analysis of one state: its realignment R plus Tr[R], the
     singular values, the eigenvalues and the moments, each computed at most
-    once. Every per-state function accepts it in place of the state.
+    once. Every per-state function accepts it in place of the state, and
+    every number a verdict or certificate prints is read from it.
+
+    ``RealignedMatrix(state, matrix)`` is the only constructor; the caches
+    start empty and only this package writes into them.
 
     ``moment(k)`` returns Tr[R^k]; those traces are real for any Hermitian
     input (the spectrum of R is closed under conjugation), which the cache
@@ -72,9 +76,9 @@ class RealignedMatrix:
 
     state: DensityMatrix
     matrix: np.ndarray = field(repr=False)
-    _moments: list[float] = field(default_factory=list, repr=False)
-    _power: np.ndarray | None = field(default=None, repr=False)
-    _singular_values: np.ndarray | None = field(default=None, repr=False)
+    _moments: list[float] = field(default_factory=list, init=False, repr=False)
+    _power: np.ndarray | None = field(default=None, init=False, repr=False)
+    _singular_values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def dim_a(self) -> int:
@@ -126,18 +130,10 @@ class RealignedMatrix:
             self._singular_values = linalg.singular_values(self.matrix)
         return self._singular_values
 
-    @singular_values.setter
-    def singular_values(self, values: np.ndarray) -> None:
-        """Adopt the singular values of R computed elsewhere, such as one row
-        of a stacked SVD; they must be the values ``linalg.singular_values``
-        gives for R."""
-        expected, shape = (min(self.matrix.shape),), np.shape(values)
-        if shape != expected:
-            raise ValueError(f"expected singular values of shape {expected}, got {shape}")
-        self._singular_values = values
-
     @cached_property
     def eigenvalues(self) -> np.ndarray:
+        """eig(R): the real-spectrum check of a non-Hermitian R and the CP
+        certificate both read this one eigensolve."""
         return linalg.general_eigenvalues(self.matrix)
 
     @property

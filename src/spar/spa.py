@@ -17,6 +17,9 @@ Bendixson's theorem every eigenvalue of R has its imaginary part within the
 spectrum of the Hermitian (R - R^H)/2i, so |Im lambda| <= ||R - R^H||_F / 2.
 A Hermitian R (Schmidt-symmetric and isotropic states, for instance) passes
 on that bound alone; any other R has its eigenvalues computed and checked.
+Those eigenvalues, cached on the shared analysis, also give the CP
+certificate's gamma2, since the SPA output's spectrum is an affine image of
+eig(R); for a Hermitian R the certificate computes them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .config import DEFAULT
 from .exceptions import DomainError
 from .realign import RealignedMatrix, StateLike, as_realigned
@@ -213,7 +215,10 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     The PSD branch (l = 0) is decided by the moment-based sign test, not by
     the eigensolver; the eigensolver runs only for the real-spectrum
     precondition, and only when R is not Hermitian within
-    ``DEFAULT.spectrum_imag`` (see :func:`require_real_spectrum`).
+    ``DEFAULT.spectrum_imag`` (see :func:`require_real_spectrum`). Where the
+    sign test finds a negative eigenvalue but k = 0, the moment bound has
+    already certified lambda_min(R) >= 0, and the threshold formula gives
+    l = 0 as well.
     """
     r = as_realigned(rho)
     lower, k = eigenvalue_offset(r)
@@ -221,15 +226,7 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     d = r.dim_a
     coeffs = newton_coefficients(r.moments(d * d))
     psd = descartes_psd_test(coeffs)
-    if psd:
-        l = 0.0
-    elif k <= 0.0:
-        raise DomainError(
-            "sign test reports a negative eigenvalue but the moment lower bound "
-            "is nonnegative; tolerances are inconsistent for this state"
-        )
-    else:
-        l = threshold_value(k, trace_r, d)
+    l = 0.0 if psd else threshold_value(k, trace_r, d)
     return SpaAnalysis(
         d=d, trace_r=trace_r, lower_bound=lower, k=k, l=l, psd=psd,
         coefficients=coeffs.values[1:].copy(), realigned=r,
@@ -281,21 +278,21 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     """Witness pair for complete positivity of the SPA at p.
 
     Certified iff p is at or above the moment threshold l, read from
-    ``rho`` when it is already a :class:`SpaAnalysis`. The witnesses use
-    the eigensolver: gamma1 is fixed to 0 (the smallest valid choice; the
-    minimum eigenvalue of a state can itself be 0, making ratios undefined)
-    and gamma2 is the ratio of maximum eigenvalues, the state's read from
-    its validated spectrum. An uncertified result is a valid outcome, not
-    an error.
+    ``rho`` when it is already a :class:`SpaAnalysis`. gamma1 is fixed to 0
+    (the smallest valid choice; the minimum eigenvalue of a state can itself
+    be 0, making ratios undefined). gamma2 is the ratio of maximum
+    eigenvalues. The SPA output's is p/n + ((1-p)/Tr[R]) max Re lambda(R), an
+    affine image of eig(R) read from the shared analysis, so no SPA matrix is
+    built; the state's comes from its validated spectrum. An uncertified
+    result is a valid outcome, not an error.
     """
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
         return CpCertificate(False, None, None)
     r = analysis.realigned
-    spa = apply_spa(r, p)
-    lam_spa = linalg.general_eigenvalues(spa).real
-    gamma2 = float(np.max(lam_spa) / np.max(r.state.spectrum))
-    return CpCertificate(True, 0.0, gamma2)
+    lam_r = float(np.max(r.eigenvalues.real))
+    lam_spa = p / (r.dim_a * r.dim_b) + (1.0 - p) / analysis.trace_r * lam_r
+    return CpCertificate(True, 0.0, lam_spa / float(r.state.spectrum[-1]))
 
 
 @dataclass(frozen=True)

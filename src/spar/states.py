@@ -41,6 +41,8 @@ RHO_T_MAX = math.sqrt(2.5) / 2
 class DensityMatrix:
     """A validated bipartite state with subsystem dimensions (dimA, dimB).
 
+    ``matrix`` is the state's own read-only copy of the validated entries,
+    so changing the caller's array afterwards cannot unvalidate it.
     ``spectrum`` holds the eigenvalues of ``matrix`` in ascending order,
     read-only, as :func:`validate_density` computed them for its PSD check.
     """
@@ -69,10 +71,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     dim_a, dim_b = int(dims[0]), int(dims[1])
     if dim_a < 1 or dim_b < 1:
         raise StateValidationError("dims", f"subsystem dimensions must be positive, got {dims}")
-    try:
-        a = linalg.as_matrix(m)
-    except ValueError as exc:
-        raise StateValidationError("finite", str(exc)) from exc
+    a = _finite_matrix(m).copy()
     if a.shape[0] != a.shape[1]:
         raise StateValidationError("shape", f"matrix is not square: {a.shape}")
     if a.shape[0] != dim_a * dim_b:
@@ -89,8 +88,17 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
+    a.setflags(write=False)
     spectrum.setflags(write=False)
     return DensityMatrix(dim_a, dim_b, a, spectrum)
+
+
+def _finite_matrix(m) -> np.ndarray:
+    """``linalg.as_matrix(m)``, its refusal raised as the failed "finite" check."""
+    try:
+        return linalg.as_matrix(m)
+    except ValueError as exc:
+        raise StateValidationError("finite", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,9 @@ def _load_payload(path) -> dict:
 
 
 def read_matrix_file(path) -> np.ndarray:
-    """Read a square matrix in the state-file layout, without density checks."""
-    return _payload_matrix(_load_payload(path))
+    """Read a square matrix of finite entries in the state-file layout,
+    without density checks."""
+    return _finite_matrix(_payload_matrix(_load_payload(path)))
 
 
 def _payload_matrix(payload: dict) -> np.ndarray:

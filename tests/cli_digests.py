@@ -15,8 +15,9 @@ The list covers ``sweep`` over all four families (random and negative
 ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``
 (also on d = 4..6 state files with a Hermitian realignment: isotropic,
 Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
-bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
-state and matrix files that do not decode. State files are written to a temporary directory that is
+bad-state errors, among them ``--p`` out of range for a 2 x 3 state,
+state and matrix files that do not decode and matrix files that decode but
+are unusable. State files are written to a temporary directory that is
 the working directory while the commands run, so the messages that name
 them do not depend on where it is.
 """
@@ -147,6 +148,9 @@ def other_commands() -> list[list[str]]:
 # files that do not decode: an entry too large for a double, text that is
 # not UTF-8, and arrays nested past the recursion limit
 UNDECODABLE = ("overflow.json", "latin1.json", "deep.json")
+# matrix files that decode but are no observable for a two-qutrit state: an
+# infinite entry and a 2 x 2 matrix
+UNUSABLE_PERM = ("infinite.json", "perm2.json")
 
 
 def bad_input_commands() -> list[list[str]]:
@@ -155,6 +159,9 @@ def bad_input_commands() -> list[list[str]]:
         commands += [["analyze", "--state", name, "--p", "0.3"],
                      ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
                       "--perm", name]]
+    for name in UNUSABLE_PERM:
+        commands.append(["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
+                         "--perm", name])
     return commands
 
 
@@ -186,6 +193,9 @@ def write_states() -> None:
         fh.write('{"dims": [1, 1], "matrix": [[1, 0]], "note": "\u00e9"}'.encode("latin-1"))
     with open("deep.json", "w", encoding="utf-8") as fh:
         fh.write('{"dims": [1, 1], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with open("infinite.json", "w", encoding="utf-8") as fh:
+        fh.write('{"matrix": [[1e400, 0]]}')
+    _write_matrix("perm2.json", np.eye(2, dtype=complex) / 2, [1, 2])
 
 
 def near_psd_state(d: int, eps: float, seed: int):

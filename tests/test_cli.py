@@ -158,6 +158,27 @@ class TestAnalyze:
         # R, the SPA matrix and SPA - R, and for two qutrits the state for q2
         assert calls == [(4 if d == 3 else 3, d * d, d * d)]
 
+    @pytest.mark.parametrize("family, param, p", [
+        ("isotropic", "0.9", "0.5"), ("rho_t", "-0.5", "0.9"), ("rho_t", "-0.5", "0.2"),
+        ("alpha_state", "0.3", "0.2"), ("rho_a", "0.9", "0.95"), ("rho_a", "0.9", "0.3"),
+    ])
+    def test_report_eigensolves_r_at_most_once_and_no_spa_matrix(self, capsys, monkeypatch,
+                                                                  family, param, p):
+        calls = []
+        solve = spar.linalg.general_eigenvalues
+
+        def general_eigenvalues(m):
+            calls.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(spar.linalg, "general_eigenvalues", general_eigenvalues)
+        code, out, _ = run(capsys, "analyze", "--family", family, "--param", param, "--p", p)
+        assert code == 0
+        r = spar.realign(sweeps.family_state(family, float(param)))
+        assert len(calls) <= 1
+        assert all(np.array_equal(m, r.matrix) for m in calls)
+        assert not any(np.array_equal(m, spar.apply_spa(r, float(p))) for m in calls)
+
     def test_complex_realigned_spectrum_is_refused(self, capsys, tmp_path):
         rho = spar.validate_density(spar.random_density(9, seed=3), (3, 3))
         path = tmp_path / "ginibre.json"
@@ -214,7 +235,37 @@ def test_file_that_does_not_decode_exits_2(capsys, tmp_path, command, name):
     assert "Traceback" not in err
 
 
+UNUSABLE_PERM = {
+    "infinite": ('{"matrix": [[1e400, 0]]}', "finite: matrix contains non-finite entries"),
+    "wrong_shape": ('{"matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
+                    "shape: permutation operator has shape (2, 2), expected (9, 9)"),
+}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PERM)
+def test_perm_file_that_decodes_but_is_unusable_exits_2(capsys, tmp_path, name):
+    text, message = UNUSABLE_PERM[name]
+    path = tmp_path / "perm.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "estimate-m1", "--family", "isotropic", "--param", "0.5",
+                         "--p", "0.1", "--perm", str(path))
+    assert (code, out, err) == (2, "", f"error: invalid state: {message}\n")
+
+
+def test_state_file_with_a_non_finite_entry_exits_2_as_a_perm_file_does(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"dims": [1, 1], "matrix": [[1e400, 0]]}')
+    code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
+    assert (code, out, err) == (2, "", f"error: invalid state: {UNUSABLE_PERM['infinite'][1]}\n")
+
+
 class TestSweep:
+    def test_unknown_family_exits_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "nope", "--param-range=0:1:2",
+                             "--p-range=0:1:2")
+        assert (code, out) == (1, "")
+        assert "argument --family: invalid choice: 'nope'" in err
+
     def test_columns_and_determinism(self, capsys):
         args = ("sweep", "--family", "rho_t", "--param-range", "0.1:0.15:3",
                 "--p-range", "0:1:3")

@@ -19,7 +19,7 @@ from spar import (
     realignment_moment,
 )
 from spar.linalg import power_trace, singular_values
-from spar.realign import Verdict
+from spar.realign import RealignedMatrix, Verdict
 
 from util import random_complex, random_hermitian, realign_blockwise, rng_for
 
@@ -236,13 +236,13 @@ def test_realigned_matrix_keeps_its_state():
     assert r.eigenvalues is r.eigenvalues
 
 
-def test_singular_values_can_be_adopted_once_computed_elsewhere():
+def test_caches_are_neither_constructor_arguments_nor_settable():
     r = realign(random_separable(2, 3, terms=2, seed=5))
-    sigma = singular_values(r.matrix)
-    r.singular_values = sigma
-    assert r.singular_values is sigma
-    with pytest.raises(ValueError, match=r"expected singular values of shape \(4,\)"):
-        r.singular_values = sigma[:3]
+    for cache in ("_moments", "_power", "_singular_values"):
+        with pytest.raises(TypeError):
+            RealignedMatrix(r.state, r.matrix, **{cache: None})
+    with pytest.raises(AttributeError):
+        r.singular_values = singular_values(r.matrix)
 
 
 def test_criteria_accept_the_realigned_matrix():

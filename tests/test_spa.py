@@ -204,10 +204,13 @@ class TestSpaThreshold:
         with pytest.raises(DomainError):
             spa_threshold(rho)
 
-    def test_sign_test_vs_bound_inconsistency_is_reported(self, monkeypatch):
+    def test_negative_sign_test_with_zero_offset_gives_l_zero(self, monkeypatch):
+        # a PSD state forced through the non-PSD branch: its moment bound is
+        # nonnegative, which already certifies lambda_min(R) >= 0
         monkeypatch.setattr(spar.spa, "descartes_psd_test", lambda *a, **k: False)
-        with pytest.raises(DomainError):
-            spa_threshold(rho_t(0.5))  # PSD state forced through the non-PSD branch
+        th = spa_threshold(rho_t(0.5))
+        assert (th.psd, th.k, th.l) == (False, 0.0, 0.0)
+        assert th.lower_bound >= 0.0
 
 
 def count_eigensolves(monkeypatch) -> list:
@@ -363,16 +366,47 @@ class TestCertifyCompletelyPositive:
             assert np.max(lam_spa) <= cert.gamma2 * lam_rho[-1] + 1e-12
 
 
-    def test_gamma2_reads_the_validated_spectrum(self):
+    def test_gamma2_reads_eig_r_and_the_validated_spectrum(self):
         states = [rho_t(-0.5), alpha_state(0.3), isotropic(0.8), rho_a(0.9),
                   random_schmidt_symmetric(3, 2, seed=5)]
         for rho in states:
             assert not rho.spectrum.flags.writeable
             assert np.array_equal(rho.spectrum, hermitian_eigenvalues(rho.matrix))
-            p = 1.0 if spa_threshold(rho).l > 0.9 else 0.9
-            lam_spa = general_eigenvalues(apply_spa(rho, p)).real
-            gamma2 = float(np.max(lam_spa) / np.max(hermitian_eigenvalues(rho.matrix)))
-            assert certify_completely_positive(rho, p).gamma2 == gamma2
+            th = spa_threshold(rho)
+            p = 1.0 if th.l > 0.9 else 0.9
+            lam_r = float(np.max(general_eigenvalues(realign(rho).matrix).real))
+            lam_rho = float(np.max(hermitian_eigenvalues(rho.matrix)))
+            gamma2 = certify_completely_positive(rho, p).gamma2
+            assert gamma2 == (p / rho.dim + (1.0 - p) / th.trace_r * lam_r) / lam_rho
+            # the eigensolve of the SPA matrix that gamma2 once came from
+            lam_spa = float(np.max(general_eigenvalues(apply_spa(rho, p)).real))
+            assert gamma2 == pytest.approx(lam_spa / lam_rho, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("rho, p", [
+    (rho_t(-0.5), 0.9), (rho_t(0.3), 0.0), (rho_a(0.9), 0.95), (alpha_state(0.3), 0.2),
+    (isotropic(0.8), 0.0), (isotropic(-0.1), 0.99), (isotropic(0.4, 2), 0.3),
+    (random_schmidt_symmetric(3, 2, seed=5), 0.6), (near_psd_state(3, 1e-6, seed=2), 0.3),
+], ids=repr)
+def test_gamma2_matches_the_exact_spa_spectrum(rho, p):
+    # oracle: lambda_max of the SPA matrix and of the state from the same
+    # doubles, in 50-digit arithmetic; gamma2 may differ by rounding alone
+    mpmath = pytest.importorskip("mpmath")
+    cert = certify_completely_positive(rho, p)
+    assert cert.certified
+    d, n = rho.dim_a, rho.dim
+    with mpmath.workdps(50):
+        state = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho.matrix])
+        # R[(i, k), (j, l)] = rho[(i, j), (k, l)]
+        r = mpmath.matrix(n, n)
+        for i, j, k, l in np.ndindex(d, d, d, d):
+            r[i * d + k, j * d + l] = state[i * d + j, k * d + l]
+        trace_r = sum(r[i, i] for i in range(n))
+        spa = mpmath.eye(n) * (mpmath.mpf(p) / n) + r * ((1 - mpmath.mpf(p)) / trace_r)
+        lam_spa = max(mpmath.re(x) for x in mpmath.eig(spa, left=False, right=False))
+        lam_rho = max(mpmath.eighe(state, eigvals_only=True))
+        error = abs(cert.gamma2 - lam_spa / lam_rho) / (lam_spa / lam_rho)
+    assert error <= 8 * n * np.finfo(float).eps
 
 
 class TestReferenceThresholds:

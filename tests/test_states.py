@@ -33,6 +33,15 @@ class TestValidateDensity:
         rho = validate_density(np.eye(4) / 4, (2, 2))
         assert (rho.dim_a, rho.dim_b) == (2, 2)
 
+    def test_owns_a_read_only_copy_of_the_matrix(self):
+        m = np.eye(4, dtype=complex) / 4
+        rho = validate_density(m, (2, 2))
+        assert rho.matrix is not m
+        assert not rho.matrix.flags.writeable
+        m[0, 3] = m[3, 0] = 0.5  # the source is no longer PSD
+        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+        assert realignment_criterion(rho) == (Verdict.INCONCLUSIVE, 0.5)
+
     def test_rejects_non_square(self):
         with pytest.raises(StateValidationError) as err:
             validate_density(np.ones((2, 3)), (2, 3))
