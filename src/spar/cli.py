@@ -212,9 +212,6 @@ def cmd_estimate_m1(args) -> int:
         if args.p is None:
             raise ValueError("--p is required when estimating from a state")
         perm = read_matrix_file(args.perm) if args.perm else None
-        if perm is not None and perm.shape != (rho.dim, rho.dim):
-            raise StateValidationError(
-                "shape", f"permutation operator has shape {perm.shape}, expected {(rho.dim,) * 2}")
         r = realign(rho)
         s = simulate_s(r, args.p, permutation=perm)
         k = eigenvalue_offset(r)[1] if args.k is None else args.k

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT
-from .exceptions import DomainError
+from .exceptions import DomainError, StateValidationError
 from .realign import StateLike, as_realigned
 from .spa import apply_spa
 
@@ -139,7 +139,8 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
 
     ``permutation`` defaults to SWAP/d, the canonical trace-one permutation
     operator on two copies; any operator with unit trace (within 1e-10) is
-    accepted. The imaginary part of the trace must vanish within tolerance.
+    accepted; one of the wrong shape raises ``StateValidationError("shape")``.
+    The imaginary part of the trace must vanish within tolerance.
     """
     r = as_realigned(rho)
     spa = apply_spa(r, p)
@@ -147,7 +148,8 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
         permutation = swap_operator(r.dim_a) / r.dim_a
     perm = linalg.as_matrix(permutation)
     if perm.shape != spa.shape:
-        raise ValueError(f"permutation operator has shape {perm.shape}, expected {spa.shape}")
+        raise StateValidationError(
+            "shape", f"permutation operator has shape {perm.shape}, expected {spa.shape}")
     tr_p = complex(np.trace(perm))
     if abs(tr_p - 1.0) > 1e-10:
         raise ValueError(f"permutation operator must have unit trace, got {tr_p}")

@@ -284,8 +284,10 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     eigenvalues. The SPA output's is p/n + ((1-p)/Tr[R]) max Re lambda(R), an
     affine image of eig(R) read from the shared analysis, so no SPA matrix is
     built; the state's comes from its validated spectrum. An uncertified
-    result is a valid outcome, not an error.
+    result is a valid outcome, not an error; a p outside [0, 1] (NaN
+    included) raises ``ValueError``.
     """
+    require_weights(p)
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
         return CpCertificate(False, None, None)

@@ -14,6 +14,7 @@ from spar import (
     realign,
     rho_t,
     simulate_s,
+    StateValidationError,
     spa_threshold,
     swap_operator,
     validate_density,
@@ -122,7 +123,7 @@ class TestSimulateS:
             simulate_s(rho_t(0.3), 0.2, permutation=np.eye(4))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StateValidationError, match=r"^shape: .*\(9, 9\), expected \(4, 4\)"):
             simulate_s(rho_t(0.3), 0.2, permutation=np.eye(9) / 9)
 
 

@@ -351,6 +351,14 @@ class TestCertifyCompletelyPositive:
         for p in (0.0, 0.5, 1.0):
             assert certify_completely_positive(isotropic(0.5), p).certified
 
+    @pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
+    def test_rejects_a_weight_outside_the_unit_interval(self, p):
+        # isotropic(0.5) has l = 0, so no threshold comparison can refuse p
+        rho = isotropic(0.5)
+        for source in (rho, spa_threshold(rho)):
+            with pytest.raises(ValueError, match="p must lie in"):
+                certify_completely_positive(source, p)
+
     def test_reads_the_threshold_from_a_spa_analysis(self):
         for rho, p in ((rho_t(-0.7), 0.0), (rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2)):
             analysis = spa_threshold(realign(rho))
