@@ -22,7 +22,7 @@ from .realign import (
     realignment_criterion,
     realignment_moment,
 )
-from .spa import apply_spa, require_positive_trace
+from .spa import apply_spa
 
 __all__ = [
     "ErrorReport",
@@ -55,17 +55,15 @@ def spa_r_scores(
     ||spa(rho; p)||_1 and the separable bound it is compared against.
 
     The whole grid is one stack of SPA matrices and one stacked SVD; each
-    norm is the same double as for that p alone. A p outside [0, 1] raises
-    ``ValueError`` before anything is scored, and a realigned trace that is
-    not positive then raises :class:`DomainError`. An empty grid scores nothing and checks
-    nothing.
+    norm is the same double as for that p alone. Checks as :func:`apply_spa`:
+    p, then the domain gate. An empty grid scores nothing and checks nothing.
     """
     ps = list(ps)
     if not ps:
         return []
     r = as_realigned(rho)
     spa = apply_spa(r, ps)
-    return _score_spa_r(linalg.trace_norm(spa).tolist(), require_positive_trace(r), ps, tol)
+    return _score_spa_r(linalg.trace_norm(spa).tolist(), r.spa_trace, ps, tol)
 
 
 def _score_spa_r(
@@ -105,10 +103,11 @@ class ErrorReport:
 
 
 def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> ErrorReport:
-    """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds."""
+    """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds;
+    checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
-    trace_r = require_positive_trace(r)
-    return _error_report(r, trace_r, linalg.trace_norm(apply_spa(r, p) - r.matrix), p, tol)
+    error_norm = linalg.trace_norm(apply_spa(r, p) - r.matrix)
+    return _error_report(r, r.spa_trace, error_norm, p, tol)
 
 
 def _error_report(
@@ -178,11 +177,11 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     of R, of the SPA matrix, of SPA - R and, when q2 applies, of the state;
     R's row becomes the analysis' cached singular values, which the
     realignment score and q1 read. Every value is the double that a separate
-    SVD of its matrix gives.
+    SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
-    trace_r = require_positive_trace(r)
     spa = apply_spa(r, p)
+    trace_r = r.spa_trace
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     stack = [r.matrix, spa, spa - r.matrix] + ([r.state.matrix] if with_q2 else [])
     sigma = linalg.singular_values(np.stack(stack))

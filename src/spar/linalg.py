@@ -41,11 +41,9 @@ def _finite_complex(m, stacked: bool) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("hermiticity is only defined for square matrices")
+def hermiticity_defect(a: np.ndarray) -> float:
+    """Largest entrywise deviation of the square array ``a`` from its
+    conjugate transpose; ``a`` is used as given, not coerced or checked."""
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 

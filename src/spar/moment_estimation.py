@@ -58,7 +58,8 @@ class MomentInterval:
 class EstimationInput:
     """Measured scalar s, subsystem dimension d and eigenvalue offset k.
 
-    ``x = 1 - d^2 s`` must be nonnegative for the case bounds.
+    s must be finite, d an integer of at least 2 and k finite and
+    nonnegative; ``x = 1 - d^2 s`` must be nonnegative for the case bounds.
     """
 
     s: float
@@ -66,8 +67,12 @@ class EstimationInput:
     k: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.k)):
+            raise ValueError(f"s and k must be finite, got s={self.s}, k={self.k}")
         if self.d < 2:
             raise ValueError("d must be at least 2")
+        if not float(self.d).is_integer():
+            raise ValueError(f"d must be an integer, got {self.d}")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT
+from .exceptions import DomainError
 from .states import DensityMatrix
 
 __all__ = [
@@ -100,6 +101,17 @@ class RealignedMatrix:
     def complex_trace(self) -> complex:
         """Tr[R] before any realness check; defined for non-square R too."""
         return complex(np.trace(self.matrix))
+
+    @cached_property
+    def spa_trace(self) -> float:
+        """Tr[R] behind the SPA's domain gate: unequal subsystem dimensions raise
+        ``ValueError``, then a trace not real and positive :class:`DomainError`."""
+        if not self.is_square:
+            raise ValueError("the SPA requires equal subsystem dimensions")
+        tr = self.complex_trace
+        if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= DEFAULT.trace_positive:
+            raise DomainError(f"realigned trace {tr} is not positive")
+        return tr.real
 
     def moment(self, k: int) -> float:
         self._extend(k)

@@ -162,14 +162,6 @@ class CpCertificate:
     gamma2: float | None
 
 
-def require_positive_trace(r: RealignedMatrix) -> float:
-    """Return Tr[R] after checking it is real and above ``DEFAULT.trace_positive``."""
-    tr = r.complex_trace
-    if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= DEFAULT.trace_positive:
-        raise DomainError(f"realigned trace {tr} is not positive")
-    return tr.real
-
-
 def require_real_spectrum(r: RealignedMatrix) -> None:
     """Check that the eigenvalues of R have imaginary parts within
     ``DEFAULT.spectrum_imag``.
@@ -191,19 +183,17 @@ def eigenvalue_offset(rho: StateLike) -> tuple[float, float]:
     """The moment lower bound on the minimum eigenvalue of R(rho) and the
     offset k = max(0, -bound), from m_1 and m_2 alone.
 
-    The preconditions are those of :func:`spa_threshold`: equal subsystem
-    dimensions, positive realigned trace and real realigned spectrum. Unlike
-    the threshold, this builds neither the higher moments nor the
+    Checks the domain gate ``RealignedMatrix.spa_trace`` (equal dimensions,
+    then a positive realigned trace), then a real realigned spectrum. Unlike
+    :func:`spa_threshold`, this builds neither the higher moments nor the
     characteristic-polynomial coefficients.
     """
     r = as_realigned(rho)
-    if not r.is_square:
-        raise ValueError("the SPA threshold requires equal subsystem dimensions")
-    require_positive_trace(r)
+    trace_r = r.spa_trace
     require_real_spectrum(r)
     # the cached Python floats, not numpy scalars: l and k are written out
     # once per sweep row, and a numpy scalar formats more slowly
-    lower = lambda_min_lower_bound(r.moment(1), r.moment(2), r.dim_a * r.dim_a)
+    lower = lambda_min_lower_bound(trace_r, r.moment(2), r.dim_a * r.dim_a)
     return lower, max(0.0, -lower)
 
 
@@ -222,7 +212,7 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     """
     r = as_realigned(rho)
     lower, k = eigenvalue_offset(r)
-    trace_r = r.trace
+    trace_r = r.spa_trace
     d = r.dim_a
     coeffs = newton_coefficients(r.moments(d * d))
     psd = descartes_psd_test(coeffs)
@@ -251,21 +241,18 @@ def require_weights(p: float | Sequence[float]) -> tuple[bool, list[float]]:
 def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
 
-    Needs equal subsystem dimensions and positive realigned trace; the
-    output always has unit trace. Unlike :func:`spa_threshold` this does not
-    gate on a real realigned spectrum, since the mixture and its trace norm
-    are well defined without it.
+    Checks every weight with :func:`require_weights`, then the domain gate
+    ``RealignedMatrix.spa_trace``; the output always has unit trace. Unlike
+    :func:`spa_threshold` this does not gate on a real realigned spectrum,
+    since the mixture and its trace norm are well defined without it.
 
     A 1-D sequence of weights gives the stack of shape (len(p), n, n). Every
     slice is built with the same elementwise operations as a single weight,
-    so slice i equals ``apply_spa(rho, p[i])`` exactly. A weight outside
-    [0, 1] (NaN included) raises before anything is built.
+    so slice i equals ``apply_spa(rho, p[i])`` exactly.
     """
-    r = as_realigned(rho)
-    if not r.is_square:
-        raise ValueError("the SPA requires equal subsystem dimensions")
     stacked, values = require_weights(p)
-    trace_r = require_positive_trace(r)
+    r = as_realigned(rho)
+    trace_r = r.spa_trace
     n = r.dim_a * r.dim_b
     # the mixing weights as Python floats, with the arithmetic of a single p
     coef = np.array([(w / n, (1.0 - w) / trace_r) for w in values], dtype=np.complex128)
@@ -284,10 +271,11 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     eigenvalues. The SPA output's is p/n + ((1-p)/Tr[R]) max Re lambda(R), an
     affine image of eig(R) read from the shared analysis, so no SPA matrix is
     built; the state's comes from its validated spectrum. An uncertified
-    result is a valid outcome, not an error; a p outside [0, 1] (NaN
-    included) raises ``ValueError``.
+    result is a valid outcome, not an error. Checks that p is one number in
+    [0, 1], then for a state the preconditions of :func:`spa_threshold`.
     """
-    require_weights(p)
+    if require_weights(p)[0]:
+        raise ValueError(f"p must be a number, got {p!r}")
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
         return CpCertificate(False, None, None)
@@ -313,7 +301,7 @@ class ReferenceThresholds:
 
 def rho_t_reference_thresholds(t: float) -> ReferenceThresholds:
     """Evaluate the closed-form thresholds; requires |t| <= sqrt(5/2)/2."""
-    if abs(t) > RHO_T_MAX + 1e-12:
+    if not abs(t) <= RHO_T_MAX + 1e-12:  # NaN fails too
         raise ValueError(f"thresholds are defined for |t| <= {RHO_T_MAX:.6f}")
     s = math.sqrt(3 * (67 - 112 * t + 64 * t * t))
     p1 = (2 * (13 - 24 * t + 8 * t * t) - s) / (5 - 4 * t) ** 2

@@ -71,7 +71,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     dim_a, dim_b = int(dims[0]), int(dims[1])
     if dim_a < 1 or dim_b < 1:
         raise StateValidationError("dims", f"subsystem dimensions must be positive, got {dims}")
-    a = _finite_matrix(m).copy()
+    a = _finite_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise StateValidationError("shape", f"matrix is not square: {a.shape}")
     if a.shape[0] != dim_a * dim_b:
@@ -84,7 +84,8 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    spectrum = linalg.hermitian_eigenvalues(a)
+    # what linalg.hermitian_eigenvalues checks has passed above, to a tighter tolerance
+    spectrum = np.linalg.eigvalsh(a)
     lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
@@ -94,11 +95,18 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
 
 
 def _finite_matrix(m) -> np.ndarray:
-    """``linalg.as_matrix(m)``, its refusal raised as the failed "finite" check."""
+    """A new complex128 copy of the 2-D matrix ``m`` after one scan for
+    non-finite entries: an array that is not 2-D fails the "shape" check, an
+    entry that does not convert or is not finite the "finite" check."""
     try:
-        return linalg.as_matrix(m)
+        a = np.array(m, dtype=np.complex128)
     except ValueError as exc:
         raise StateValidationError("finite", str(exc)) from exc
+    if a.ndim != 2:
+        raise StateValidationError("shape", f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise StateValidationError("finite", "matrix contains non-finite entries")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def rho_t(t: float) -> DensityMatrix:
     Entangled for every t != 0; the plain realignment criterion only sees
     |t| > 0.116117.
     """
-    if abs(t) > RHO_T_MAX + 1e-12:
+    if not abs(t) <= RHO_T_MAX + 1e-12:  # NaN fails too
         raise ValueError(f"rho_t is a valid state only for |t| <= {RHO_T_MAX:.6f}, got {t}")
     m = 0.5 * np.array(
         [
@@ -155,7 +163,9 @@ def bell_state(d: int) -> np.ndarray:
 
 
 def isotropic(beta: float, d: int = 3) -> DensityMatrix:
-    """Isotropic state beta |phi+><phi+| + (1-beta)/d^2 I on d x d."""
+    """Isotropic state beta |phi+><phi+| + (1-beta)/d^2 I on d x d, d >= 2."""
+    if d < 2:
+        raise ValueError(f"isotropic requires d >= 2, got {d}")
     lo = -1.0 / (d * d - 1)
     if not (lo - 1e-12 <= beta <= 1 + 1e-12):
         raise ValueError(f"isotropic requires {lo:.6f} <= beta <= 1, got {beta}")

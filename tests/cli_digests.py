@@ -15,11 +15,11 @@ The list covers ``sweep`` over all four families (random and negative
 ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``
 (also on d = 4..6 state files with a Hermitian realignment: isotropic,
 Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
-bad-state errors, among them ``--p`` out of range for a 2 x 3 state,
-state and matrix files that do not decode and matrix files that decode but
-are unusable. State files are written to a temporary directory that is
-the working directory while the commands run, so the messages that name
-them do not depend on where it is.
+bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
+for a state whose realigned trace is zero, state and matrix files that do
+not decode and matrix files that decode but are unusable. State files are
+written to a temporary directory that is the working directory while the
+commands run, so the messages that name them do not depend on where it is.
 """
 
 import contextlib
@@ -162,6 +162,9 @@ def bad_input_commands() -> list[list[str]]:
     for name in UNUSABLE_PERM:
         commands.append(["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
                          "--perm", name])
+    # a bad --p for a state whose realigned trace is zero: the weight is checked first
+    commands += [[command, "--family", "isotropic", "--param", "-0.125", "--p", "2"]
+                 for command in ("analyze", "estimate-m1")]
     return commands
 
 

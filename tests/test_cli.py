@@ -23,7 +23,7 @@ from spar import (
 )
 from spar.cli import main
 
-from util import near_psd_state, sweep_reference
+from util import count_spa_checks, near_psd_state, sweep_reference
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SRC = Path(spar.__file__).resolve().parents[1]
@@ -126,19 +126,39 @@ class TestAnalyze:
         path = tmp_path / "state.json"
         write_state_file(str(path), spar.isotropic(0.9))
         calls = []
-        solve = spar.linalg.hermitian_eigenvalues
+        # the LAPACK Hermitian eigensolvers, however they are reached
+        for name in ("eigvalsh", "eigh"):
+            def solve(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append(m)
+                return _solve(m, *args, **kwargs)
 
-        def hermitian_eigenvalues(m):
-            calls.append(m)
-            return solve(m)
-
-        monkeypatch.setattr(spar.linalg, "hermitian_eigenvalues", hermitian_eigenvalues)
+            monkeypatch.setattr(np.linalg, name, solve)
         argv = (["--family", "isotropic", "--param", "0.9"] if source == "family"
                 else ["--state", str(path)])
         code, out, _ = run(capsys, "analyze", *argv, "--p", "0.5")
         assert code == 0
         assert json.loads(out)["cp_certificate"]["certified"] is True
         assert len(calls) == 1  # the validation's; the certificate reuses it
+
+    @pytest.mark.parametrize("family,param", [("isotropic", "0.3"), ("rho_t", "-0.6"),
+                                              ("alpha_state", "0.3")])
+    def test_decides_the_domain_once_and_checks_p_once_per_public_call(self, capsys,
+                                                                       monkeypatch, family,
+                                                                       param):
+        gates, weights = count_spa_checks(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "--family", family, "--param", param, "--p", "0.2")
+        assert code == 0
+        assert len(gates) == 1
+        # criterion_report and certify_completely_positive, one check each
+        assert weights == [0.2, 0.2]
+
+    def test_a_bad_p_exits_1_before_the_trace_is_read(self, capsys, monkeypatch):
+        gates, weights = count_spa_checks(monkeypatch)
+        for command in ("analyze", "estimate-m1"):
+            code, out, err = run(capsys, command, "--family", "isotropic", "--param", "-0.125",
+                                 "--p", "2")
+            assert (code, out, err) == (1, "", "error: p must lie in [0, 1], got 2.0\n")
+        assert (gates, weights) == ([], [2.0, 2.0])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_certified_report_makes_one_svd_call(self, capsys, tmp_path, monkeypatch, d):
@@ -286,6 +306,13 @@ class TestSweep:
         assert len(rows) == 15
         assert all(row[2:7] == ["nan", "nan", "0", "nan", "nan"] for row in rows[:3])
         assert not any("nan" in row for row in rows[3:])
+
+    def test_decides_each_states_domain_once(self, capsys, monkeypatch):
+        gates, _ = count_spa_checks(monkeypatch)
+        code, _, _ = run(capsys, "sweep", "--family", "rho_t", "--param-range=0.1:0.3:3",
+                         "--p-range=0:1:5")
+        assert code == 0
+        assert len(gates) == len({id(r) for r in gates}) == 3
 
     def test_param_major_ordering(self, capsys):
         _, out, _ = run(capsys, "sweep", "--family", "isotropic",

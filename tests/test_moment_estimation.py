@@ -59,6 +59,25 @@ class TestQuadraticInterval:
         assert all(w1 >= w2 - 1e-15 for w1, w2 in zip(widths, widths[1:]))
 
 
+class TestEstimationInput:
+    @pytest.mark.parametrize("s,k", [(math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan),
+                                     (0.1, math.inf), (-math.inf, -math.inf)])
+    def test_refuses_s_or_k_that_is_not_finite(self, s, k):
+        with pytest.raises(ValueError, match="^s and k must be finite"):
+            EstimationInput(s=s, d=2, k=k)
+
+    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf])
+    def test_refuses_a_dimension_that_is_not_an_integer(self, d):
+        with pytest.raises(ValueError, match="^d must be an integer"):
+            EstimationInput(s=0.1, d=d, k=0.1)
+
+    def test_keeps_the_refusals_of_a_small_d_and_a_negative_k(self):
+        with pytest.raises(ValueError, match="^d must be at least 2$"):
+            EstimationInput(s=0.1, d=1, k=0.1)
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            EstimationInput(s=0.1, d=2, k=-0.1)
+
+
 class TestCaseBounds:
     def test_case2_membership(self):
         iv = m1_case_bounds(EstimationInput(s=0.2, d=2, k=0.001))

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -12,8 +13,10 @@ from spar import (
     alpha_state,
     apply_spa,
     certify_completely_positive,
+    criterion_report,
     descartes_psd_test,
     eigenvalue_offset,
+    error_suite,
     isotropic,
     lambda_min_lower_bound,
     newton_coefficients,
@@ -24,6 +27,9 @@ from spar import (
     rho_a,
     rho_t,
     rho_t_reference_thresholds,
+    simulate_s,
+    spa_r_scores,
+    spa_r_verdict,
     spa_threshold,
     threshold_value,
     validate_density,
@@ -31,8 +37,10 @@ from spar import (
 from spar.linalg import general_eigenvalues, hermitian_eigenvalues, power_trace
 from spar.realign import RealignedMatrix
 from spar.spa import require_real_spectrum
+from spar.sweeps import violation_p_max
 
 from util import (
+    count_spa_checks,
     elementary_symmetric,
     near_psd_state,
     newton_reference,
@@ -213,6 +221,74 @@ class TestSpaThreshold:
         assert th.lower_bound >= 0.0
 
 
+# every public function behind the SPA's preconditions, called at a weight p
+WITH_P = {
+    "apply_spa": apply_spa,
+    "spa_r_scores": lambda rho, p: spa_r_scores(rho, [p]),
+    "spa_r_verdict": spa_r_verdict,
+    "error_suite": error_suite,
+    "criterion_report": criterion_report,
+    "simulate_s": simulate_s,
+    "certify_completely_positive": certify_completely_positive,
+}
+# and those that take no weight
+WITHOUT_P = {
+    "spa_threshold": spa_threshold,
+    "eigenvalue_offset": eigenvalue_offset,
+    "violation_p_max": violation_p_max,
+}
+TRACE_ZERO = isotropic(-1 / 8)  # Tr R vanishes up to rounding
+
+GATE_CASES = {
+    "unequal_dims": (random_separable(2, 3, 3, seed=1), 0.5, ValueError,
+                     "the SPA requires equal subsystem dimensions"),
+    "trace_zero_bad_p": (TRACE_ZERO, 2.0, ValueError, "p must lie in [0, 1], got 2.0"),
+    "trace_zero": (TRACE_ZERO, 0.5, DomainError, r"realigned trace \(.*\) is not positive"),
+    "bad_p": (rho_t(0.3), 1.5, ValueError, "p must lie in [0, 1], got 1.5"),
+}
+
+
+class TestDomainGate:
+    """p first, then equal dimensions, then a positive Tr R: every function
+    refuses the same input with the same exception and message."""
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    @pytest.mark.parametrize("shared", [False, True], ids=["state", "shared_analysis"])
+    def test_every_function_gives_the_same_refusal(self, case, shared):
+        rho, p, kind, message = GATE_CASES[case]
+        calls = {name: functools.partial(f, p=p) for name, f in WITH_P.items()}
+        if 0 <= p <= 1:
+            calls.update(WITHOUT_P)
+        source = realign(rho) if shared else rho
+        refusals = {}
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as err:
+                call(source)
+            refusals[name] = (type(err.value), str(err.value))
+        assert len(set(refusals.values())) == 1, refusals
+        [(raised, text)] = set(refusals.values())
+        assert raised is kind
+        assert re.fullmatch(message if kind is DomainError else re.escape(message), text)
+
+    @pytest.mark.parametrize("name", sorted({**WITH_P, **WITHOUT_P}))
+    def test_each_call_decides_the_domain_once_and_checks_p_at_most_once(self, monkeypatch,
+                                                                          name):
+        call = functools.partial(WITH_P[name], p=0.5) if name in WITH_P else WITHOUT_P[name]
+        gates, weights = count_spa_checks(monkeypatch)
+        for rho in (rho_t(-0.6), alpha_state(0.3), isotropic(0.4, 4)):
+            gates.clear()
+            weights.clear()
+            call(rho)
+            assert len(gates) == 1
+            if name != "violation_p_max":  # each of its probes checks its own p
+                assert len(weights) == (name in WITH_P)
+
+    def test_the_trace_is_the_analysis_trace(self):
+        for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
+            r = realign(rho)
+            assert r.spa_trace == r.trace == spa_threshold(r).trace_r
+
+
 def count_eigensolves(monkeypatch) -> list:
     """Record every ``linalg.general_eigenvalues`` call from here on."""
     calls = []
@@ -359,6 +435,12 @@ class TestCertifyCompletelyPositive:
             with pytest.raises(ValueError, match="p must lie in"):
                 certify_completely_positive(source, p)
 
+    def test_rejects_a_sequence_of_weights(self):
+        rho = isotropic(0.5)
+        for source in (rho, spa_threshold(rho)):
+            with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.5, 0.6]")):
+                certify_completely_positive(source, [0.5, 0.6])
+
     def test_reads_the_threshold_from_a_spa_analysis(self):
         for rho, p in ((rho_t(-0.7), 0.0), (rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2)):
             analysis = spa_threshold(realign(rho))
@@ -442,3 +524,7 @@ class TestReferenceThresholds:
     def test_range_check(self):
         with pytest.raises(ValueError):
             rho_t_reference_thresholds(0.8)
+
+    def test_nan_fails_the_range_check(self):
+        with pytest.raises(ValueError, match="thresholds are defined for"):
+            rho_t_reference_thresholds(math.nan)

@@ -18,6 +18,7 @@ from spar import (
     validate_density,
     write_state_file,
 )
+import spar.linalg
 from spar.linalg import hermitian_eigenvalues
 from spar.realign import Verdict
 
@@ -77,6 +78,24 @@ class TestValidateDensity:
             validate_density(m, (2, 2))
         assert err.value.check == "finite"
 
+    @pytest.mark.parametrize("m", [np.zeros(4), np.zeros((1, 2, 2)), 0.25])
+    def test_an_array_that_is_not_2d_fails_the_shape_check(self, m):
+        with pytest.raises(StateValidationError) as err:
+            validate_density(m, (2, 2))
+        assert err.value.check == "shape"
+        assert str(err.value) == f"shape: expected a 2-D matrix, got ndim={np.ndim(m)}"
+
+    def test_scans_once_and_takes_one_hermiticity_defect(self, monkeypatch):
+        m = isotropic(0.3, 6).matrix
+        scans, defects = [], []
+        isfinite, defect = np.isfinite, spar.linalg.hermiticity_defect
+        monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a) or isfinite(a))
+        monkeypatch.setattr(spar.linalg, "hermiticity_defect",
+                            lambda a: defects.append(a) or defect(a))
+        rho = validate_density(m, (6, 6))
+        assert (len(scans), len(defects)) == (1, 1)
+        assert np.array_equal(rho.spectrum, hermitian_eigenvalues(m))
+
 
 class TestFamilies:
     def test_rho_t_trace_and_range(self):
@@ -114,6 +133,18 @@ class TestFamilies:
             isotropic(-0.2)
         with pytest.raises(ValueError):
             isotropic(1.1)
+
+    @pytest.mark.parametrize("family", [rho_t, rho_a, isotropic, alpha_state],
+                             ids=lambda family: family.__name__)
+    def test_nan_fails_the_range_check(self, family):
+        with pytest.raises(ValueError, match="requires|valid state only") as err:
+            family(math.nan)
+        assert not isinstance(err.value, StateValidationError)
+
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_isotropic_refuses_a_dimension_below_two(self, d):
+        with pytest.raises(ValueError, match=f"^isotropic requires d >= 2, got {d}$"):
+            isotropic(0.5, d)
 
     def test_isotropic_grid_valid(self):
         for beta in np.linspace(-1 / 8, 1.0, 50):

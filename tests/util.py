@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import math
 import signal
 
 import numpy as np
 
+import spar.spa
 from spar import DEFAULT, linalg, random_schmidt_symmetric, validate_density
+from spar.realign import RealignedMatrix
 from spar.sweeps import SWEEP_COLUMNS, family_state, sweep_rows
 
 
@@ -29,6 +32,29 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_spa_checks(monkeypatch) -> tuple[list, list]:
+    """Record, from here on, each run of the SPA's domain gate (the body of
+    ``RealignedMatrix.spa_trace``) and each weight check (``spa.require_weights``)."""
+    gates, weights = [], []
+    gate = RealignedMatrix.__dict__["spa_trace"].func
+
+    def counted_gate(r):
+        gates.append(r)
+        return gate(r)
+
+    counted = functools.cached_property(counted_gate)
+    counted.__set_name__(RealignedMatrix, "spa_trace")
+    monkeypatch.setattr(RealignedMatrix, "spa_trace", counted)
+    check = spar.spa.require_weights
+
+    def require_weights(p):
+        weights.append(p)
+        return check(p)
+
+    monkeypatch.setattr(spar.spa, "require_weights", require_weights)
+    return gates, weights
 
 
 def rng_for(seed: int) -> np.random.Generator:
