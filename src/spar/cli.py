@@ -119,7 +119,7 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> d
     if not r.is_square:
         # the SPA machinery needs equal subsystem dimensions; report the
         # dimension-agnostic realignment data only
-        require_weights(p)
+        require_weights([p])
         verdict, score = realignment_criterion(r, tol=tol)
         return {
             **head,

@@ -106,7 +106,7 @@ def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Error
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds;
     checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
-    error_norm = linalg.trace_norm(apply_spa(r, p) - r.matrix)
+    error_norm = linalg.trace_norm(apply_spa(r, [p])[0] - r.matrix)
     return _error_report(r, r.spa_trace, error_norm, p, tol)
 
 
@@ -180,7 +180,7 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
-    spa = apply_spa(r, p)
+    spa = apply_spa(r, [p])[0]
     trace_r = r.spa_trace
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     stack = [r.matrix, spa, spa - r.matrix] + ([r.state.matrix] if with_q2 else [])

@@ -7,7 +7,8 @@ class StateValidationError(ValueError):
     """A matrix failed one of the density-matrix checks.
 
     ``check`` names the failed check: shape, dims, finite, hermitian,
-    trace or psd.
+    trace or psd. The matrix rule of :mod:`spar.linalg` raises it (shape or
+    finite) for any matrix, not only for states.
     """
 
     def __init__(self, check: str, message: str):

@@ -5,6 +5,9 @@ delegates the heavy lifting to LAPACK through numpy. Matrices in this package
 are small (9 x 9 at most in practice), so no sparse or blocked paths exist;
 many small matrices of one size go to LAPACK as one stack instead.
 All functions are pure; inputs are never mutated.
+
+The package's one matrix rule is :func:`as_matrix`. It refuses any matrix,
+a state or not, with :class:`StateValidationError` (check shape or finite).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT
+from .exceptions import StateValidationError
 
 __all__ = [
     "as_matrix",
@@ -25,19 +29,26 @@ __all__ = [
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array and require finite entries."""
-    return _finite_complex(m, stacked=False)
+    """``m`` as a square complex128 matrix of finite entries: an array that is
+    not 2-D or not square fails the "shape" check, an entry that does not
+    convert or is not finite the "finite" check."""
+    a = _finite_complex(m, stacked=False)
+    if a.shape[0] != a.shape[1]:
+        raise StateValidationError("shape", f"matrix is not square: {a.shape}")
+    return a
 
 
 def _finite_complex(m, stacked: bool) -> np.ndarray:
-    """A complex128 array of finite entries: one matrix, or with ``stacked``
-    also a stack of them (leading axes index the matrices)."""
-    a = np.asarray(m, dtype=np.complex128)
+    """The checks of :func:`as_matrix` but squareness; with ``stacked`` also a
+    stack of matrices (leading axes index the matrices)."""
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except ValueError as exc:  # a ragged list, or an entry that is not a number
+        raise StateValidationError("finite", str(exc)) from exc
     if a.ndim != 2 and not (stacked and a.ndim > 2):
-        expected = "a matrix or a stack of matrices" if stacked else "a 2-D matrix"
-        raise ValueError(f"expected {expected}, got ndim={a.ndim}")
+        raise StateValidationError("shape", f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise StateValidationError("finite", "matrix contains non-finite entries")
     return a
 
 
@@ -50,12 +61,10 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in ascending order.
 
-    Raises ``ValueError`` for non-square or non-Hermitian (beyond
-    ``DEFAULT.precondition``) input.
+    Refuses a matrix as :func:`as_matrix` does, and one that is not Hermitian
+    (beyond ``DEFAULT.precondition``) with ``ValueError``.
     """
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
     defect, tol = hermiticity_defect(a), DEFAULT.precondition
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
@@ -76,10 +85,7 @@ def general_eigenvalues(m) -> np.ndarray:
     from the moments, not from these eigenvalues; the tests also use this
     function as the oracle for that verdict.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
-    return np.linalg.eigvals(a)
+    return np.linalg.eigvals(as_matrix(m))
 
 
 def singular_values(m) -> np.ndarray:
@@ -105,8 +111,6 @@ def trace_norm(m) -> float | np.ndarray:
 def power_trace(m, k: int) -> complex:
     """Tr[m^k] by repeated multiplication, k >= 1."""
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("power trace requires a square matrix")
     if k < 1:
         raise ValueError("power trace requires k >= 1")
     acc = a

@@ -144,11 +144,11 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
 
     ``permutation`` defaults to SWAP/d, the canonical trace-one permutation
     operator on two copies; any operator with unit trace (within 1e-10) is
-    accepted; one of the wrong shape raises ``StateValidationError("shape")``.
-    The imaginary part of the trace must vanish within tolerance.
+    accepted; one of the wrong shape or trace raises ``StateValidationError``.
+    The imaginary part of the expectation must vanish within tolerance.
     """
     r = as_realigned(rho)
-    spa = apply_spa(r, p)
+    spa = apply_spa(r, [p])[0]
     if permutation is None:
         permutation = swap_operator(r.dim_a) / r.dim_a
     perm = linalg.as_matrix(permutation)
@@ -157,7 +157,8 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
             "shape", f"permutation operator has shape {perm.shape}, expected {spa.shape}")
     tr_p = complex(np.trace(perm))
     if abs(tr_p - 1.0) > 1e-10:
-        raise ValueError(f"permutation operator must have unit trace, got {tr_p}")
+        raise StateValidationError(
+            "trace", f"permutation operator must have unit trace, got {tr_p}")
     value = complex(np.trace(spa @ perm))
     if abs(value.imag) > DEFAULT.moment_imag:
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")

@@ -225,11 +225,11 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
 
 def require_weights(p: float | Sequence[float]) -> tuple[bool, list[float]]:
     """Whether the mixing weights ``p`` of the SPA are a 1-D sequence rather
-    than a number, and the weights as a list of floats; a weight outside
-    [0, 1] (NaN included) raises ``ValueError`` naming the first one."""
+    than a number, and the weights as a list of floats; an entry that is not a
+    number or outside [0, 1] (NaN included) raises ``ValueError`` naming it."""
     weights = np.asarray(p, dtype=float)
     if weights.ndim > 1:
-        raise ValueError(f"p must be a number or a 1-D sequence, got ndim={weights.ndim}")
+        raise ValueError(f"p must be a number, got {p[0]}")
     stacked = weights.ndim == 1
     values = weights.reshape(-1).tolist()
     for i, w in enumerate(values):
@@ -248,7 +248,8 @@ def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
 
     A 1-D sequence of weights gives the stack of shape (len(p), n, n). Every
     slice is built with the same elementwise operations as a single weight,
-    so slice i equals ``apply_spa(rho, p[i])`` exactly.
+    so slice i equals ``apply_spa(rho, p[i])`` exactly. A function of one p
+    reads ``apply_spa(rho, [p])[0]``, which refuses a sequence p.
     """
     stacked, values = require_weights(p)
     r = as_realigned(rho)
@@ -271,11 +272,10 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     eigenvalues. The SPA output's is p/n + ((1-p)/Tr[R]) max Re lambda(R), an
     affine image of eig(R) read from the shared analysis, so no SPA matrix is
     built; the state's comes from its validated spectrum. An uncertified
-    result is a valid outcome, not an error. Checks that p is one number in
-    [0, 1], then for a state the preconditions of :func:`spa_threshold`.
+    result is a valid outcome, not an error. Checks ``[p]`` as
+    :func:`apply_spa` does, then for a state the preconditions of :func:`spa_threshold`.
     """
-    if require_weights(p)[0]:
-        raise ValueError(f"p must be a number, got {p!r}")
+    require_weights([p])
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
     if p < analysis.l - 1e-12:
         return CpCertificate(False, None, None)

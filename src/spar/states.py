@@ -63,17 +63,15 @@ class DensityMatrix:
 def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     """Check and wrap a candidate density matrix.
 
-    Verifies squareness, dimension product, finite entries, Hermiticity,
-    unit trace and positive semidefiniteness within ``DEFAULT.validation``
-    (each failure raised as a distinct :class:`StateValidationError`).
+    Verifies squareness and finite entries (:func:`linalg.as_matrix`), the
+    dimension product, Hermiticity, unit trace and positive semidefiniteness
+    within ``DEFAULT.validation``, each failure a :class:`StateValidationError`.
     """
     tol = DEFAULT.validation
     dim_a, dim_b = int(dims[0]), int(dims[1])
     if dim_a < 1 or dim_b < 1:
         raise StateValidationError("dims", f"subsystem dimensions must be positive, got {dims}")
-    a = _finite_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise StateValidationError("shape", f"matrix is not square: {a.shape}")
+    a = np.array(linalg.as_matrix(m))  # the state's own copy
     if a.shape[0] != dim_a * dim_b:
         raise StateValidationError(
             "dims", f"matrix size {a.shape[0]} != dimA*dimB = {dim_a * dim_b}"
@@ -92,21 +90,6 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     a.setflags(write=False)
     spectrum.setflags(write=False)
     return DensityMatrix(dim_a, dim_b, a, spectrum)
-
-
-def _finite_matrix(m) -> np.ndarray:
-    """A new complex128 copy of the 2-D matrix ``m`` after one scan for
-    non-finite entries: an array that is not 2-D fails the "shape" check, an
-    entry that does not convert or is not finite the "finite" check."""
-    try:
-        a = np.array(m, dtype=np.complex128)
-    except ValueError as exc:
-        raise StateValidationError("finite", str(exc)) from exc
-    if a.ndim != 2:
-        raise StateValidationError("shape", f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise StateValidationError("finite", "matrix contains non-finite entries")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,7 @@ def _load_payload(path) -> dict:
 def read_matrix_file(path) -> np.ndarray:
     """Read a square matrix of finite entries in the state-file layout,
     without density checks."""
-    return _finite_matrix(_payload_matrix(_load_payload(path)))
+    return linalg.as_matrix(_payload_matrix(_load_payload(path)))
 
 
 def _payload_matrix(payload: dict) -> np.ndarray:

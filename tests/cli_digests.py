@@ -41,6 +41,7 @@ from spar import (
     random_schmidt_symmetric,
     random_separable,
     rho_t,
+    swap_operator,
     validate_density,
     write_state_file,
 )
@@ -149,8 +150,8 @@ def other_commands() -> list[list[str]]:
 # not UTF-8, and arrays nested past the recursion limit
 UNDECODABLE = ("overflow.json", "latin1.json", "deep.json")
 # matrix files that decode but are no observable for a two-qutrit state: an
-# infinite entry and a 2 x 2 matrix
-UNUSABLE_PERM = ("infinite.json", "perm2.json")
+# infinite entry, a 2 x 2 matrix and SWAP, whose trace is 3, not 1
+UNUSABLE_PERM = ("infinite.json", "perm2.json", "swap3.json")
 
 
 def bad_input_commands() -> list[list[str]]:
@@ -199,6 +200,7 @@ def write_states() -> None:
     with open("infinite.json", "w", encoding="utf-8") as fh:
         fh.write('{"matrix": [[1e400, 0]]}')
     _write_matrix("perm2.json", np.eye(2, dtype=complex) / 2, [1, 2])
+    _write_matrix("swap3.json", swap_operator(3).astype(complex), [3, 3])
 
 
 def near_psd_state(d: int, eps: float, seed: int):

@@ -18,6 +18,7 @@ from spar import (
     read_state_file,
     rho_t,
     spa_threshold,
+    swap_operator,
     sweeps,
     write_state_file,
 )
@@ -27,6 +28,13 @@ from util import count_spa_checks, near_psd_state, sweep_reference
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SRC = Path(spar.__file__).resolve().parents[1]
+DIGESTS = Path(__file__).resolve().parent / "cli_digests.py"
+
+
+def spar_env() -> dict:
+    """The environment of a fresh Python process that imports this ``spar``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -149,8 +157,9 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--family", family, "--param", param, "--p", "0.2")
         assert code == 0
         assert len(gates) == 1
-        # criterion_report and certify_completely_positive, one check each
-        assert weights == [0.2, 0.2]
+        # criterion_report and certify_completely_positive, one check each of
+        # the one-point grid [p]
+        assert weights == [[0.2], [0.2]]
 
     def test_a_bad_p_exits_1_before_the_trace_is_read(self, capsys, monkeypatch):
         gates, weights = count_spa_checks(monkeypatch)
@@ -158,7 +167,7 @@ class TestAnalyze:
             code, out, err = run(capsys, command, "--family", "isotropic", "--param", "-0.125",
                                  "--p", "2")
             assert (code, out, err) == (1, "", "error: p must lie in [0, 1], got 2.0\n")
-        assert (gates, weights) == ([], [2.0, 2.0])
+        assert (gates, weights) == ([], [[2.0], [2.0]])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_certified_report_makes_one_svd_call(self, capsys, tmp_path, monkeypatch, d):
@@ -259,6 +268,9 @@ UNUSABLE_PERM = {
     "infinite": ('{"matrix": [[1e400, 0]]}', "finite: matrix contains non-finite entries"),
     "wrong_shape": ('{"matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
                     "shape: permutation operator has shape (2, 2), expected (9, 9)"),
+    # SWAP itself, not SWAP/d: its trace is d = 3
+    "trace": (json.dumps({"matrix": [[x, 0] for x in swap_operator(3).reshape(-1).tolist()]}),
+              "trace: permutation operator must have unit trace, got (3+0j)"),
 }
 
 
@@ -618,8 +630,20 @@ def test_shared_parser_keeps_no_state_between_requests(capsys):
                 assert first.setdefault(argv, (out, err)) == (out, err)
     assert json.loads(first[analyze][0])["tolerance"] == 1e-09
     assert json.loads(first[analyze + ("--tol", "0.5")][0])["tolerance"] == 0.5
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     fresh = subprocess.run([sys.executable, "-c", "from spar.cli import entry; entry()", *analyze],
-                           capture_output=True, env=env, timeout=60, check=True)
+                           capture_output=True, env=spar_env(), timeout=60, check=True)
     assert fresh.stdout == first[analyze][0].encode()
+
+
+def test_cli_bytes_match_the_committed_digest_listing():
+    # its own process: the tool changes the working directory while it runs.
+    # The listing holds the bytes of one numpy and LAPACK build; another build
+    # may round a float differently and must regenerate it to compare
+    done = subprocess.run([sys.executable, str(DIGESTS)], capture_output=True, text=True,
+                          env=spar_env(), timeout=120, check=True)
+    got = done.stdout.splitlines()
+    want = DIGESTS.with_suffix(".txt").read_text(encoding="utf-8").splitlines()
+    for line, expected in zip(got, want):
+        command = line.rsplit("  ", 2)[0]
+        assert line == expected, f"first command whose digest differs: {command}"
+    assert len(got) == len(want)

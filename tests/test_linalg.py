@@ -3,11 +3,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import linalg
+from spar import StateValidationError, linalg, validate_density
 from spar.realign import realign_matrix
-from spar.states import rho_t
+from spar.states import read_matrix_file, rho_t
 
 from util import random_complex, random_hermitian, random_unitary, rng_for
+
+
+# inputs that the matrix rule refuses: the input, the check and message that
+# every function gives (None: numpy's own text), whether singular_values takes
+# it (a stack, a rectangular matrix), and the fault in the matrix-file layout
+BAD_MATRICES = {
+    "ndim_0": (0.25, "shape", "expected a 2-D matrix, got ndim=0", False, None),
+    "ndim_1": (np.zeros(4), "shape", "expected a 2-D matrix, got ndim=1", False,
+               "[[0, 0], [0, 0], [0, 0]]"),
+    "ndim_3": (np.zeros((1, 2, 2)), "shape", "expected a 2-D matrix, got ndim=3", True, None),
+    "ragged": ([[0.5, 0], [0.5]], "finite", None, False, "[[0.5, 0], [0.5]]"),
+    "inf": (np.diag([np.inf, 0.0, 0.0, 0.0]), "finite", "matrix contains non-finite entries",
+            False, "[[1e400, 0], [0, 0], [0, 0], [0, 0]]"),
+    "not_square": (np.ones((2, 3)), "shape", "matrix is not square: (2, 3)", True, None),
+}
+# the functions of one square matrix
+SQUARE_FUNCTIONS = {
+    "validate_density": lambda m: validate_density(m, (2, 2)),
+    "realign_matrix": lambda m: realign_matrix(m, 2, 2),
+    "general_eigenvalues": linalg.general_eigenvalues,
+    "hermitian_eigenvalues": linalg.hermitian_eigenvalues,
+    "power_trace": lambda m: linalg.power_trace(m, 1),
+}
+
+
+def refusal(call, m) -> tuple:
+    with pytest.raises(StateValidationError) as err:
+        call(m)
+    return err.value.check, str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+def test_every_function_refuses_a_matrix_with_one_check_and_message(case):
+    m, check, message, svd_takes, _ = BAD_MATRICES[case]
+    calls = dict(SQUARE_FUNCTIONS)
+    if not svd_takes:
+        calls["singular_values"] = linalg.singular_values
+    refusals = {name: refusal(call, m) for name, call in calls.items()}
+    assert len(set(refusals.values())) == 1, refusals
+    [(got_check, text)] = set(refusals.values())
+    assert got_check == check
+    if message is not None:
+        assert text == f"{check}: {message}"
+
+
+@pytest.mark.parametrize("case", sorted(name for name, row in BAD_MATRICES.items() if row[4]))
+def test_a_matrix_file_fails_the_same_check(tmp_path, case):
+    # the layout is a flat list of [re, im] pairs, reshaped square: an ndim=1
+    # or ragged matrix shows there as a pair count that is not a square or a
+    # pair that is not two numbers, with the reader's own message; an
+    # infinite entry is the same fault with the same message
+    m, check, _, _, pairs = BAD_MATRICES[case]
+    path = tmp_path / "matrix.json"
+    path.write_text(f'{{"matrix": {pairs}}}')
+    got_check, text = refusal(read_matrix_file, str(path))
+    assert got_check == check
+    if case == "inf":
+        assert (got_check, text) == refusal(linalg.as_matrix, m)
 
 
 def test_hermitian_eigenvalues_diagonal():

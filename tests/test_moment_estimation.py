@@ -138,7 +138,8 @@ class TestSimulateS:
         assert simulate_s(rho, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_unnormalized_permutation(self):
-        with pytest.raises(ValueError):
+        message = r"^trace: permutation operator must have unit trace, got \(4\+0j\)$"
+        with pytest.raises(StateValidationError, match=message):
             simulate_s(rho_t(0.3), 0.2, permutation=np.eye(4))
 
     def test_rejects_shape_mismatch(self):

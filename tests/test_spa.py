@@ -246,6 +246,13 @@ GATE_CASES = {
     "trace_zero": (TRACE_ZERO, 0.5, DomainError, r"realigned trace \(.*\) is not positive"),
     "bad_p": (rho_t(0.3), 1.5, ValueError, "p must lie in [0, 1], got 1.5"),
 }
+# a sequence where one weight belongs, and the text of it that the refusal names
+SEQUENCE_P = {
+    "list": ([0.1, 0.2], "[0.1, 0.2]"),
+    "tuple": ((0.1, 0.2), "(0.1, 0.2)"),
+    "array": (np.array([0.5]), "[0.5]"),
+    "nested": ([[0.5]], "[[0.5]]"),
+}
 
 
 class TestDomainGate:
@@ -269,6 +276,20 @@ class TestDomainGate:
         [(raised, text)] = set(refusals.values())
         assert raised is kind
         assert re.fullmatch(message if kind is DomainError else re.escape(message), text)
+
+    @pytest.mark.parametrize("case", sorted(SEQUENCE_P))
+    def test_a_function_of_one_p_refuses_a_sequence_before_the_gate(self, monkeypatch, case):
+        p, text = SEQUENCE_P[case]
+        gates, _ = count_spa_checks(monkeypatch)
+        # apply_spa alone takes a grid as well as one p
+        single = {name: f for name, f in WITH_P.items() if name != "apply_spa"}
+        for rho in (rho_t(0.3), TRACE_ZERO, GATE_CASES["unequal_dims"][0]):
+            for name, call in single.items():
+                with pytest.raises(ValueError) as err:
+                    call(rho, p)
+                assert (type(err.value), str(err.value)) == (
+                    ValueError, f"p must be a number, got {text}"), name
+        assert gates == []
 
     @pytest.mark.parametrize("name", sorted({**WITH_P, **WITHOUT_P}))
     def test_each_call_decides_the_domain_once_and_checks_p_at_most_once(self, monkeypatch,
@@ -378,7 +399,7 @@ class TestApplySpa:
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
         with pytest.raises(ValueError, match=r"got -0\.5$"):
             apply_spa(rho_t(0.3), [0.1, -0.5, 1.5])
-        with pytest.raises(ValueError, match="1-D"):
+        with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.1, 0.2]")):
             apply_spa(rho_t(0.3), [[0.1, 0.2]])
 
     def test_schmidt_symmetric_norm_is_one(self, schmidt_symmetric_states):

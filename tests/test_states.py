@@ -78,13 +78,6 @@ class TestValidateDensity:
             validate_density(m, (2, 2))
         assert err.value.check == "finite"
 
-    @pytest.mark.parametrize("m", [np.zeros(4), np.zeros((1, 2, 2)), 0.25])
-    def test_an_array_that_is_not_2d_fails_the_shape_check(self, m):
-        with pytest.raises(StateValidationError) as err:
-            validate_density(m, (2, 2))
-        assert err.value.check == "shape"
-        assert str(err.value) == f"shape: expected a 2-D matrix, got ndim={np.ndim(m)}"
-
     def test_scans_once_and_takes_one_hermiticity_defect(self, monkeypatch):
         m = isotropic(0.3, 6).matrix
         scans, defects = [], []
