@@ -148,10 +148,10 @@ def q2_rmoment(rho: StateLike) -> float:
     return _q2_score(r, linalg.singular_values(r.state.matrix))
 
 
-def _q2_score(r: RealignedMatrix, state_singular_values: np.ndarray) -> float:
+def _q2_score(r: RealignedMatrix, state_sigma: np.ndarray) -> float:
     """:func:`q2_rmoment` from the singular values of the state."""
-    d8 = float(np.prod(state_singular_values[:8] ** 2))
-    return 56.0 * d8 ** (1.0 / 8.0) + r.trace - 1.0
+    d8 = float(np.prod(state_sigma[:8] ** 2))
+    return 56.0 * d8 ** (1.0 / 8.0) + r.moment(1) - 1.0
 
 
 @dataclass(frozen=True)
@@ -174,20 +174,18 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     """Run every criterion that applies to the state at the given p.
 
     The SPA matrix is built once. One stacked SVD gives the singular values
-    of R, of the SPA matrix, of SPA - R and, when q2 applies, of the state;
-    R's row becomes the analysis' cached singular values, which the
-    realignment score and q1 read. Every value is the double that a separate
-    SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
+    of R, of the SPA matrix, of SPA - R and, when q2 applies, of the state
+    (``RealignedMatrix.singular_values_with``); the analysis caches R's, which
+    the realignment score and q1 read. Every value is the double that a
+    separate SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
     spa = apply_spa(r, [p])[0]
     trace_r = r.spa_trace
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
-    stack = [r.matrix, spa, spa - r.matrix] + ([r.state.matrix] if with_q2 else [])
-    sigma = linalg.singular_values(np.stack(stack))
-    r._singular_values = sigma[0]
+    sigma = r.singular_values_with(spa, spa - r.matrix, *([r.state.matrix] if with_q2 else []))
     realignment_verdict, score = realignment_criterion(r, tol)
-    spa_norm, error_norm = np.sum(sigma[1:3], axis=-1).tolist()
+    spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
     [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p], tol)
     return CriterionReport(
         p=p,
@@ -199,5 +197,5 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
         spa_r_verdict=spa_verdict,
         error=_error_report(r, trace_r, error_norm, p, tol),
         q1=q1_realignment_moments(r),
-        q2=_q2_score(r, sigma[3]) if with_q2 else None,
+        q2=_q2_score(r, sigma[2]) if with_q2 else None,
     )

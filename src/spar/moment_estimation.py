@@ -50,8 +50,8 @@ class MomentInterval:
         if self.lower > self.upper + 1e-12:
             raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
+    def contains(self, value: float) -> bool:
+        return self.lower <= value <= self.upper
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
     """Numerically evaluate s = Tr[spa(rho; p) P].
 
     ``permutation`` defaults to SWAP/d, the canonical trace-one permutation
-    operator on two copies; any operator with unit trace (within 1e-10) is
+    operator on two copies; any of unit trace (within ``DEFAULT.validation``) is
     accepted; one of the wrong shape or trace raises ``StateValidationError``.
     The imaginary part of the expectation must vanish within tolerance.
     """
@@ -156,7 +156,7 @@ def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
         raise StateValidationError(
             "shape", f"permutation operator has shape {perm.shape}, expected {spa.shape}")
     tr_p = complex(np.trace(perm))
-    if abs(tr_p - 1.0) > 1e-10:
+    if abs(tr_p - 1.0) > DEFAULT.validation:
         raise StateValidationError(
             "trace", f"permutation operator must have unit trace, got {tr_p}")
     value = complex(np.trace(spa @ perm))

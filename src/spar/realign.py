@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT
 from .exceptions import DomainError
-from .states import DensityMatrix
+from .states import DensityMatrix, read_only, require_dims
 
 __all__ = [
     "Verdict",
@@ -50,9 +50,7 @@ class Verdict(enum.Enum):
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Entry permutation (i,j),(k,l) -> (i,k),(j,l) on a (dA*dB)^2 matrix."""
     a = linalg.as_matrix(m)
-    n = dim_a * dim_b
-    if a.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for dims {dim_a}x{dim_b}, got {a.shape}")
+    dim_a, dim_b = require_dims(dim_a, dim_b, a.shape[0])
     return (
         a.reshape(dim_a, dim_b, dim_a, dim_b)
         .transpose(0, 2, 1, 3)
@@ -60,26 +58,24 @@ def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RealignedMatrix:
     """The shared analysis of one state: its realignment R plus Tr[R], the
     singular values, the eigenvalues and the moments, each computed at most
     once. Every per-state function accepts it in place of the state, and
     every number a verdict or certificate prints is read from it.
 
-    ``RealignedMatrix(state, matrix)`` is the only constructor; the caches
-    start empty and only this package writes into them.
+    ``RealignedMatrix(state, matrix)`` is the only constructor. It is frozen and
+    fills its own caches; R from :func:`realign` and each cached array are read-only.
 
-    ``moment(k)`` returns Tr[R^k]; those traces are real for any Hermitian
-    input (the spectrum of R is closed under conjugation), which the cache
-    enforces. Moments are only defined for square R, i.e. dimA == dimB.
+    ``moment(k)`` returns Tr[R^k], and ``moment(1)`` is Tr R; those traces are
+    real for any Hermitian input (the spectrum of R is closed under conjugation),
+    which the cache enforces. Moments are only defined for square R (dimA == dimB).
     """
 
     state: DensityMatrix
     matrix: np.ndarray = field(repr=False)
     _moments: list[float] = field(default_factory=list, init=False, repr=False)
-    _power: np.ndarray | None = field(default=None, init=False, repr=False)
-    _singular_values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def dim_a(self) -> int:
@@ -92,10 +88,6 @@ class RealignedMatrix:
     @property
     def is_square(self) -> bool:
         return self.dim_a == self.dim_b
-
-    @property
-    def trace(self) -> float:
-        return self.moment(1)
 
     @cached_property
     def complex_trace(self) -> complex:
@@ -123,30 +115,35 @@ class RealignedMatrix:
         return np.array(self._moments[:count])
 
     def _extend(self, count: int) -> None:
-        """Cache m_1 .. m_count. R^k is kept as a running product, so each
-        moment not yet cached costs one matmul and m_1 .. m_n cost n - 1."""
+        """Cache m_1 .. m_count. Only the last R^k of the running product is
+        kept; each moment not yet cached costs one matmul, m_1 .. m_n cost n - 1."""
         if not self.is_square:
             raise ValueError("moments require equal subsystem dimensions")
+        power = self.__dict__.get("_power")
         while len(self._moments) < count:
-            power = self.matrix if self._power is None else self._power @ self.matrix
-            value = self.complex_trace if self._power is None else complex(np.trace(power))
+            power = self.matrix if power is None else power @ self.matrix
+            value = complex(np.trace(power))
             if abs(value.imag) > DEFAULT.moment_imag:
                 k = len(self._moments) + 1
                 raise ValueError(f"moment {k} has imaginary part {value.imag:.3e}")
-            self._power = power
+            self.__dict__["_power"] = power
             self._moments.append(value.real)
 
-    @property
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        if self._singular_values is None:
-            self._singular_values = linalg.singular_values(self.matrix)
-        return self._singular_values
+        return read_only(linalg.singular_values(self.matrix))
+
+    def singular_values_with(self, *others: np.ndarray) -> np.ndarray:
+        """σ of each of ``others`` from one SVD stacked with R, caching R's row."""
+        sigma = read_only(linalg.singular_values(np.stack((self.matrix,) + others)))
+        self.__dict__.setdefault("singular_values", sigma[0])
+        return sigma[1:]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """eig(R): the real-spectrum check of a non-Hermitian R and the CP
         certificate both read this one eigensolve."""
-        return linalg.general_eigenvalues(self.matrix)
+        return read_only(linalg.general_eigenvalues(self.matrix))
 
     @property
     def trace_norm(self) -> float:
@@ -159,7 +156,7 @@ StateLike = DensityMatrix | RealignedMatrix
 
 def realign(rho: DensityMatrix) -> RealignedMatrix:
     """Realign a validated state; the result is its shared analysis."""
-    return RealignedMatrix(rho, realign_matrix(rho.matrix, rho.dim_a, rho.dim_b))
+    return RealignedMatrix(rho, read_only(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))
 
 
 def as_realigned(source: StateLike) -> RealignedMatrix:

@@ -277,7 +277,7 @@ def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCer
     """
     require_weights([p])
     analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
-    if p < analysis.l - 1e-12:
+    if p < analysis.l:
         return CpCertificate(False, None, None)
     r = analysis.realigned
     lam_r = float(np.max(r.eigenvalues.real))

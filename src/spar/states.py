@@ -60,22 +60,30 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dim_a}x{self.dim_b})"
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def require_dims(dim_a: int, dim_b: int, size: int) -> tuple[int, int]:
+    """(dimA, dimB) as ints: positive integers (no float is truncated) of product ``size``."""
+    if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (dim_a, dim_b)):
+        raise StateValidationError("dims", f"must be positive integers, got {dim_a} x {dim_b}")
+    if dim_a * dim_b != size:
+        raise StateValidationError("dims", f"matrix size {size} != dimA*dimB = {dim_a * dim_b}")
+    return int(dim_a), int(dim_b)
+
+
 def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     """Check and wrap a candidate density matrix.
 
-    Verifies squareness and finite entries (:func:`linalg.as_matrix`), the
-    dimension product, Hermiticity, unit trace and positive semidefiniteness
+    Verifies squareness and finite entries (:func:`linalg.as_matrix`), the dims
+    (:func:`require_dims`), Hermiticity, unit trace and positive semidefiniteness
     within ``DEFAULT.validation``, each failure a :class:`StateValidationError`.
     """
     tol = DEFAULT.validation
-    dim_a, dim_b = int(dims[0]), int(dims[1])
-    if dim_a < 1 or dim_b < 1:
-        raise StateValidationError("dims", f"subsystem dimensions must be positive, got {dims}")
     a = np.array(linalg.as_matrix(m))  # the state's own copy
-    if a.shape[0] != dim_a * dim_b:
-        raise StateValidationError(
-            "dims", f"matrix size {a.shape[0]} != dimA*dimB = {dim_a * dim_b}"
-        )
+    dim_a, dim_b = require_dims(*dims, a.shape[0])
     defect = linalg.hermiticity_defect(a)
     if defect > tol:
         raise StateValidationError("hermitian", f"|M - M^dag| = {defect:.3e} exceeds {tol:.1e}")
@@ -87,9 +95,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
-    a.setflags(write=False)
-    spectrum.setflags(write=False)
-    return DensityMatrix(dim_a, dim_b, a, spectrum)
+    return DensityMatrix(dim_a, dim_b, read_only(a), read_only(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def read_state_file(path) -> DensityMatrix:
     if "dims" not in payload:
         raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
     dims = payload["dims"]
-    # JSON true and 2.0 decode to a bool and a float, which int() would take
+    # JSON true decodes to a bool, which isinstance(x, int) would take as an integer
     if not (isinstance(dims, list) and len(dims) == 2 and all(type(x) is int for x in dims)):
         raise StateValidationError("dims", f"dims must be two integers [dA, dB], got {dims!r}")
     return validate_density(_payload_matrix(payload), (dims[0], dims[1]))

@@ -12,7 +12,8 @@ by diffing this script's output at both (pytest does not collect it):
     diff before.txt after.txt
 
 The list covers ``sweep`` over all four families (random and negative
-ranges, ``--tol 0``, p-ranges ending at 1), ``analyze``, ``estimate-m1``
+ranges, ``--tol 0``, p-ranges ending at 1), ``analyze`` (also at the CP
+certificate's threshold l and one ulp below it), ``estimate-m1``
 (also on d = 4..6 state files with a Hermitian realignment: isotropic,
 Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
 bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
@@ -102,6 +103,9 @@ def analyze_commands(rng: random.Random) -> list[list[str]]:
     commands += [
         ["analyze", "--family", "isotropic", "--param", "0.9", "--p", "0.5", "--tol", "0"],
         ["analyze", "--state", "rho_t.json", "--p", "0", "--tol", "0"],
+        # the CP certificate's edge: l of rho_t(-0.7), then one ulp below it
+        ["analyze", "--family", "rho_t", "--param", "-0.7", "--p", "0.939203943228437"],
+        ["analyze", "--family", "rho_t", "--param", "-0.7", "--p", "0.9392039432284369"],
         ["analyze", "--family", "rho_t", "--param", "0.2", "--p", "1.5"],
         ["analyze", "--family", "rho_t", "--param", "0.2"],
         ["analyze", "--family", "rho_t", "--param", "nan", "--p", "0"],

@@ -386,7 +386,7 @@ def test_c7_error_bound_on_separable_ensemble(separable_22, separable_33):
     # the separable error bound presumes the mixing coefficient stays
     # nonnegative, i.e. p <= 1 - Tr[R]; it is checked across that window
     for rho in separable_22[:100] + separable_33[:100]:
-        window = 1 - realign(rho).trace
+        window = 1 - realign(rho).moment(1)
         for frac in (0.0, 0.5, 1.0):
             rep = error_suite(rho, frac * window)
             assert rep.error_norm <= rep.bound_separable + 1e-9

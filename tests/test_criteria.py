@@ -114,7 +114,7 @@ class TestErrorSuite:
 
     def test_separable_bound_inside_validity_window(self, separable_22):
         for rho in separable_22[:40]:
-            trace_r = realign(rho).trace
+            trace_r = realign(rho).moment(1)
             for frac in (0.0, 0.5, 1.0):
                 p = frac * (1 - trace_r)
                 rep = error_suite(rho, p)
@@ -124,7 +124,7 @@ class TestErrorSuite:
 
     def test_general_bound_inside_validity_window(self, separable_22, separable_33):
         for rho in separable_22[:20] + separable_33[:20]:
-            trace_r = realign(rho).trace
+            trace_r = realign(rho).moment(1)
             rep = error_suite(rho, 0.5 * (1 - trace_r))
             assert rep.error_norm <= rep.bound_general + 1e-9
 
@@ -139,7 +139,7 @@ class TestErrorSuite:
 
     def test_mm_state_bound_is_tight_at_window_edge(self):
         rho = mm_state()
-        trace_r = realign(rho).trace  # 1/2
+        trace_r = realign(rho).moment(1)  # 1/2
         rep = error_suite(rho, 1 - trace_r)
         assert rep.error_norm == pytest.approx(rep.bound_separable, abs=1e-12)
 
@@ -178,7 +178,7 @@ class TestCriterionReport:
         rho = alpha_state(0.5)
         rep = criterion_report(rho, 0.01)
         assert rep.p == 0.01
-        assert rep.trace_r == pytest.approx(realign(rho).trace, abs=1e-14)
+        assert rep.trace_r == pytest.approx(realign(rho).moment(1), abs=1e-14)
         assert rep.spa_r_verdict == Verdict.ENTANGLED
         assert (rep.trace_norm_spa_r > rep.upper_bound) == (
             rep.spa_r_verdict == Verdict.ENTANGLED
@@ -225,7 +225,7 @@ GRID_STATES = (
 def per_cell_norm(r, p):
     """||spa(rho; p)||_1 from one SPA matrix and one SVD for this p alone."""
     n = r.dim_a * r.dim_b
-    spa = (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / r.trace) * r.matrix
+    spa = (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / r.moment(1)) * r.matrix
     return float(np.sum(np.linalg.svd(spa, compute_uv=False)))
 
 
@@ -261,7 +261,8 @@ class TestSpaRScores:
         scores = spa_r_scores(r, P_GRID)
         assert scores == [spa_r_scores(r, [p])[0] for p in P_GRID]
         assert [norm for _, norm, _ in scores] == [per_cell_norm(r, p) for p in P_GRID]
-        assert [bound for _, _, bound in scores] == [spa_r_upper_bound(r.trace, p) for p in P_GRID]
+        bounds = [spa_r_upper_bound(r.moment(1), p) for p in P_GRID]
+        assert [bound for _, _, bound in scores] == bounds
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_p_outside_unit_interval_raises_with_the_first_offender(self, bad):

@@ -159,7 +159,7 @@ class TestContainmentReport:
         ]
         for name, rho in cases:
             th = spa_threshold(rho)
-            m1 = realign(rho).trace
+            m1 = realign(rho).moment(1)
             for p in (th.l, 0.5):
                 s = simulate_s(rho, p)
                 try:

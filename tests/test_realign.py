@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spar import (
+    DomainError,
     alpha_state,
     bell_state,
+    certify_completely_positive,
     is_schmidt_symmetric,
     isotropic,
     random_schmidt_symmetric,
@@ -15,6 +17,7 @@ from spar import (
     realignment_criterion,
     rho_a,
     rho_t,
+    spa_threshold,
     validate_density,
     realignment_moment,
 )
@@ -45,7 +48,7 @@ def test_realign_bell_trace_norm():
 
 def test_realigned_trace_of_rho_t():
     for t in np.linspace(-0.7, 0.7, 15):
-        assert realign(rho_t(t)).trace == pytest.approx(t + 7 / 8, abs=1e-12)
+        assert realign(rho_t(t)).moment(1) == pytest.approx(t + 7 / 8, abs=1e-12)
 
 
 def test_trace_index_identity():
@@ -237,13 +240,46 @@ def test_realigned_matrix_keeps_its_state():
 
 
 def test_caches_are_neither_constructor_arguments_nor_settable():
-    r = realign(random_separable(2, 3, terms=2, seed=5))
+    r = realign(rho_t(-0.3))
     for cache in ("_moments", "_power", "_singular_values"):
         with pytest.raises(TypeError):
             RealignedMatrix(r.state, r.matrix, **{cache: None})
-    with pytest.raises(AttributeError):
-        r.singular_values = singular_values(r.matrix)
+    r.moments(4)
+    arrays = {"matrix": r.matrix, "singular_values": r.singular_values,
+              "eigenvalues": r.eigenvalues}
+    values = {"state": r.state, **arrays, "_moments": [], "spa_trace": 1.0,
+              "complex_trace": 1.0 + 0j}
+    for name, value in values.items():
+        # a frozen dataclass refuses with FrozenInstanceError, an AttributeError
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert list(r.moments(4)) == [power_trace(r.matrix, k).real for k in range(1, 5)]
 
+
+def test_a_forged_trace_cannot_certify_a_refused_state():
+    # isotropic(-1/8) has Tr R = 0 up to rounding: the domain gate refuses it
+    r = realign(isotropic(-0.125))
+    with pytest.raises(AttributeError):
+        r.spa_trace = 1.0
+    with pytest.raises(DomainError, match="is not positive"):
+        spa_threshold(r)
+    with pytest.raises(DomainError, match="is not positive"):
+        certify_completely_positive(r, 0.5)
+
+
+def test_singular_values_with_caches_r_once_and_returns_the_others():
+    r = realign(alpha_state(0.4))
+    other = np.eye(9) / 9
+    [sigma] = r.singular_values_with(other)
+    assert np.array_equal(sigma, singular_values(other))
+    cached = r.singular_values
+    assert np.array_equal(cached, singular_values(r.matrix))
+    r.singular_values_with(other)
+    assert r.singular_values is cached
 
 def test_criteria_accept_the_realigned_matrix():
     for rho in (rho_t(-0.5), isotropic(0.2), random_separable(2, 3, terms=2, seed=5)):

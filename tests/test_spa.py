@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import spar.spa
 from spar import (
+    CpCertificate,
     DomainError,
     alpha_state,
     apply_spa,
@@ -307,7 +308,8 @@ class TestDomainGate:
     def test_the_trace_is_the_analysis_trace(self):
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
             r = realign(rho)
-            assert r.spa_trace == r.trace == spa_threshold(r).trace_r
+            assert r.spa_trace == r.moment(1) == spa_threshold(r).trace_r
+            assert not hasattr(r, "trace")  # moment(1) is the one name for Tr R
 
 
 def count_eigensolves(monkeypatch) -> list:
@@ -370,7 +372,7 @@ class TestApplySpa:
     def test_no_mixing_with_unit_trace(self):
         rho = rho_t(0.125)  # Tr[R] = 1 exactly
         r = realign(rho)
-        assert r.trace == 1.0
+        assert r.moment(1) == 1.0
         assert np.allclose(apply_spa(rho, 0.0), r.matrix, atol=0)
 
     def test_unit_trace_everywhere(self):
@@ -443,6 +445,13 @@ class TestCertifyCompletelyPositive:
         cert = certify_completely_positive(rho_t(-0.7), 0.0)
         assert not cert.certified
         assert cert.gamma1 is None
+
+    def test_certified_exactly_from_the_threshold_on(self):
+        th = spa_threshold(rho_t(-0.7))
+        assert th.l == 0.939203943228437
+        assert certify_completely_positive(th, th.l).certified
+        below = certify_completely_positive(th, float(np.nextafter(th.l, 0)))
+        assert below == CpCertificate(False, None, None)
 
     def test_isotropic_certified_for_all_p(self):
         for p in (0.0, 0.5, 1.0):

@@ -12,6 +12,7 @@ from spar import (
     isotropic,
     random_separable,
     read_state_file,
+    realign_matrix,
     realignment_criterion,
     rho_a,
     rho_t,
@@ -27,6 +28,15 @@ def raw_rho_t(t):
     return 0.5 * np.array(
         [[1.25, 0, 0, t], [0, 0, 0, 0], [0, 0, 0.25, 0], [t, 0, 0, 0.5]], dtype=complex
     )
+
+
+# a dims pair that fails the one dimension rule, and its message
+BAD_DIMS = {
+    "size": (np.eye(3) / 3, (2, 2), "matrix size 3 != dimA*dimB = 4"),
+    "negative": (np.eye(4) / 4, (-2, -2), "must be positive integers, got -2 x -2"),
+    "float": (np.eye(4) / 4, (2.0, 2.0), "must be positive integers, got 2.0 x 2.0"),
+    "fraction": (np.eye(4) / 4, (2.9, 2.2), "must be positive integers, got 2.9 x 2.2"),
+}
 
 
 class TestValidateDensity:
@@ -52,6 +62,16 @@ class TestValidateDensity:
         with pytest.raises(StateValidationError) as err:
             validate_density(np.eye(4) / 4, (2, 3))
         assert err.value.check == "dims"
+
+    @pytest.mark.parametrize("case", sorted(BAD_DIMS))
+    def test_one_dimension_rule_for_states_and_realignment(self, case):
+        m, dims, message = BAD_DIMS[case]
+        refusals = set()
+        for call in (lambda: validate_density(m, dims), lambda: realign_matrix(m, *dims)):
+            with pytest.raises(StateValidationError) as err:
+                call()
+            refusals.add((err.value.check, str(err.value)))
+        assert refusals == {("dims", f"dims: {message}")}
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
