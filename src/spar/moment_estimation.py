@@ -22,6 +22,7 @@ from .config import DEFAULT
 from .exceptions import DomainError, StateValidationError
 from .realign import StateLike, as_realigned
 from .spa import apply_spa
+from .states import is_integer
 
 __all__ = [
     "CaseTag",
@@ -69,10 +70,10 @@ class EstimationInput:
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.k)):
             raise ValueError(f"s and k must be finite, got s={self.s}, k={self.k}")
+        if not is_integer(self.d):
+            raise ValueError(f"d must be an integer, got {self.d}")
         if self.d < 2:
             raise ValueError("d must be at least 2")
-        if not float(self.d).is_integer():
-            raise ValueError(f"d must be an integer, got {self.d}")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
 

@@ -50,12 +50,11 @@ class Verdict(enum.Enum):
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Entry permutation (i,j),(k,l) -> (i,k),(j,l) on a (dA*dB)^2 matrix."""
     a = linalg.as_matrix(m)
-    dim_a, dim_b = require_dims(dim_a, dim_b, a.shape[0])
-    return (
-        a.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 2, 1, 3)
-        .reshape(dim_a * dim_a, dim_b * dim_b)
-    )
+    return _permute(a, *require_dims((dim_a, dim_b), a.shape[0]))
+
+
+def _permute(a: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    return a.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3).reshape(dim_a**2, dim_b**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +154,8 @@ StateLike = DensityMatrix | RealignedMatrix
 
 
 def realign(rho: DensityMatrix) -> RealignedMatrix:
-    """Realign a validated state; the result is its shared analysis."""
-    return RealignedMatrix(rho, read_only(realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)))
+    """Realign a validated state without a second check; the result is its shared analysis."""
+    return RealignedMatrix(rho, read_only(_permute(rho.matrix, rho.dim_a, rho.dim_b)))
 
 
 def as_realigned(source: StateLike) -> RealignedMatrix:
@@ -174,7 +173,8 @@ def realignment_criterion(rho: StateLike, tol: float = DEFAULT.verdict) -> tuple
 
 
 def is_schmidt_symmetric(rho: StateLike) -> bool:
-    """True iff ||R(rho)||_1 equals Tr[R(rho)] within ``DEFAULT.verdict``.
+    """True iff Tr[R(rho)] is real within ``DEFAULT.moment_imag`` and equals
+    ||R(rho)||_1 within ``DEFAULT.verdict``.
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
@@ -182,9 +182,7 @@ def is_schmidt_symmetric(rho: StateLike) -> bool:
     """
     r = as_realigned(rho)
     tr = r.complex_trace
-    if abs(tr.imag) > DEFAULT.verdict:
-        return False
-    return abs(r.trace_norm - tr.real) <= DEFAULT.verdict
+    return abs(tr.imag) <= DEFAULT.moment_imag and abs(r.trace_norm - tr.real) <= DEFAULT.verdict
 
 
 def realignment_moment(rho: StateLike, k: int) -> float:

@@ -41,9 +41,9 @@ RHO_T_MAX = math.sqrt(2.5) / 2
 class DensityMatrix:
     """A validated bipartite state with subsystem dimensions (dimA, dimB).
 
-    ``matrix`` is the state's own read-only copy of the validated entries,
-    so changing the caller's array afterwards cannot unvalidate it.
-    ``spectrum`` holds the eigenvalues of ``matrix`` in ascending order,
+    Built only by :func:`validate_density`, which :func:`spar.realign.realign`
+    trusts: ``matrix`` is finite, square, of size dimA*dimB and the state's own
+    read-only copy. ``spectrum`` holds its eigenvalues in ascending order,
     read-only, as :func:`validate_density` computed them for its PSD check.
     """
 
@@ -65,9 +65,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_dims(dim_a: int, dim_b: int, size: int) -> tuple[int, int]:
-    """(dimA, dimB) as ints: positive integers (no float is truncated) of product ``size``."""
-    if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (dim_a, dim_b)):
+def is_integer(x) -> bool:
+    """The one integer test of a dimension: an int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def require_dims(dims, size: int) -> tuple[int, int]:
+    """A tuple or list of two positive integers (no bool, no float) of product ``size``."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
+        raise StateValidationError("dims", f"must be a pair (dimA, dimB), got {dims!r}")
+    dim_a, dim_b = dims
+    if not all(is_integer(x) and x >= 1 for x in (dim_a, dim_b)):
         raise StateValidationError("dims", f"must be positive integers, got {dim_a} x {dim_b}")
     if dim_a * dim_b != size:
         raise StateValidationError("dims", f"matrix size {size} != dimA*dimB = {dim_a * dim_b}")
@@ -83,7 +91,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     """
     tol = DEFAULT.validation
     a = np.array(linalg.as_matrix(m))  # the state's own copy
-    dim_a, dim_b = require_dims(*dims, a.shape[0])
+    dim_a, dim_b = require_dims(dims, a.shape[0])
     defect = linalg.hermiticity_defect(a)
     if defect > tol:
         raise StateValidationError("hermitian", f"|M - M^dag| = {defect:.3e} exceeds {tol:.1e}")
@@ -292,8 +300,4 @@ def read_state_file(path) -> DensityMatrix:
     payload = _load_payload(path)
     if "dims" not in payload:
         raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
-    dims = payload["dims"]
-    # JSON true decodes to a bool, which isinstance(x, int) would take as an integer
-    if not (isinstance(dims, list) and len(dims) == 2 and all(type(x) is int for x in dims)):
-        raise StateValidationError("dims", f"dims must be two integers [dA, dB], got {dims!r}")
-    return validate_density(_payload_matrix(payload), (dims[0], dims[1]))
+    return validate_density(_payload_matrix(payload), payload["dims"])

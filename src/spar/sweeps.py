@@ -23,6 +23,7 @@ relies on the predicate flipping once between its end points.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -228,27 +229,23 @@ def _state_blocks(
 ) -> Iterator[tuple[float, tuple, list[tuple[Verdict, float, float]]]]:
     """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
     the scores being :func:`spa_r_scores` over ``ps``; each state is scored
-    before the next is drawn, and a p outside [0, 1] raises at the first.
+    first, before the next is drawn, so a p outside [0, 1] raises at the first.
 
-    What cannot be computed is NaN rather than aborting the sweep: l and k
-    when the realigned trace is not positive or its spectrum not real, and
-    also the norm and bound (verdict inconclusive) when the trace is not
-    positive. q2 is None outside 3x3 systems.
+    What cannot be computed is NaN rather than aborting the sweep: when the
+    domain gate refuses the realigned trace, the norm and bound (verdict
+    inconclusive) and l and k, with no threshold run; l and k alone when the
+    spectrum is not real. q2 is None outside 3x3 systems.
     """
     nan = float("nan")
     for param, rho in states:
         r = as_realigned(rho)
-        try:
-            threshold = spa_threshold(r)
+        scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
+        with contextlib.suppress(DomainError):  # what raises keeps its NaN
+            scores = spa_r_scores(r, ps, verdict_tol)
+            threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
-        except DomainError:
-            l, k = nan, nan
         q1 = q1_realignment_moments(r)
         q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
-        try:
-            scores = spa_r_scores(r, ps, verdict_tol)
-        except DomainError:
-            scores = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps)
         yield param, (l, k, q1, q2), scores
 
 

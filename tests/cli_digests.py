@@ -18,7 +18,8 @@ certificate's threshold l and one ulp below it), ``estimate-m1``
 Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
 bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
 for a state whose realigned trace is zero, state and matrix files that do
-not decode and matrix files that decode but are unusable. State files are
+not decode, matrix files that decode but are unusable and state files whose
+dims the dims rule refuses. State files are
 written to a temporary directory that is the working directory while the
 commands run, so the messages that name them do not depend on where it is.
 """
@@ -158,6 +159,12 @@ UNDECODABLE = ("overflow.json", "latin1.json", "deep.json")
 UNUSABLE_PERM = ("infinite.json", "perm2.json", "swap3.json")
 
 
+# state files refused by the dims rule: a float, a bool and a single
+# dimension, each beside a valid 2 x 2 matrix, and dims 2 x 2 beside a 3 x 3 one
+BAD_DIMS = {"dims_float.json": [2, 2.0], "dims_bool.json": [True, 4], "dims_one.json": [2],
+            "dims_size.json": [2, 2]}
+
+
 def bad_input_commands() -> list[list[str]]:
     commands = [["analyze", "--state", "separable23.json", "--p", p] for p in ("7", "-0.5")]
     for name in UNDECODABLE:
@@ -170,6 +177,7 @@ def bad_input_commands() -> list[list[str]]:
     # a bad --p for a state whose realigned trace is zero: the weight is checked first
     commands += [[command, "--family", "isotropic", "--param", "-0.125", "--p", "2"]
                  for command in ("analyze", "estimate-m1")]
+    commands += [["analyze", "--state", name, "--p", "0.3"] for name in BAD_DIMS]
     return commands
 
 
@@ -205,6 +213,9 @@ def write_states() -> None:
         fh.write('{"matrix": [[1e400, 0]]}')
     _write_matrix("perm2.json", np.eye(2, dtype=complex) / 2, [1, 2])
     _write_matrix("swap3.json", swap_operator(3).astype(complex), [3, 3])
+    for name, dims in BAD_DIMS.items():
+        n = 3 if name == "dims_size.json" else 4
+        _write_matrix(name, np.eye(n, dtype=complex) / n, dims)
 
 
 def near_psd_state(d: int, eps: float, seed: int):

@@ -218,18 +218,6 @@ class TestAnalyze:
         message = f"realigned spectrum has imaginary part {worst:.3e}"
         assert err == f"error: domain violation: {message}\n"
 
-    @pytest.mark.parametrize("dims", ['["a", 2]', "[2.7, 2]", "[true, 4]", "[2, 2.0]",
-                                      "[2, null]"])
-    def test_dims_that_are_not_two_integers_exit_2(self, capsys, tmp_path, dims):
-        # a valid 2x2 (or 1x4) matrix, so only dims can be at fault
-        path = tmp_path / "state.json"
-        pairs = ",".join("[0.25, 0.0]" if i % 5 == 0 else "[0.0, 0.0]" for i in range(16))
-        path.write_text('{"dims": %s, "matrix": [%s]}' % (dims, pairs))
-        code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
-        assert (code, out) == (2, "")
-        message = f"dims must be two integers [dA, dB], got {json.loads(dims)!r}"
-        assert err == f"error: invalid state: dims: {message}\n"
-
     def test_printed_spa_r_trace_norm_is_the_computed_double(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "rho_t",
                            "--param", "0.3", "--p", "0.25")
@@ -321,10 +309,12 @@ class TestSweep:
 
     def test_decides_each_states_domain_once(self, capsys, monkeypatch):
         gates, _ = count_spa_checks(monkeypatch)
-        code, _, _ = run(capsys, "sweep", "--family", "rho_t", "--param-range=0.1:0.3:3",
-                         "--p-range=0:1:5")
-        assert code == 0
-        assert len(gates) == len({id(r) for r in gates}) == 3
+        # the gate refuses isotropic(-0.125), whose realigned trace is zero
+        for family, params in (("rho_t", "0.1:0.3:3"), ("isotropic", "-0.125:0.5:2")):
+            code, _, _ = run(capsys, "sweep", "--family", family, f"--param-range={params}",
+                             "--p-range=0:1:5")
+            assert code == 0
+        assert len(gates) == len({id(r) for r in gates}) == 5
 
     def test_param_major_ordering(self, capsys):
         _, out, _ = run(capsys, "sweep", "--family", "isotropic",

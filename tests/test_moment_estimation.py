@@ -66,7 +66,7 @@ class TestEstimationInput:
         with pytest.raises(ValueError, match="^s and k must be finite"):
             EstimationInput(s=s, d=2, k=k)
 
-    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 2.0, np.float64(3.0), True])
     def test_refuses_a_dimension_that_is_not_an_integer(self, d):
         with pytest.raises(ValueError, match="^d must be an integer"):
             EstimationInput(s=0.1, d=d, k=0.1)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from spar import (
     validate_density,
     realignment_moment,
 )
+import spar.linalg
+import spar.states
 from spar.linalg import power_trace, singular_values
 from spar.realign import RealignedMatrix, Verdict
 
@@ -280,6 +284,28 @@ def test_singular_values_with_caches_r_once_and_returns_the_others():
     assert np.array_equal(cached, singular_values(r.matrix))
     r.singular_values_with(other)
     assert r.singular_values is cached
+
+
+def test_realign_trusts_a_validated_state(monkeypatch, separable_22, separable_33,
+                                          schmidt_symmetric_states):
+    states = [rho_t(-0.5), rho_t(0.3), rho_a(0.8), isotropic(-0.125), isotropic(0.3, 5),
+              alpha_state(0.4), bell_density(3), random_separable(2, 3, terms=3, seed=8),
+              random_separable(3, 2, terms=2, seed=9), *separable_22[:50], *separable_33[:50],
+              *schmidt_symmetric_states[::4]]
+    want = [realign_matrix(rho.matrix, rho.dim_a, rho.dim_b) for rho in states]
+
+    def checked_again(*args):
+        raise AssertionError("a validated state was checked again")
+
+    monkeypatch.setattr(spar.linalg, "as_matrix", checked_again)
+    # the package attribute spar.realign is the function; patch its module
+    for module in (importlib.import_module("spar.realign"), spar.states):
+        monkeypatch.setattr(module, "require_dims", checked_again)
+    for rho, expected in zip(states, want):
+        r = realign(rho).matrix
+        assert (r.shape, r.dtype, r.tobytes()) == (expected.shape, expected.dtype,
+                                                   expected.tobytes())
+
 
 def test_criteria_accept_the_realigned_matrix():
     for rho in (rho_t(-0.5), isotropic(0.2), random_separable(2, 3, terms=2, seed=5)):

@@ -1,4 +1,5 @@
 import builtins
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from spar import (
     write_state_file,
 )
 import spar.linalg
+from spar.cli import main
 from spar.linalg import hermitian_eigenvalues
 from spar.realign import Verdict
 
@@ -30,12 +32,23 @@ def raw_rho_t(t):
     )
 
 
-# a dims pair that fails the one dimension rule, and its message
+# dims that fail the one dimension rule, and its message, whether they are given
+# to validate_density or realign_matrix or read from a state file
 BAD_DIMS = {
     "size": (np.eye(3) / 3, (2, 2), "matrix size 3 != dimA*dimB = 4"),
     "negative": (np.eye(4) / 4, (-2, -2), "must be positive integers, got -2 x -2"),
     "float": (np.eye(4) / 4, (2.0, 2.0), "must be positive integers, got 2.0 x 2.0"),
     "fraction": (np.eye(4) / 4, (2.9, 2.2), "must be positive integers, got 2.9 x 2.2"),
+    "bool": (np.eye(4) / 4, (True, 4), "must be positive integers, got True x 4"),
+    "one": (np.eye(4) / 4, [2], "must be a pair (dimA, dimB), got [2]"),
+    "int": (np.eye(4) / 4, 4, "must be a pair (dimA, dimB), got 4"),
+    "three": (np.eye(4) / 4, [2, 2, 1], "must be a pair (dimA, dimB), got [2, 2, 1]"),
+    "none": (np.eye(4) / 4, None, "must be a pair (dimA, dimB), got None"),
+    "file_string": (np.eye(4) / 4, ["a", 2], "must be positive integers, got a x 2"),
+    "file_fraction": (np.eye(4) / 4, [2.7, 2], "must be positive integers, got 2.7 x 2"),
+    "file_bool": (np.eye(4) / 4, [True, 4], "must be positive integers, got True x 4"),
+    "file_float": (np.eye(4) / 4, [2, 2.0], "must be positive integers, got 2 x 2.0"),
+    "file_null": (np.eye(4) / 4, [2, None], "must be positive integers, got 2 x None"),
 }
 
 
@@ -64,14 +77,22 @@ class TestValidateDensity:
         assert err.value.check == "dims"
 
     @pytest.mark.parametrize("case", sorted(BAD_DIMS))
-    def test_one_dimension_rule_for_states_and_realignment(self, case):
+    def test_one_dimension_rule_for_states_realignment_and_files(self, case, tmp_path, capsys):
         m, dims, message = BAD_DIMS[case]
+        path = tmp_path / "state.json"
+        flat = np.asarray(m, dtype=complex).reshape(-1)
+        path.write_text(json.dumps({"dims": dims, "matrix": [[z.real, z.imag] for z in flat]}))
+        calls = [lambda: validate_density(m, dims), lambda: read_state_file(path)]
+        if isinstance(dims, tuple | list) and len(dims) == 2:
+            calls.append(lambda: realign_matrix(m, *dims))
         refusals = set()
-        for call in (lambda: validate_density(m, dims), lambda: realign_matrix(m, *dims)):
+        for call in calls:
             with pytest.raises(StateValidationError) as err:
                 call()
             refusals.add((err.value.check, str(err.value)))
         assert refusals == {("dims", f"dims: {message}")}
+        assert main(["analyze", "--state", str(path), "--p", "0.3"]) == 2
+        assert capsys.readouterr() == ("", f"error: invalid state: dims: {message}\n")
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
