@@ -27,7 +27,7 @@ from spar import (
     q2_rmoment,
     rho_t,
     rho_t_reference_thresholds,
-    spa_r_verdict,
+    spa_r_scores,
     spa_threshold,
 )
 from spar.sweeps import bisect_boundary, csv_text, family_state, sweep_csv, table1_rows
@@ -68,27 +68,25 @@ def main():
     ]
     write_csv("comparison_q1_q2.csv", comparison, ["alpha", "q1", "q2"])
 
-    def detected(t, p=0.0):
-        return spa_r_verdict(rho_t(t), p) == Verdict.ENTANGLED
+    def detected(rho, p=0.0):
+        [(verdict, _, _)] = spa_r_scores(rho, [p])
+        return verdict == Verdict.ENTANGLED
 
     ref = rho_t_reference_thresholds(-0.7)
     boundaries = [
         {
             "quantity": "rho_t onset at p=0",
-            "value": bisect_boundary(detected, 0.10, 0.15, tol=1e-8),
+            "value": bisect_boundary(lambda t: detected(rho_t(t)), 0.10, 0.15, tol=1e-8),
             "reference": 1 - 5 * math.sqrt(2) / 8,
         },
         {
             "quantity": "rho_t upper p edge at t=-0.7",
-            "value": bisect_boundary(lambda p: detected(-0.7, p), 0.5, 0.9, tol=1e-8),
+            "value": bisect_boundary(lambda p: detected(rho_t(-0.7), p), 0.5, 0.9, tol=1e-8),
             "reference": ref.p2,
         },
         {
             "quantity": "isotropic boundary at p=0",
-            "value": bisect_boundary(
-                lambda b: spa_r_verdict(isotropic(b), 0.0) == Verdict.ENTANGLED,
-                0.2, 0.45, tol=1e-8,
-            ),
+            "value": bisect_boundary(lambda b: detected(isotropic(b)), 0.2, 0.45, tol=1e-8),
             "reference": 0.25,
         },
         {

@@ -21,8 +21,9 @@ written to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers of
 :func:`build_parser` get that same parser and must not mutate it.
 
 :func:`main` alone maps errors to exit codes: 0 success, 1 usage error
-(including an unwritable output path and ``--p`` outside [0, 1]), 2 invalid
-state file or undecodable state or matrix file, 3 domain violation.
+(including an unwritable output path, ``--p`` outside [0, 1] and an
+``estimate-m1`` option its mode does not read), 2 invalid or undecodable
+state file, 3 domain violation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
 from .realign import realign, realignment_criterion
 from .spa import certify_completely_positive, eigenvalue_offset, require_weights, spa_threshold
-from .states import DensityMatrix, read_matrix_file, read_state_file, write_state_file
+from .states import DensityMatrix, read_state_file, write_state_file
 from .sweeps import FAMILIES, csv_text, family_state, sweep_csv, table1_rows
 
 EXIT_OK = 0
@@ -77,7 +78,7 @@ def _emit_json(record: dict, out_path) -> None:
 
 
 def _load_state(args) -> tuple[DensityMatrix, dict]:
-    if args.family and args.state:
+    if args.state and (args.family or args.param is not None):
         raise ValueError("give either --family/--param or --state, not both")
     if args.state:
         rho = read_state_file(args.state)
@@ -205,18 +206,23 @@ def cmd_estimate_m1(args) -> int:
     With a state source, s is simulated at ``--p`` and k, unless given by
     ``--k``, is :func:`spar.spa.eigenvalue_offset`'s: the first two moments
     of R behind the trace and real-spectrum checks, without the higher
-    moments or the sign test of the full threshold.
+    moments or the sign test of the full threshold. Without one, s, d and k
+    are ``--s``, ``--d`` and ``--k``. Each mode refuses a missing option and
+    the options of the other before any state is built.
     """
     if args.state or args.family:
-        rho, _ = _load_state(args)
+        if args.s is not None or args.d is not None:
+            raise ValueError("--s and --d are not read with a state source, which gives s and d")
         if args.p is None:
             raise ValueError("--p is required when estimating from a state")
-        perm = read_matrix_file(args.perm) if args.perm else None
+        rho, _ = _load_state(args)
         r = realign(rho)
-        s = simulate_s(r, args.p, permutation=perm)
+        s = simulate_s(r, args.p)
         k = eigenvalue_offset(r)[1] if args.k is None else args.k
         d = r.dim_a
     else:
+        if args.p is not None or args.param is not None:
+            raise ValueError("--p and --param are read only with --state or --family")
         if args.s is None or args.d is None or args.k is None:
             raise ValueError("provide --s, --d and --k (or a state source)")
         s, d, k = args.s, args.d, args.k
@@ -294,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--param", type=_finite, default=None)
     pe.add_argument("--state", default=None)
     pe.add_argument("--p", type=_finite, default=None)
-    pe.add_argument("--perm", default=None,
-                    help="matrix file with a unit-trace observable (default: SWAP/d)")
     pe.set_defaults(func=cmd_estimate_m1)
     return parser
 

@@ -1,12 +1,12 @@
 """Bounding the first realignment moment from a single measurable scalar.
 
 The SPA output is a physical state, so s = Tr[spa(rho; p) P] is measurable
-for a trace-one permutation operator P (two-copy SWAP measurements at
-p >= l). Combining s with the mixing threshold data gives a quadratic
-inequality for m_1 = Tr[R(rho)], hence an interval, plus piecewise closed
-forms in two regimes of the offset k. The derivation chains approximations
-with inequalities, so the raw quadratic interval and the case bounds are
-both exposed and neither is fused with the other.
+for P = SWAP/d, the subsystem swap scaled to unit trace (two-copy SWAP
+measurements at p >= l). Combining s with the mixing threshold data gives a
+quadratic inequality for m_1 = Tr[R(rho)], hence an interval, plus piecewise
+closed forms in two regimes of the offset k. The derivation chains
+approximations with inequalities, so the raw quadratic interval and the case
+bounds are both exposed and neither is fused with the other.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .config import DEFAULT
-from .exceptions import DomainError, StateValidationError
+from .exceptions import DomainError
 from .realign import StateLike, as_realigned
 from .spa import apply_spa
 from .states import is_integer
@@ -140,27 +139,14 @@ def swap_operator(d: int) -> np.ndarray:
     return m
 
 
-def simulate_s(rho: StateLike, p: float, permutation=None) -> float:
-    """Numerically evaluate s = Tr[spa(rho; p) P].
+def simulate_s(rho: StateLike, p: float) -> float:
+    """Numerically evaluate s = Tr[spa(rho; p) P] for P = SWAP/d.
 
-    ``permutation`` defaults to SWAP/d, the canonical trace-one permutation
-    operator on two copies; any of unit trace (within ``DEFAULT.validation``) is
-    accepted; one of the wrong shape or trace raises ``StateValidationError``.
     The imaginary part of the expectation must vanish within tolerance.
     """
     r = as_realigned(rho)
     spa = apply_spa(r, [p])[0]
-    if permutation is None:
-        permutation = swap_operator(r.dim_a) / r.dim_a
-    perm = linalg.as_matrix(permutation)
-    if perm.shape != spa.shape:
-        raise StateValidationError(
-            "shape", f"permutation operator has shape {perm.shape}, expected {spa.shape}")
-    tr_p = complex(np.trace(perm))
-    if abs(tr_p - 1.0) > DEFAULT.validation:
-        raise StateValidationError(
-            "trace", f"permutation operator must have unit trace, got {tr_p}")
-    value = complex(np.trace(spa @ perm))
+    value = complex(np.trace(spa @ (swap_operator(r.dim_a) / r.dim_a)))
     if abs(value.imag) > DEFAULT.moment_imag:
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return value.real

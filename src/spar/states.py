@@ -37,7 +37,7 @@ __all__ = [
 RHO_T_MAX = math.sqrt(2.5) / 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """A validated bipartite state with subsystem dimensions (dimA, dimB).
 
@@ -45,12 +45,16 @@ class DensityMatrix:
     trusts: ``matrix`` is finite, square, of size dimA*dimB and the state's own
     read-only copy. ``spectrum`` holds its eigenvalues in ascending order,
     read-only, as :func:`validate_density` computed them for its PSD check.
+    Calling the class raises ``TypeError``, so no unchecked matrix gets in.
     """
 
     dim_a: int
     dim_b: int
     matrix: np.ndarray = field(repr=False)
     spectrum: np.ndarray = field(repr=False)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DensityMatrix is built only by validate_density")
 
     @property
     def dim(self) -> int:
@@ -103,7 +107,9 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
-    return DensityMatrix(dim_a, dim_b, read_only(a), read_only(spectrum))
+    rho = object.__new__(DensityMatrix)  # past the __init__ that refuses every other caller
+    vars(rho).update(dim_a=dim_a, dim_b=dim_b, matrix=read_only(a), spectrum=read_only(spectrum))
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +268,8 @@ def write_state_file(path, rho: DensityMatrix) -> None:
         fh.write(json.dumps(payload) + "\n")
 
 
-def _load_payload(path) -> dict:
+def read_state_file(path) -> DensityMatrix:
+    """Read and validate a state file written by :func:`write_state_file`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -270,34 +277,15 @@ def _load_payload(path) -> dict:
             # bad JSON, text that is not UTF-8, an integer past the digit
             # limit of int(), or arrays nested past the recursion limit
             raise StateValidationError("finite", f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise StateValidationError("dims", "file needs a 'matrix' field")
-    return payload
-
-
-def read_matrix_file(path) -> np.ndarray:
-    """Read a square matrix of finite entries in the state-file layout,
-    without density checks."""
-    return linalg.as_matrix(_payload_matrix(_load_payload(path)))
-
-
-def _payload_matrix(payload: dict) -> np.ndarray:
-    raw = payload["matrix"]
+    if not (isinstance(payload, dict) and "dims" in payload and "matrix" in payload):
+        raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
     try:
-        flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
+        flat = np.array([complex(re, im) for re, im in payload["matrix"]], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateValidationError("finite", f"matrix entries must be [re, im] pairs: {exc}") from exc
     except OverflowError as exc:
         raise StateValidationError("finite", f"matrix entry too large for a double: {exc}") from exc
-    n = int(round(math.isqrt(flat.size)))
+    n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise StateValidationError("shape", f"matrix length {flat.size} is not a perfect square")
-    return flat.reshape(n, n)
-
-
-def read_state_file(path) -> DensityMatrix:
-    """Read and validate a state file written by :func:`write_state_file`."""
-    payload = _load_payload(path)
-    if "dims" not in payload:
-        raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
-    return validate_density(_payload_matrix(payload), payload["dims"])
+    return validate_density(flat.reshape(n, n), payload["dims"])

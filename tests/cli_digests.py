@@ -3,9 +3,11 @@
 
 Each command runs in process through ``spar.cli.main``. One line is printed
 per command: the command, its exit code, and the SHA-256 of its exit code,
-stdout and stderr. Two checkouts whose lines are equal gave the same bytes and exit
-codes on every command, so a change that claims identical output is checked
-by diffing this script's output at both (pytest does not collect it):
+stdout, stderr and the name and bytes of each file that its ``--out`` or
+``--dump-states`` wrote (each given as the next argument). Two checkouts
+whose lines are equal gave the same bytes and exit codes on every command,
+so a change that claims identical output is checked by diffing this
+script's output at both (pytest does not collect it):
 
     PYTHONPATH=src python3 tests/cli_digests.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python3 tests/cli_digests.py > before.txt
@@ -15,11 +17,12 @@ The list covers ``sweep`` over all four families (random and negative
 ranges, ``--tol 0``, p-ranges ending at 1), ``analyze`` (also at the CP
 certificate's threshold l and one ulp below it), ``estimate-m1``
 (also on d = 4..6 state files with a Hermitian realignment: isotropic,
-Schmidt-symmetric and near-PSD), ``table1``, and usage, domain and
-bad-state errors, among them ``--p`` out of range for a 2 x 3 state and
-for a state whose realigned trace is zero, state and matrix files that do
-not decode, matrix files that decode but are unusable and state files whose
-dims the dims rule refuses. State files are
+Schmidt-symmetric and near-PSD), ``table1``, output to files, help text,
+and usage, domain and bad-state errors, among them ``--p`` out of range for
+a 2 x 3 state and for a state whose realigned trace is zero, options that
+the mode of ``estimate-m1`` does not read, state files that do not decode
+and state files whose dims the dims rule refuses. Every option of every
+subcommand appears in at least one command. State files are
 written to a temporary directory that is the working directory while the
 commands run, so the messages that name them do not depend on where it is.
 """
@@ -43,7 +46,6 @@ from spar import (
     random_schmidt_symmetric,
     random_separable,
     rho_t,
-    swap_operator,
     validate_density,
     write_state_file,
 )
@@ -143,20 +145,23 @@ def estimate_commands(rng: random.Random) -> list[list[str]]:
         ["estimate-m1", "--family", "rho_t", "--param", "0.3"],
         ["estimate-m1", "--s", "0.9", "--d", "2", "--k", "0.1"],
         ["estimate-m1", "--s", "0.1"],
+        # an option that the mode or the state source does not read
+        ["estimate-m1", "--state", "separable.json", "--param", "0.3", "--p", "0.5"],
+        ["estimate-m1", "--family", "rho_a", "--param", "0.8", "--p", "0.9", "--s", "0.2",
+         "--d", "7"],
+        ["estimate-m1", "--s", "0.1", "--d", "2", "--k", "0", "--p", "0.3"],
     ]
     return commands
 
 
 def other_commands() -> list[list[str]]:
-    return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"], ["sweep", "--help"]]
+    return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"], ["sweep", "--help"],
+            ["--help"], ["analyze", "--help"], ["table1", "--help"], ["estimate-m1", "-h"]]
 
 
 # files that do not decode: an entry too large for a double, text that is
 # not UTF-8, and arrays nested past the recursion limit
 UNDECODABLE = ("overflow.json", "latin1.json", "deep.json")
-# matrix files that decode but are no observable for a two-qutrit state: an
-# infinite entry, a 2 x 2 matrix and SWAP, whose trace is 3, not 1
-UNUSABLE_PERM = ("infinite.json", "perm2.json", "swap3.json")
 
 
 # state files refused by the dims rule: a float, a bool and a single
@@ -167,18 +172,37 @@ BAD_DIMS = {"dims_float.json": [2, 2.0], "dims_bool.json": [True, 4], "dims_one.
 
 def bad_input_commands() -> list[list[str]]:
     commands = [["analyze", "--state", "separable23.json", "--p", p] for p in ("7", "-0.5")]
-    for name in UNDECODABLE:
-        commands += [["analyze", "--state", name, "--p", "0.3"],
-                     ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
-                      "--perm", name]]
-    for name in UNUSABLE_PERM:
-        commands.append(["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
-                         "--perm", name])
+    commands += [["analyze", "--state", UNDECODABLE[0], "--p", "0.3"],
+                 # estimate-m1 measures s against SWAP/d only: no --perm option
+                 ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
+                  "--perm", UNDECODABLE[0]]]
+    commands += [["analyze", "--state", name, "--p", "0.3"] for name in UNDECODABLE[1:]]
     # a bad --p for a state whose realigned trace is zero: the weight is checked first
     commands += [[command, "--family", "isotropic", "--param", "-0.125", "--p", "2"]
                  for command in ("analyze", "estimate-m1")]
     commands += [["analyze", "--state", name, "--p", "0.3"] for name in BAD_DIMS]
     return commands
+
+
+def output_commands() -> list[list[str]]:
+    """Each subcommand writing to a file, and one output path that cannot be written."""
+    return [
+        ["analyze", "--family", "rho_t", "--param", "-0.7", "--p", "0.5", "--out", "analyze.json"],
+        ["sweep", "--family", "alpha_state", "--param-range=0.2:0.8:3", "--p-range=0:1:5",
+         "--out", "sweep.csv", "--dump-states", "dumped"],
+        ["table1", "--out", "table1.csv"],
+        ["estimate-m1", "--state", "isotropic4.json", "--p", "1", "--out", "estimate.json"],
+        ["analyze", "--family", "rho_t", "--param", "0.2", "--p", "0.5",
+         "--out", "missing/analyze.json"],
+    ]
+
+
+def commands() -> list[list[str]]:
+    """The fixed list of commands, in the order of the listing."""
+    rng = random.Random(SEED)
+    return (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
+            + large_state_commands() + other_commands() + bad_input_commands()
+            + output_commands())
 
 
 def _write_matrix(name: str, m: np.ndarray, dims: list[int]) -> None:
@@ -209,10 +233,6 @@ def write_states() -> None:
         fh.write('{"dims": [1, 1], "matrix": [[1, 0]], "note": "\u00e9"}'.encode("latin-1"))
     with open("deep.json", "w", encoding="utf-8") as fh:
         fh.write('{"dims": [1, 1], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    with open("infinite.json", "w", encoding="utf-8") as fh:
-        fh.write('{"matrix": [[1e400, 0]]}')
-    _write_matrix("perm2.json", np.eye(2, dtype=complex) / 2, [1, 2])
-    _write_matrix("swap3.json", swap_operator(3).astype(complex), [3, 3])
     for name, dims in BAD_DIMS.items():
         n = 3 if name == "dims_size.json" else 4
         _write_matrix(name, np.eye(n, dtype=complex) / n, dims)
@@ -228,30 +248,44 @@ def near_psd_state(d: int, eps: float, seed: int):
     return validate_density(m / np.trace(m).real, (d, d))
 
 
+def written(argv: list[str]) -> list[bytes]:
+    """The name and bytes of each file that ``--out`` or ``--dump-states`` wrote."""
+    paths = []
+    for option, path in zip(argv, argv[1:]):
+        if option == "--out" and os.path.isfile(path):
+            paths.append(path)
+        elif option == "--dump-states" and os.path.isdir(path):
+            paths += sorted(os.path.join(path, name) for name in os.listdir(path))
+    parts = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            parts += [path.encode("utf-8"), fh.read()]
+    return parts
+
+
 def digest(argv: list[str]) -> str:
-    """The exit code, then the SHA-256 of exit code, stdout and stderr."""
+    """The exit code, then the SHA-256 of exit code, stdout, stderr and the
+    files that the command wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     h = hashlib.sha256()
-    for part in (str(code), out.getvalue(), err.getvalue()):
-        data = part.encode("utf-8")
+    for data in [str(code).encode("utf-8"), out.getvalue().encode("utf-8"),
+                 err.getvalue().encode("utf-8"), *written(argv)]:
         h.update(len(data).to_bytes(8, "little"))
         h.update(data)
     return f"{code}  {h.hexdigest()}"
 
 
 def main_digests() -> int:
-    rng = random.Random(SEED)
-    commands = (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
-                + large_state_commands() + other_commands() + bad_input_commands())
     home = os.getcwd()
     os.environ["COLUMNS"] = "80"  # usage and help text wrap at the terminal width
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             write_states()
-            lines = [f"{shlex.join(argv) or '(no arguments)'}  {digest(argv)}" for argv in commands]
+            lines = [f"{shlex.join(argv) or '(no arguments)'}  {digest(argv)}"
+                     for argv in commands()]
         finally:
             os.chdir(home)
     sys.stdout.write("\n".join(lines) + "\n")

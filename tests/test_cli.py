@@ -18,12 +18,12 @@ from spar import (
     read_state_file,
     rho_t,
     spa_threshold,
-    swap_operator,
     sweeps,
     write_state_file,
 )
 from spar.cli import main
 
+import cli_digests
 from util import count_spa_checks, near_psd_state, sweep_reference
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
@@ -238,45 +238,22 @@ UNDECODABLE_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("command", ["analyze", "estimate-m1"])
 @pytest.mark.parametrize("name", UNDECODABLE)
-def test_file_that_does_not_decode_exits_2(capsys, tmp_path, command, name):
+def test_file_that_does_not_decode_exits_2(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_bytes(UNDECODABLE[name])
-    argv = (["analyze", "--state", str(path), "--p", "0.3"] if command == "analyze" else
-            ["estimate-m1", "--family", "isotropic", "--param", "0.5", "--p", "0.1",
-             "--perm", str(path)])
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: invalid state: finite: {UNDECODABLE_MESSAGES[name]}")
     assert "Traceback" not in err
 
 
-UNUSABLE_PERM = {
-    "infinite": ('{"matrix": [[1e400, 0]]}', "finite: matrix contains non-finite entries"),
-    "wrong_shape": ('{"matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
-                    "shape: permutation operator has shape (2, 2), expected (9, 9)"),
-    # SWAP itself, not SWAP/d: its trace is d = 3
-    "trace": (json.dumps({"matrix": [[x, 0] for x in swap_operator(3).reshape(-1).tolist()]}),
-              "trace: permutation operator must have unit trace, got (3+0j)"),
-}
-
-
-@pytest.mark.parametrize("name", UNUSABLE_PERM)
-def test_perm_file_that_decodes_but_is_unusable_exits_2(capsys, tmp_path, name):
-    text, message = UNUSABLE_PERM[name]
-    path = tmp_path / "perm.json"
-    path.write_text(text)
-    code, out, err = run(capsys, "estimate-m1", "--family", "isotropic", "--param", "0.5",
-                         "--p", "0.1", "--perm", str(path))
-    assert (code, out, err) == (2, "", f"error: invalid state: {message}\n")
-
-
-def test_state_file_with_a_non_finite_entry_exits_2_as_a_perm_file_does(capsys, tmp_path):
+def test_state_file_with_a_non_finite_entry_exits_2(capsys, tmp_path):
     path = tmp_path / "state.json"
     path.write_text('{"dims": [1, 1], "matrix": [[1e400, 0]]}')
     code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
-    assert (code, out, err) == (2, "", f"error: invalid state: {UNUSABLE_PERM['infinite'][1]}\n")
+    message = "finite: matrix contains non-finite entries"
+    assert (code, out, err) == (2, "", f"error: invalid state: {message}\n")
 
 
 class TestSweep:
@@ -454,6 +431,10 @@ class TestTable1:
         assert out.encode() == (RESULTS / "table1.csv").read_bytes()
 
 
+STATE_MODE = "--s and --d are not read with a state source, which gives s and d"
+VALUE_MODE = "--p and --param are read only with --state or --family"
+
+
 class TestEstimateM1:
     def test_zero_offset(self, capsys):
         code, out, _ = run(capsys, "estimate-m1", "--s", "0.2", "--d", "2", "--k", "0")
@@ -487,38 +468,19 @@ class TestEstimateM1:
         assert code == 3
         assert "domain" in err
 
-    def test_from_state_with_custom_observable(self, capsys, tmp_path):
-        perm = tmp_path / "perm.json"
-        pairs = ",".join("[0.1111111111111111, 0.0]" if i % 10 == 0 else "[0.0, 0.0]"
-                         for i in range(81))
-        perm.write_text('{"matrix": [%s]}' % pairs)
-        code, out, _ = run(capsys, "estimate-m1", "--family", "isotropic",
-                           "--param", "0.6", "--p", "0.1", "--perm", str(perm))
-        assert code == 0
-        record = json.loads(out)
-        assert record["d"] == 3
-        assert record["k"] == 0
-        assert record["quadratic"]["lower"] == 0
-        assert record["quadratic"]["upper"] == pytest.approx(record["s"])
-        assert np.isfinite(record["case_bounds"]["upper"])
-
     @pytest.mark.parametrize("rho", (
         [isotropic(b, d) for d in range(2, 7) for b in (0.1, 0.8)]
         + [random_schmidt_symmetric(d, d, seed=d) for d in range(2, 6)]
         + [near_psd_state(d, eps, seed=14) for d in (3, 4) for eps in (1e-4, 1e-6, 1e-8)]
     ), ids=repr)
     def test_k_is_the_thresholds_k(self, capsys, tmp_path, monkeypatch, rho):
-        path, perm = tmp_path / "state.json", tmp_path / "perm.json"
+        path = tmp_path / "state.json"
         write_state_file(str(path), rho)
-        # I/n: s = 1/d^2 and x = 0, so every state gets its intervals
-        pairs = ",".join(f"[{1 / rho.dim!r}, 0.0]" if i % (rho.dim + 1) == 0 else "[0.0, 0.0]"
-                         for i in range(rho.dim ** 2))
-        perm.write_text('{"matrix": [%s]}' % pairs)
         eigensolves, newton = [], []
         monkeypatch.setattr(spar.linalg, "general_eigenvalues", eigensolves.append)
         monkeypatch.setattr(spar.spa, "newton_coefficients", newton.append)
-        code, out, _ = run(capsys, "estimate-m1", "--state", str(path), "--p", "0.2",
-                           "--perm", str(perm))
+        # at p = 1, s = 1/d^2 and x = 0 up to rounding, so every state gets its intervals
+        code, out, _ = run(capsys, "estimate-m1", "--state", str(path), "--p", "1")
         assert code == 0
         assert eigensolves == []  # R is Hermitian
         assert newton == []  # k needs m_1 and m_2 only
@@ -534,6 +496,33 @@ class TestEstimateM1:
         assert code == 1
         assert "estimate-m1 needs --state or --family with --param" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "rho_a", "--param", "0.8", "--p", "0.9", "--s", "0.2", "--d", "7"],
+         STATE_MODE),
+        (["--state", "state.json", "--p", "0.9", "--d", "3"], STATE_MODE),
+        (["--family", "rho_a", "--param", "0.8", "--p", "0.9", "--s", "0.2", "--k", "0"],
+         STATE_MODE),
+        (["--s", "0.1", "--d", "2", "--k", "0", "--p", "0.3"], VALUE_MODE),
+        (["--s", "0.1", "--d", "2", "--k", "0", "--param", "0.3"], VALUE_MODE),
+    ], ids=["state-s-d", "state-d", "state-s-k", "values-p", "values-param"])
+    def test_an_option_the_mode_does_not_read_exits_1_before_a_state_is_built(
+            self, capsys, monkeypatch, argv, message):
+        built = []
+        monkeypatch.setattr(cli, "family_state", built.append)
+        monkeypatch.setattr(cli, "read_state_file", built.append)
+        code, out, err = run(capsys, "estimate-m1", *argv)
+        assert (code, out, err, built) == (1, "", f"error: {message}\n", [])
+
+    def test_a_state_without_p_exits_1_before_it_is_read(self, capsys):
+        code, out, err = run(capsys, "estimate-m1", "--state", "missing.json")
+        assert (code, out, err) == (1, "", "error: --p is required when estimating from a state\n")
+
+    def test_perm_is_an_unrecognized_argument(self, capsys):
+        code, out, err = run(capsys, "estimate-m1", "--family", "isotropic", "--param", "0.5",
+                             "--p", "0.1", "--perm", "x.json")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --perm x.json\n")
+
 
 @pytest.mark.parametrize("option, argv", [
     ("--tol", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "0", "--tol", "-0.5"]),
@@ -548,6 +537,14 @@ def test_unsound_or_non_finite_number_exits_1(capsys, option, argv):
     assert code == 1
     assert out == ""
     assert f"argument {option}: must be " in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate-m1"])
+def test_a_state_file_with_param_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "state.json"
+    write_state_file(path, rho_t(0.3))
+    code, out, err = run(capsys, command, "--state", str(path), "--param", "0.3", "--p", "0.5")
+    assert (code, out, err) == (1, "", "error: give either --family/--param or --state, not both\n")
 
 
 def test_unknown_command_exits_1():
@@ -637,3 +634,26 @@ def test_cli_bytes_match_the_committed_digest_listing():
         command = line.rsplit("  ", 2)[0]
         assert line == expected, f"first command whose digest differs: {command}"
     assert len(got) == len(want)
+
+
+def test_every_option_is_in_the_digest_listing():
+    # each option of each subcommand, by any of its strings, in a command of
+    # that subcommand, and each option string somewhere in the listing
+    parser = cli.build_parser()
+    [subcommands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {None: parser, **subcommands.choices}
+    listed = cli_digests.commands()
+
+    def used(argvs):
+        return {arg.split("=")[0] for argv in argvs for arg in argv}
+
+    def subcommand(argv):
+        return argv[0] if argv and argv[0] in subcommands.choices else None
+
+    missing = []
+    for name, sub in parsers.items():
+        mine = used(argv for argv in listed if subcommand(argv) == name)
+        options = [a.option_strings for a in sub._actions if a.option_strings]
+        missing += [f"{name} {strings[-1]}" for strings in options if not mine & set(strings)]
+        missing += [f"{name} {s}" for strings in options for s in strings if s not in used(listed)]
+    assert missing == []

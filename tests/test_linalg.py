@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from spar import StateValidationError, linalg, validate_density
 from spar.realign import realign_matrix
-from spar.states import read_matrix_file, rho_t
+from spar.states import read_state_file, rho_t
 
 from util import random_complex, random_hermitian, random_unitary, rng_for
 
 
 # inputs that the matrix rule refuses: the input, the check and message that
 # every function gives (None: numpy's own text), whether singular_values takes
-# it (a stack, a rectangular matrix), and the fault in the matrix-file layout
+# it (a stack, a rectangular matrix), and the fault in the state-file layout
 BAD_MATRICES = {
     "ndim_0": (0.25, "shape", "expected a 2-D matrix, got ndim=0", False, None),
     "ndim_1": (np.zeros(4), "shape", "expected a 2-D matrix, got ndim=1", False,
@@ -54,15 +54,15 @@ def test_every_function_refuses_a_matrix_with_one_check_and_message(case):
 
 
 @pytest.mark.parametrize("case", sorted(name for name, row in BAD_MATRICES.items() if row[4]))
-def test_a_matrix_file_fails_the_same_check(tmp_path, case):
+def test_a_state_file_fails_the_same_check(tmp_path, case):
     # the layout is a flat list of [re, im] pairs, reshaped square: an ndim=1
     # or ragged matrix shows there as a pair count that is not a square or a
     # pair that is not two numbers, with the reader's own message; an
     # infinite entry is the same fault with the same message
     m, check, _, _, pairs = BAD_MATRICES[case]
-    path = tmp_path / "matrix.json"
-    path.write_text(f'{{"matrix": {pairs}}}')
-    got_check, text = refusal(read_matrix_file, str(path))
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"dims": [2, 2], "matrix": {pairs}}}')
+    got_check, text = refusal(read_state_file, str(path))
     assert got_check == check
     if case == "inf":
         assert (got_check, text) == refusal(linalg.as_matrix, m)

@@ -14,7 +14,6 @@ from spar import (
     realign,
     rho_t,
     simulate_s,
-    StateValidationError,
     spa_threshold,
     swap_operator,
     validate_density,
@@ -119,12 +118,6 @@ class TestCaseBounds:
 
 
 class TestSimulateS:
-    def test_identity_permutation_gives_inverse_dimension(self):
-        for rho in (rho_t(0.4), isotropic(0.5)):
-            n = rho.dim_a ** 2
-            s = simulate_s(rho, 0.3, permutation=np.eye(n) / n)
-            assert s == pytest.approx(1 / n, abs=1e-12)
-
     def test_full_depolarization(self):
         rho = isotropic(0.8)
         s = simulate_s(rho, 1.0)
@@ -136,15 +129,6 @@ class TestSimulateS:
         # spa at p=0 is R/Tr[R]; with R = (e0+e3)(e0+e3)^T/4 and Tr[R] = 1/2
         # the SWAP expectation evaluates to 1/2
         assert simulate_s(rho, 0.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_unnormalized_permutation(self):
-        message = r"^trace: permutation operator must have unit trace, got \(4\+0j\)$"
-        with pytest.raises(StateValidationError, match=message):
-            simulate_s(rho_t(0.3), 0.2, permutation=np.eye(4))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(StateValidationError, match=r"^shape: .*\(9, 9\), expected \(4, 4\)"):
-            simulate_s(rho_t(0.3), 0.2, permutation=np.eye(9) / 9)
 
 
 class TestContainmentReport:

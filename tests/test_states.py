@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from spar import (
     RHO_T_MAX,
+    DensityMatrix,
     StateValidationError,
     alpha_state,
     bell_state,
@@ -129,6 +131,18 @@ class TestValidateDensity:
         rho = validate_density(m, (6, 6))
         assert (len(scans), len(defects)) == (1, 1)
         assert np.array_equal(rho.spectrum, hermitian_eigenvalues(m))
+
+
+    @pytest.mark.parametrize("build", [
+        # realign's reshape failed on this one, and realigned the NaN one
+        lambda: DensityMatrix(2, 2, np.eye(3), np.zeros(3)),
+        lambda: DensityMatrix(dim_a=2, dim_b=2, matrix=np.full((4, 4), np.nan),
+                              spectrum=np.zeros(4)),
+        lambda: dataclasses.replace(rho_t(0.3), matrix=np.full((4, 4), np.nan)),
+    ], ids=["wrong_size", "nan", "replace"])
+    def test_is_the_only_way_to_build_a_state(self, build):
+        with pytest.raises(TypeError, match="^a DensityMatrix is built only by validate_density$"):
+            build()
 
 
 class TestFamilies:
@@ -262,6 +276,15 @@ class TestStateFiles:
         path.write_text("not json at all")
         with pytest.raises(StateValidationError):
             read_state_file(path)
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '"x"', '{"dims": [1, 1]}',
+                                      '{"matrix": [[1, 0]]}'])
+    def test_one_message_for_a_file_without_both_fields(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(StateValidationError) as err:
+            read_state_file(path)
+        assert str(err.value) == "dims: state file needs 'dims' and 'matrix' fields"
 
     def test_rejects_invalid_state(self, tmp_path):
         path = tmp_path / "bad_state.json"
