@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, spa
 from .config import DEFAULT
 from .realign import (
     RealignedMatrix,
@@ -56,14 +56,27 @@ def spa_r_scores(
 
     The whole grid is one stack of SPA matrices and one stacked SVD; each
     norm is the same double as for that p alone. Checks as :func:`apply_spa`:
-    p, then the domain gate. An empty grid scores nothing and checks nothing.
+    the grid with ``spa.require_weights``, then the domain gate, then scores
+    with :func:`_spa_r_norms`. An empty grid scores nothing and checks nothing.
     """
     ps = list(ps)
     if not ps:
         return []
     r = as_realigned(rho)
-    spa = apply_spa(r, ps)
-    return _score_spa_r(linalg.trace_norm(spa).tolist(), r.spa_trace, ps, tol)
+    _, weights = spa.require_weights(ps)
+    trace_r = r.spa_trace
+    return _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps, tol)
+
+
+def _spa_r_norms(r: RealignedMatrix, trace_r: float, weights: list[float]) -> list[float]:
+    """||spa(rho; w)||_1 per weight as Python floats, from one stacked SVD.
+
+    The scorer behind :func:`spa_r_scores` for weights already checked and a
+    trace already read through the domain gate; like ``spa._mixture`` it
+    checks neither, so a sweep checks its grid once and a boundary search,
+    whose probes lie on [0, 1] by construction, checks none.
+    """
+    return linalg.singular_values(spa._mixture(r, trace_r, weights)).sum(axis=-1).tolist()
 
 
 def _score_spa_r(
@@ -180,10 +193,11 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     separate SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
-    spa = apply_spa(r, [p])[0]
+    mixture = apply_spa(r, [p])[0]
     trace_r = r.spa_trace
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
-    sigma = r.singular_values_with(spa, spa - r.matrix, *([r.state.matrix] if with_q2 else []))
+    sigma = r.singular_values_with(mixture, mixture - r.matrix,
+                                   *([r.state.matrix] if with_q2 else []))
     realignment_verdict, score = realignment_criterion(r, tol)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
     [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p], tol)

@@ -241,8 +241,12 @@ def require_weights(p: float | Sequence[float]) -> tuple[bool, list[float]]:
 def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
 
-    Checks every weight with :func:`require_weights`, then the domain gate
-    ``RealignedMatrix.spa_trace``; the output always has unit trace. Unlike
+    Three steps: every weight checked with :func:`require_weights`, then the
+    domain gate ``RealignedMatrix.spa_trace``, then the mixture built by
+    :func:`_mixture`, the package's one copy of the SPA arithmetic. Callers
+    that checked their weights and ran the gate already (a sweep after its
+    first state, a boundary search for each of its probes) build through
+    :func:`_mixture` alone. The output always has unit trace. Unlike
     :func:`spa_threshold` this does not gate on a real realigned spectrum,
     since the mixture and its trace norm are well defined without it.
 
@@ -253,13 +257,19 @@ def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
     """
     stacked, values = require_weights(p)
     r = as_realigned(rho)
-    trace_r = r.spa_trace
+    spa = _mixture(r, r.spa_trace, values)
+    return spa if stacked else spa[0]
+
+
+def _mixture(r: RealignedMatrix, trace_r: float, weights: list[float]) -> np.ndarray:
+    """The stack of SPA matrices (w/n) I + ((1-w)/Tr[R]) R, one per weight w,
+    for weights already checked by :func:`require_weights` and ``trace_r``
+    already read through the domain gate; nothing here checks either."""
     n = r.dim_a * r.dim_b
     # the mixing weights as Python floats, with the arithmetic of a single p
-    coef = np.array([(w / n, (1.0 - w) / trace_r) for w in values], dtype=np.complex128)
+    coef = np.array([(w / n, (1.0 - w) / trace_r) for w in weights], dtype=np.complex128)
     coef = coef.reshape(-1, 2, 1, 1)
-    spa = coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
-    return spa if stacked else spa[0]
+    return coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
 
 
 def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCertificate:

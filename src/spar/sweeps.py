@@ -4,7 +4,9 @@ Grid evaluation is deterministic and parameter-major. Each parameter row
 scores its whole p-grid with one stacked SVD (one LAPACK call for all the
 SPA matrices of the row); every norm is the same double as a per-cell
 evaluation would give, so the rows are byte for byte those of a cell-by-cell
-loop.
+loop. A sweep checks its p-grid once, at its first state, and runs each
+state's domain gate once; a boundary search runs the gate once and checks no
+p, since every point it probes lies on [0, 1] by construction.
 
 One per-state helper feeds two views of a sweep table: :func:`sweep_rows`
 (dicts) and :func:`sweep_csv` (the CSV text of ``spar sweep`` and the
@@ -29,8 +31,15 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+from . import spa
 from .config import DEFAULT
-from .criteria import q1_realignment_moments, q2_rmoment, spa_r_scores
+from .criteria import (
+    _score_spa_r,
+    _spa_r_norms,
+    q1_realignment_moments,
+    q2_rmoment,
+    spa_r_upper_bound,
+)
 from .exceptions import DomainError
 from .realign import StateLike, Verdict, as_realigned
 from .spa import spa_threshold
@@ -209,10 +218,12 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
+    trace_r = r.spa_trace
 
     def excess(p: float) -> float:
-        [(_, norm, bound)] = spa_r_scores(r, [p])
-        return Verdict.margin(norm, bound, DEFAULT.verdict)
+        # p = k h lies on [0, 1] by construction, so no probe checks its weight
+        [norm] = _spa_r_norms(r, trace_r, [p])
+        return Verdict.margin(norm, spa_r_upper_bound(trace_r, p), DEFAULT.verdict)
 
     g0 = excess(0.0)
     if g0 <= 0:
@@ -228,8 +239,13 @@ def _state_blocks(
     states: Iterable[tuple[float, StateLike]], ps: list[float], verdict_tol: float
 ) -> Iterator[tuple[float, tuple, list[tuple[Verdict, float, float]]]]:
     """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
-    the scores being :func:`spa_r_scores` over ``ps``; each state is scored
-    first, before the next is drawn, so a p outside [0, 1] raises at the first.
+    the scores being those of :func:`spa_r_scores` over ``ps``; each state is
+    scored first, before the next is drawn.
+
+    ``ps`` is checked once, through ``spa.require_weights`` at the first
+    state, so a p outside [0, 1] raises before that state's gate, q1, q2 and
+    threshold, and a sweep of no states checks nothing. Each state then runs
+    its own domain gate and is scored by :func:`_spa_r_norms`.
 
     What cannot be computed is NaN rather than aborting the sweep: when the
     domain gate refuses the realigned trace, the norm and bound (verdict
@@ -237,11 +253,15 @@ def _state_blocks(
     spectrum is not real. q2 is None outside 3x3 systems.
     """
     nan = float("nan")
+    weights = None  # ps as checked floats, once the first state is drawn
     for param, rho in states:
         r = as_realigned(rho)
+        if weights is None:
+            _, weights = spa.require_weights(ps)
         scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            scores = spa_r_scores(r, ps, verdict_tol)
+            trace_r = r.spa_trace
+            scores = _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps, verdict_tol)
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)

@@ -302,8 +302,7 @@ class TestDomainGate:
             weights.clear()
             call(rho)
             assert len(gates) == 1
-            if name != "violation_p_max":  # each of its probes checks its own p
-                assert len(weights) == (name in WITH_P)
+            assert len(weights) == (name in WITH_P)
 
     def test_the_trace_is_the_analysis_trace(self):
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):

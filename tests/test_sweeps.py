@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spar import (
     DEFAULT,
@@ -25,6 +27,7 @@ from spar import (
 )
 from spar import sweeps
 from spar.criteria import spa_r_scores
+from spar.states import RHO_T_MAX
 from spar.sweeps import (
     SWEEP_COLUMNS,
     TABLE1_ALPHAS,
@@ -36,7 +39,7 @@ from spar.sweeps import (
     violation_p_max,
 )
 
-from util import csv_writer_text, family_pairs, sweep_reference, time_limit
+from util import count_spa_checks, csv_writer_text, family_pairs, sweep_reference, time_limit
 
 
 def depolarized(rho, weight):
@@ -71,6 +74,22 @@ def test_edge_equals_bisection_bit_for_bit(tol):
     assert 0 < edges.count(None) < len(edges) // 2
 
 
+# the boundaries workload's inputs: each named family over its whole domain,
+# isotropic states at d = 2..5
+WORKLOAD_STATES = st.one_of(
+    st.floats(-RHO_T_MAX, RHO_T_MAX).map(rho_t),
+    st.floats(1 / math.sqrt(2), 1.0).map(rho_a),
+    st.floats(0.0, 1.0).map(alpha_state),
+    st.builds(isotropic, st.floats(0.0, 1.0), st.integers(2, 5)),
+)
+
+
+@settings(max_examples=30, deadline=None)  # one bisection takes about 27 probes
+@given(WORKLOAD_STATES, st.sampled_from([1e-3, 1e-7]))
+def test_edge_equals_bisection_on_workload_states(rho, tol):
+    assert violation_p_max(rho, tol) == bisected_edge(rho, tol)
+
+
 @pytest.mark.parametrize("rho", [
     rho_t(0.0), rho_t(0.1), isotropic(0.2), isotropic(0.1, 5), alpha_state(0.0),
     depolarized(random_schmidt_symmetric(3, 3, seed=3), 0.3),
@@ -81,14 +100,16 @@ def test_undetected_state_has_no_edge(rho):
 
 
 def counting_scores(monkeypatch):
-    """Count the spa_r_scores calls made by the sweeps module."""
+    """Count the calls of the SPA scorer made by the sweeps module, each
+    recorded as its list of weights."""
     calls = []
+    score = sweeps._spa_r_norms
 
-    def scores(r, ps, tol=DEFAULT.verdict):
-        calls.append(list(ps))
-        return spa_r_scores(r, ps, tol)
+    def norms(r, trace_r, weights):
+        calls.append(list(weights))
+        return score(r, trace_r, weights)
 
-    monkeypatch.setattr(sweeps, "spa_r_scores", scores)
+    monkeypatch.setattr(sweeps, "_spa_r_norms", norms)
     return calls
 
 
@@ -101,18 +122,19 @@ def test_table1_edge_takes_at_most_16_evaluations(monkeypatch, alpha):
 
 
 def fake_excess(monkeypatch, norm):
-    """Replace the SPA scores by (verdict, norm(p), 0.0) and record the probed p.
+    """Replace the SPA norms by norm(p) and the bound by 0.0, and record the probed p.
 
     The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
     matching predicate for bisect_boundary.
     """
     probes = []
 
-    def scores(r, ps, tol=DEFAULT.verdict):
-        probes.extend(ps)
-        return [(None, norm(p), 0.0) for p in ps]
+    def norms(r, trace_r, weights):
+        probes.extend(weights)
+        return [norm(p) for p in weights]
 
-    monkeypatch.setattr(sweeps, "spa_r_scores", scores)
+    monkeypatch.setattr(sweeps, "_spa_r_norms", norms)
+    monkeypatch.setattr(sweeps, "spa_r_upper_bound", lambda trace_r, p: 0.0)
     return probes, lambda p: norm(p) > 0.0 + DEFAULT.verdict
 
 
@@ -224,6 +246,23 @@ def test_a_state_without_positive_realigned_trace_gets_nan_rows():
         assert row["q1"] == q1_realignment_moments(rho) and row["q2"] == q2_rmoment(rho)
     with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1], got 2.0")):
         list(sweep_rows([(-0.125, rho)], [0.0, 2.0]))
+
+
+def test_a_sweep_checks_its_grid_once_and_gates_each_state_once(monkeypatch):
+    gates, weights = count_spa_checks(monkeypatch)
+    ps = [i / 100 for i in range(101)]
+    # isotropic(-0.125) is refused by the gate, the others are scored
+    params = [-0.125, 0.5, 0.6]
+    text = sweep_csv(family_pairs("isotropic", params), ps)
+    assert (len(gates), weights) == (3, [ps])
+    assert text == sweep_reference("isotropic", params, ps)
+    gates.clear()
+    weights.clear()
+    # a p outside [0, 1] raises before the first state's gate; no state, no check
+    with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1], got 2.0")):
+        sweep_csv(family_pairs("isotropic", params), [0.5, 2.0])
+    assert sweep_csv([], [2.0]) == ",".join(SWEEP_COLUMNS) + "\n"
+    assert (gates, weights) == ([], [[0.5, 2.0]])
 
 
 @pytest.mark.parametrize("family,lo,hi", [
