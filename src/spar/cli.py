@@ -11,8 +11,9 @@ locale), so output parses back to the same doubles and its bytes are
 deterministic for fixed inputs.
 A range option also takes a negative value as its own argument
 (``--param-range -0.7:-0.6:2``); the points of ``--p-range`` are clamped
-into the range, so one that ends at 1 ends at 1.0. ``--tol`` is accepted
-only where a verdict is made: by ``analyze`` and ``sweep``.
+into the range, so one that ends at 1 ends at 1.0. Every verdict, in a
+report, a sweep's ``violated`` column or ``table1``'s edge, uses the one
+margin ``DEFAULT.verdict``, and an ``analyze`` record names it as ``tolerance``.
 
 :func:`main` may be called any number of times in one process. The parser
 is built on the first call and shared by every later one: each
@@ -114,20 +115,20 @@ def _parse_range(spec: str, clamp: bool = False) -> list[float]:
     return values
 
 
-def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> dict:
-    head = {"input": source, "dims": [rho.dim_a, rho.dim_b], "p": p, "tolerance": tol}
+def analysis_record(rho: DensityMatrix, p: float, source: dict) -> dict:
+    head = {"input": source, "dims": [rho.dim_a, rho.dim_b], "p": p, "tolerance": DEFAULT.verdict}
     r = realign(rho)
     if not r.is_square:
         # the SPA machinery needs equal subsystem dimensions; report the
         # dimension-agnostic realignment data only
         require_weights([p])
-        verdict, score = realignment_criterion(r, tol=tol)
+        verdict, score = realignment_criterion(r)
         return {
             **head,
             "realignment": {"trace_norm": score, "verdict": verdict},
             "moments": {"q1": q1_realignment_moments(r), "q2": None},
         }
-    report = criterion_report(r, p, tol=tol)
+    report = criterion_report(r, p)
     threshold = spa_threshold(r)
     cert = certify_completely_positive(threshold, p)
     return {
@@ -168,7 +169,7 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict, tol: float) -> d
 
 def cmd_analyze(args) -> int:
     rho, source = _load_state(args)
-    _emit_json(analysis_record(rho, args.p, source, args.tol), args.out)
+    _emit_json(analysis_record(rho, args.p, source), args.out)
     return EXIT_OK
 
 
@@ -184,7 +185,7 @@ def cmd_sweep(args) -> int:
             states.append(family_state(args.family, param))
             yield param, states[-1]
 
-    text = sweep_csv(built(), ps, verdict_tol=args.tol)
+    text = sweep_csv(built(), ps)
     if args.dump_states:
         with _writing(args.dump_states):
             os.makedirs(args.dump_states, exist_ok=True)
@@ -252,14 +253,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a finite, nonnegative float."""
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use; do not mutate it."""
@@ -283,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p-range", required=True, help="lo:hi:n")
     ps.add_argument("--dump-states", default=None, help="directory for per-grid-point state files")
     ps.set_defaults(func=cmd_sweep)
-
-    for verdict_parser in (pa, ps):
-        verdict_parser.add_argument("--tol", type=_tolerance, default=DEFAULT.verdict,
-                                    help="verdict tolerance on strict inequalities")
 
     pt = sub.add_parser("table1", parents=[common],
                         help="largest violating p per alpha-state parameter")

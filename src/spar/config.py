@@ -12,8 +12,9 @@ class Tolerances:
     """Default tolerances for validation and verdicts.
 
     ``validation`` guards state construction (Hermiticity, unit trace, PSD),
-    ``precondition`` guards algorithm inputs, ``verdict`` is the margin on
-    strict entanglement inequalities (ties resolve to inconclusive).
+    ``precondition`` guards algorithm inputs, ``verdict`` is the one margin
+    of every verdict on a strict entanglement inequality (ties resolve to
+    inconclusive).
     """
 
     validation: float = 1e-10

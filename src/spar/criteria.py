@@ -48,9 +48,7 @@ def spa_r_upper_bound(trace_r: float, p: float) -> float:
     return p + (1.0 - p) / trace_r
 
 
-def spa_r_scores(
-    rho: StateLike, ps: Sequence[float], tol: float = DEFAULT.verdict
-) -> list[tuple[Verdict, float, float]]:
+def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[tuple[Verdict, float, float]]:
     """SPA separability test over a p-grid: for each p the verdict,
     ||spa(rho; p)||_1 and the separable bound it is compared against.
 
@@ -65,7 +63,7 @@ def spa_r_scores(
     r = as_realigned(rho)
     _, weights = spa.require_weights(ps)
     trace_r = r.spa_trace
-    return _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps, tol)
+    return _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps)
 
 
 def _spa_r_norms(r: RealignedMatrix, trace_r: float, weights: list[float]) -> list[float]:
@@ -80,20 +78,20 @@ def _spa_r_norms(r: RealignedMatrix, trace_r: float, weights: list[float]) -> li
 
 
 def _score_spa_r(
-    norms: list[float], trace_r: float, ps: list[float], tol: float
+    norms: list[float], trace_r: float, ps: list[float]
 ) -> list[tuple[Verdict, float, float]]:
     """Verdict, norm and bound per p from the trace norms of the SPA matrices."""
     scores = []
     for p, norm in zip(ps, norms):
         bound = spa_r_upper_bound(trace_r, p)
-        scores.append((Verdict.from_score(norm, bound, tol), norm, bound))
+        scores.append((Verdict.from_score(norm, bound), norm, bound))
     return scores
 
 
-def spa_r_verdict(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> Verdict:
-    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by tol:
-    the verdict of :func:`spa_r_scores` at the single p."""
-    return spa_r_scores(rho, [p], tol)[0][0]
+def spa_r_verdict(rho: StateLike, p: float) -> Verdict:
+    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by more than
+    ``DEFAULT.verdict``: the verdict of :func:`spa_r_scores` at the single p."""
+    return spa_r_scores(rho, [p])[0][0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class ErrorReport:
     the mixing coefficient (1-p)/Tr[R] - 1 is nonnegative, i.e.
     p <= 1 - Tr[R]; outside that window the bounds can drop below the actual
     error even for separable states, so ``verdict`` is only meaningful for
-    p within the window (``bound_valid``).
+    p within the window (``bound_valid``, with ``DEFAULT.verdict`` as its slack).
     """
 
     error_norm: float
@@ -115,17 +113,15 @@ class ErrorReport:
     bound_valid: bool
 
 
-def error_suite(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> ErrorReport:
+def error_suite(rho: StateLike, p: float) -> ErrorReport:
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds;
     checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
     error_norm = linalg.trace_norm(apply_spa(r, [p])[0] - r.matrix)
-    return _error_report(r, r.spa_trace, error_norm, p, tol)
+    return _error_report(r, r.spa_trace, error_norm, p)
 
 
-def _error_report(
-    r: RealignedMatrix, trace_r: float, error_norm: float, p: float, tol: float
-) -> ErrorReport:
+def _error_report(r: RealignedMatrix, trace_r: float, error_norm: float, p: float) -> ErrorReport:
     """:func:`error_suite` from the error norm ||spa - R||_1 already computed."""
     bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
     bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
@@ -133,8 +129,8 @@ def _error_report(
         error_norm=error_norm,
         bound_general=bound_general,
         bound_separable=bound_separable,
-        verdict=Verdict.from_score(error_norm, bound_separable, tol),
-        bound_valid=p <= 1.0 - trace_r + tol,
+        verdict=Verdict.from_score(error_norm, bound_separable),
+        bound_valid=p <= 1.0 - trace_r + DEFAULT.verdict,
     )
 
 
@@ -183,7 +179,7 @@ class CriterionReport:
     q2: float | None
 
 
-def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> CriterionReport:
+def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     """Run every criterion that applies to the state at the given p.
 
     The SPA matrix is built once. One stacked SVD gives the singular values
@@ -198,9 +194,9 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))
-    realignment_verdict, score = realignment_criterion(r, tol)
+    realignment_verdict, score = realignment_criterion(r)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
-    [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p], tol)
+    [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p])
     return CriterionReport(
         p=p,
         trace_r=trace_r,
@@ -209,7 +205,7 @@ def criterion_report(rho: StateLike, p: float, tol: float = DEFAULT.verdict) -> 
         trace_norm_spa_r=norm,
         upper_bound=bound,
         spa_r_verdict=spa_verdict,
-        error=_error_report(r, trace_r, error_norm, p, tol),
+        error=_error_report(r, trace_r, error_norm, p),
         q1=q1_realignment_moments(r),
         q2=_q2_score(r, sigma[2]) if with_q2 else None,
     )

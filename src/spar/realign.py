@@ -37,14 +37,14 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
     @staticmethod
-    def margin(score: float, bound: float, tol: float) -> float:
-        """``score - (bound + tol)``: positive exactly when score > bound + tol."""
-        return score - (bound + tol)
+    def margin(score: float, bound: float) -> float:
+        """``score - (bound + DEFAULT.verdict)``, the one verdict margin: ties stay inconclusive."""
+        return score - (bound + DEFAULT.verdict)
 
     @classmethod
-    def from_score(cls, score: float, bound: float, tol: float) -> Verdict:
+    def from_score(cls, score: float, bound: float) -> Verdict:
         """Entangled iff the score's :meth:`margin` over its separable bound is positive."""
-        return cls.ENTANGLED if cls.margin(score, bound, tol) > 0 else cls.INCONCLUSIVE
+        return cls.ENTANGLED if cls.margin(score, bound) > 0 else cls.INCONCLUSIVE
 
 
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
@@ -163,13 +163,13 @@ def as_realigned(source: StateLike) -> RealignedMatrix:
     return source if isinstance(source, RealignedMatrix) else realign(source)
 
 
-def realignment_criterion(rho: StateLike, tol: float = DEFAULT.verdict) -> tuple[Verdict, float]:
-    """Plain realignment test: entangled iff ||R(rho)||_1 > 1 + tol.
+def realignment_criterion(rho: StateLike) -> tuple[Verdict, float]:
+    """Plain realignment test: entangled iff ||R(rho)||_1 > 1 + ``DEFAULT.verdict``.
 
     Returns the verdict together with the score ||R(rho)||_1.
     """
     score = as_realigned(rho).trace_norm
-    return Verdict.from_score(score, 1, tol), score
+    return Verdict.from_score(score, 1), score
 
 
 def is_schmidt_symmetric(rho: StateLike) -> bool:

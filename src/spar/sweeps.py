@@ -32,7 +32,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import spa
-from .config import DEFAULT
 from .criteria import (
     _score_spa_r,
     _spa_r_norms,
@@ -223,7 +222,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
         [norm] = _spa_r_norms(r, trace_r, [p])
-        return Verdict.margin(norm, spa_r_upper_bound(trace_r, p), DEFAULT.verdict)
+        return Verdict.margin(norm, spa_r_upper_bound(trace_r, p))
 
     g0 = excess(0.0)
     if g0 <= 0:
@@ -236,7 +235,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
 
 def _state_blocks(
-    states: Iterable[tuple[float, StateLike]], ps: list[float], verdict_tol: float
+    states: Iterable[tuple[float, StateLike]], ps: list[float]
 ) -> Iterator[tuple[float, tuple, list[tuple[Verdict, float, float]]]]:
     """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
     the scores being those of :func:`spa_r_scores` over ``ps``; each state is
@@ -261,7 +260,7 @@ def _state_blocks(
         scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
             trace_r = r.spa_trace
-            scores = _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps, verdict_tol)
+            scores = _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps)
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)
@@ -269,25 +268,17 @@ def _state_blocks(
         yield param, (l, k, q1, q2), scores
 
 
-def sweep_rows(
-    states: Iterable[tuple[float, StateLike]],
-    ps: Iterable[float],
-    verdict_tol: float = DEFAULT.verdict,
-) -> Iterator[dict]:
+def sweep_rows(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -> Iterator[dict]:
     """The sweep table of ``(param, state)`` pairs over a p-grid as
     :data:`SWEEP_COLUMNS` dicts: the rows :func:`sweep_csv` writes."""
     ps = list(ps)
-    for param, columns, scores in _state_blocks(states, ps, verdict_tol):
+    for param, columns, scores in _state_blocks(states, ps):
         for p, (verdict, norm, bound) in zip(ps, scores):
             violated = int(verdict == Verdict.ENTANGLED)
             yield dict(zip(SWEEP_COLUMNS, (param, p, norm, bound, violated, *columns)))
 
 
-def sweep_csv(
-    states: Iterable[tuple[float, StateLike]],
-    ps: Iterable[float],
-    verdict_tol: float = DEFAULT.verdict,
-) -> str:
+def sweep_csv(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -> str:
     """The sweep table of ``(param, state)`` pairs over a p-grid as CSV text.
 
     The bytes of :func:`csv_text` over :func:`sweep_rows`, with far less
@@ -298,7 +289,7 @@ def sweep_csv(
     ps = list(ps)
     p_cells = [_cell(p) for p in ps]
     lines = [_line(SWEEP_COLUMNS)]
-    for param, columns, scores in _state_blocks(states, ps, verdict_tol):
+    for param, columns, scores in _state_blocks(states, ps):
         head = _cell(param) + ","
         tail = "," + _line(columns)
         for p, (verdict, norm, bound) in zip(p_cells, scores):

@@ -14,17 +14,18 @@ script's output at both (pytest does not collect it):
     diff before.txt after.txt
 
 The list covers ``sweep`` over all four families (random and negative
-ranges, ``--tol 0``, p-ranges ending at 1), ``analyze`` (also at the CP
-certificate's threshold l and one ulp below it), ``estimate-m1``
-(also on d = 4..6 state files with a Hermitian realignment: isotropic,
-Schmidt-symmetric and near-PSD), ``table1``, output to files, help text,
-and usage, domain and bad-state errors, among them ``--p`` out of range for
-a 2 x 3 state and for a state whose realigned trace is zero, options that
-the mode of ``estimate-m1`` does not read, state files that do not decode
-and state files whose dims the dims rule refuses. Every option of every
-subcommand appears in at least one command. State files are
-written to a temporary directory that is the working directory while the
-commands run, so the messages that name them do not depend on where it is.
+ranges, p-ranges ending at 1), ``analyze`` (also at the CP certificate's
+threshold l and one ulp below it), ``estimate-m1`` (also on d = 4..6 state
+files with a Hermitian realignment: isotropic, Schmidt-symmetric and
+near-PSD), ``table1``, output to files, help text, and usage, domain and
+bad-state errors, among them ``--p`` out of range for a 2 x 3 state and for
+a state whose realigned trace is zero, options that the mode of
+``estimate-m1`` does not read, ``--tol``, which ``analyze``, ``sweep`` and
+``table1`` refuse, state files that do not decode and state files whose dims
+the dims rule refuses. Every option of every subcommand appears in at least
+one command. State files are written to a temporary directory that is the
+working directory while the commands run, so the messages that name them do
+not depend on where it is.
 """
 
 import contextlib
@@ -77,7 +78,7 @@ def sweep_commands(rng: random.Random) -> list[list[str]]:
             commands.append(["sweep", "--family", family, f"--param-range={params}",
                              f"--p-range={ps}"])
         commands.append(["sweep", "--family", family, f"--param-range={_range(lo, hi, 4)}",
-                         "--p-range=0:1:50", "--tol", "0"])
+                         "--p-range=0:1:50"])
     commands += [
         ["sweep", "--family", "rho_t", "--param-range", "-0.7:-0.6:3", "--p-range", "0:1:11"],
         ["sweep", "--family", "rho_t", "--param-range=-0.79:0.79:5", "--p-range=0:1:101"],
@@ -104,8 +105,8 @@ def analyze_commands(rng: random.Random) -> list[list[str]]:
     for name in ("separable.json", "separable23.json", "ginibre.json"):
         commands.append(["analyze", "--state", name, "--p", "0.3"])
     commands += [
-        ["analyze", "--family", "isotropic", "--param", "0.9", "--p", "0.5", "--tol", "0"],
-        ["analyze", "--state", "rho_t.json", "--p", "0", "--tol", "0"],
+        ["analyze", "--family", "isotropic", "--param", "0.9", "--p", "0.5"],
+        ["analyze", "--state", "rho_t.json", "--p", "0"],
         # the CP certificate's edge: l of rho_t(-0.7), then one ulp below it
         ["analyze", "--family", "rho_t", "--param", "-0.7", "--p", "0.939203943228437"],
         ["analyze", "--family", "rho_t", "--param", "-0.7", "--p", "0.9392039432284369"],
@@ -155,8 +156,12 @@ def estimate_commands(rng: random.Random) -> list[list[str]]:
 
 
 def other_commands() -> list[list[str]]:
-    return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"], ["sweep", "--help"],
-            ["--help"], ["analyze", "--help"], ["table1", "--help"], ["estimate-m1", "-h"]]
+    return [["table1"], [], ["frobnicate"], ["table1", "--tol", "0"],
+            ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--tol", "0"],
+            ["sweep", "--family", "rho_t", "--param-range=0.1:0.2:2", "--p-range=0:1:3",
+             "--tol", "0"],
+            ["sweep", "--help"], ["--help"], ["analyze", "--help"], ["table1", "--help"],
+            ["estimate-m1", "-h"]]
 
 
 # files that do not decode: an entry too large for a double, text that is

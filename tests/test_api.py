@@ -3,6 +3,7 @@ benchmark's tracer wraps by name."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,37 @@ def test_every_traced_function_resolves(module, qualname):
     for part in qualname.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+MODULES = ("config", "criteria", "exceptions", "linalg", "moment_estimation", "realign", "spa",
+           "states", "sweeps", "cli")
+
+# the step of a boundary search, in p or in a family parameter: not a verdict margin
+SEARCH_STEP = {"sweeps.bisect_boundary", "sweeps.violation_p_max",
+               "sweeps._require_tolerance", "sweeps._grid_step"}
+
+
+def defined_callables(module):
+    """Every function of ``module`` and every method of its classes, by qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # static and class methods
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_callable_takes_a_verdict_tolerance():
+    # every verdict uses the one margin DEFAULT.verdict; the modules behind
+    # spar.__all__, spar.sweeps and spar.cli hold no other
+    found = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"spar.{module_name}")
+        for qualname, func in defined_callables(module):
+            if {"tol", "verdict_tol"} & set(inspect.signature(func).parameters):
+                found.append(f"{module_name}.{qualname}")
+    assert sorted(found) == sorted(SEARCH_STEP)

@@ -525,13 +525,13 @@ class TestEstimateM1:
 
 
 @pytest.mark.parametrize("option, argv", [
-    ("--tol", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "0", "--tol", "-0.5"]),
-    ("--tol", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "0", "--tol", "inf"]),
     ("--p", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "nan"]),
     ("--param", ["analyze", "--family", "isotropic", "--param", "inf", "--p", "0"]),
     ("--k", ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "inf"]),
     ("--s", ["estimate-m1", "--s", "nan", "--d", "2", "--k", "0"]),
-], ids=["tol-negative", "tol-inf", "p-nan", "param-inf", "k-inf", "s-nan"])
+    ("--param", ["estimate-m1", "--family", "isotropic", "--param", "nan", "--p", "0"]),
+    ("--p", ["estimate-m1", "--family", "rho_t", "--param", "0.0", "--p", "inf"]),
+], ids=["p-nan", "param-inf", "k-inf", "s-nan", "m1-param-nan", "m1-p-inf"])
 def test_unsound_or_non_finite_number_exits_1(capsys, option, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -556,26 +556,17 @@ def test_help_exits_0():
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--tol", "0"],
+    ["sweep", "--family", "isotropic", "--param-range", "0.9:0.9:1", "--p-range", "0:1:3",
+     "--tol", "0.5"],
     ["table1", "--tol", "5"],
     ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01", "--tol", "7"],
-], ids=["table1", "estimate-m1"])
-def test_tol_where_no_verdict_is_made_exits_1(capsys, argv):
+], ids=["analyze", "sweep", "table1", "estimate-m1"])
+def test_tol_exits_1_in_every_subcommand(capsys, argv):
+    # every verdict uses the one margin DEFAULT.verdict; no subcommand sets another
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: --tol {argv[-1]}" in err
-
-
-def test_analyze_and_sweep_take_tol(capsys):
-    code, out, _ = run(capsys, "analyze", "--family", "rho_t", "--param", "0.3",
-                       "--p", "0.2", "--tol", "0.5")
-    assert code == 0
-    assert json.loads(out)["tolerance"] == 0.5
-    ps = [0.0, 0.5, 1.0]
-    code, out, _ = run(capsys, "sweep", "--family", "isotropic", "--param-range", "0.9:0.9:1",
-                       "--p-range", "0:1:3", "--tol", "0.5")
-    assert code == 0
-    assert out == sweep_reference("isotropic", [0.9], ps, verdict_tol=0.5)
-    assert out != sweep_reference("isotropic", [0.9], ps)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -600,8 +591,9 @@ def test_shared_parser_keeps_no_state_between_requests(capsys):
     analyze = ("analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2")
     sweep = ("sweep", "--family", "rho_t", "--param-range", "-0.7:-0.6:2", "--p-range", "0:1:3")
     estimate = ("estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01")
+    other_p = ("analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.9")
     sequence = [
-        (analyze + ("--tol", "0.5"), 0),
+        (other_p, 0),
         (analyze, 0),
         (("sweep", "--family", "rho_t", "--param-range", "0.1:0.2:2"), 1),  # no --p-range
         (sweep, 0),
@@ -616,7 +608,7 @@ def test_shared_parser_keeps_no_state_between_requests(capsys):
             if code == 0:
                 assert first.setdefault(argv, (out, err)) == (out, err)
     assert json.loads(first[analyze][0])["tolerance"] == 1e-09
-    assert json.loads(first[analyze + ("--tol", "0.5")][0])["tolerance"] == 0.5
+    assert json.loads(first[analyze][0])["p"] == 0.2  # not the 0.9 of the request before
     fresh = subprocess.run([sys.executable, "-c", "from spar.cli import entry; entry()", *analyze],
                            capture_output=True, env=spar_env(), timeout=60, check=True)
     assert fresh.stdout == first[analyze][0].encode()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spar import (
+    DEFAULT,
     DomainError,
     alpha_state,
     bell_state,
@@ -315,9 +316,9 @@ def test_criteria_accept_the_realigned_matrix():
         assert realignment_moment(r, 3) == realignment_moment(rho, 3)
 
 
-@given(st.floats(), st.floats(), st.floats(min_value=0.0))
+@given(st.floats(), st.floats())
 @settings(max_examples=300, deadline=None)
-def test_verdict_margin_is_positive_exactly_when_the_score_exceeds_bound_plus_tol(s, b, t):
-    entangled = s > b + t
-    assert (Verdict.margin(s, b, t) > 0) == entangled
-    assert (Verdict.from_score(s, b, t) == Verdict.ENTANGLED) == entangled
+def test_verdict_margin_is_positive_exactly_when_the_score_exceeds_bound_plus_tol(s, b):
+    entangled = s > b + DEFAULT.verdict
+    assert (Verdict.margin(s, b) > 0) == entangled
+    assert (Verdict.from_score(s, b) == Verdict.ENTANGLED) == entangled

@@ -99,6 +99,13 @@ def test_undetected_state_has_no_edge(rho):
     assert violation_p_max(rho) is None
 
 
+def test_states_on_the_bound_get_no_violated_cell_and_no_edge(pure_products):
+    # the sweep's violated column and the boundary search use the one margin
+    rows = sweep_rows(((i, rho) for i, rho in enumerate(pure_products)), np.linspace(0, 1, 11))
+    assert {row["violated"] for row in rows} == {0}
+    assert all(violation_p_max(rho) is None for rho in pure_products)
+
+
 def counting_scores(monkeypatch):
     """Count the calls of the SPA scorer made by the sweeps module, each
     recorded as its list of weights."""
@@ -228,10 +235,9 @@ SWEEP_CASES = [(family, params, SWEEP_PS) for family, params in sorted(SWEEP_GRI
 
 @pytest.mark.parametrize("family,params,ps", SWEEP_CASES,
                          ids=[*sorted(SWEEP_GRIDS), "isotropic_trace_zero"])
-@pytest.mark.parametrize("tol", [DEFAULT.verdict, 0.0])
-def test_sweep_csv_writes_the_bytes_of_csv_text(family, params, ps, tol):
-    text = sweep_csv(iter(family_pairs(family, params)), ps, tol)
-    assert text == sweep_reference(family, params, ps, tol)
+def test_sweep_csv_writes_the_bytes_of_csv_text(family, params, ps):
+    text = sweep_csv(iter(family_pairs(family, params)), ps)
+    assert text == sweep_reference(family, params, ps)
 
 
 def test_a_state_without_positive_realigned_trace_gets_nan_rows():

@@ -12,7 +12,7 @@ import signal
 import numpy as np
 
 import spar.spa
-from spar import DEFAULT, linalg, random_schmidt_symmetric, validate_density
+from spar import linalg, random_schmidt_symmetric, validate_density
 from spar.realign import RealignedMatrix
 from spar.sweeps import SWEEP_COLUMNS, family_state, sweep_rows
 
@@ -128,9 +128,9 @@ def family_pairs(family: str, params) -> list:
     return [(param, family_state(family, param)) for param in params]
 
 
-def sweep_reference(family: str, params, ps, verdict_tol=DEFAULT.verdict) -> str:
+def sweep_reference(family: str, params, ps) -> str:
     """``csv.writer``'s bytes for the :func:`spar.sweeps.sweep_rows` of a family sweep."""
-    rows = sweep_rows(family_pairs(family, params), ps, verdict_tol)
+    rows = sweep_rows(family_pairs(family, params), ps)
     return csv_writer_text(rows, SWEEP_COLUMNS)
 
 
