@@ -204,22 +204,23 @@ def cmd_table1(args) -> int:
 def cmd_estimate_m1(args) -> int:
     """First-moment intervals from s, d and the offset k.
 
-    With a state source, s is simulated at ``--p`` and k, unless given by
-    ``--k``, is :func:`spar.spa.eigenvalue_offset`'s: the first two moments
-    of R behind the trace and real-spectrum checks, without the higher
-    moments or the sign test of the full threshold. Without one, s, d and k
-    are ``--s``, ``--d`` and ``--k``. Each mode refuses a missing option and
-    the options of the other before any state is built.
+    With a state source, s is simulated at ``--p``, d is the state's and k is
+    :func:`spar.spa.eigenvalue_offset`'s: the first two moments of R behind
+    the trace and real-spectrum checks, without the higher moments or the
+    sign test of the full threshold. Without one, s, d and k are ``--s``,
+    ``--d`` and ``--k``. Each mode refuses a missing option and the options
+    of the other before any state is built.
     """
     if args.state or args.family:
-        if args.s is not None or args.d is not None:
-            raise ValueError("--s and --d are not read with a state source, which gives s and d")
+        if args.s is not None or args.d is not None or args.k is not None:
+            raise ValueError(
+                "--s, --d and --k are not read with a state source, which gives s, d and k")
         if args.p is None:
             raise ValueError("--p is required when estimating from a state")
         rho, _ = _load_state(args)
         r = realign(rho)
         s = simulate_s(r, args.p)
-        k = eigenvalue_offset(r)[1] if args.k is None else args.k
+        k = eigenvalue_offset(r)[1]
         d = r.dim_a
     else:
         if args.p is not None or args.param is not None:

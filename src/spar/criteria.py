@@ -62,25 +62,25 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[tuple[Verdict, flo
         return []
     r = as_realigned(rho)
     _, weights = spa.require_weights(ps)
-    trace_r = r.spa_trace
-    return _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps)
+    return _score_spa_r(r, _spa_r_norms(r, weights), ps)
 
 
-def _spa_r_norms(r: RealignedMatrix, trace_r: float, weights: list[float]) -> list[float]:
+def _spa_r_norms(r: RealignedMatrix, weights: list[float]) -> list[float]:
     """||spa(rho; w)||_1 per weight as Python floats, from one stacked SVD.
 
-    The scorer behind :func:`spa_r_scores` for weights already checked and a
-    trace already read through the domain gate; like ``spa._mixture`` it
-    checks neither, so a sweep checks its grid once and a boundary search,
-    whose probes lie on [0, 1] by construction, checks none.
+    The scorer behind :func:`spa_r_scores` for weights already checked; like
+    ``spa._mixture``, which runs the domain gate, it does not check them, so
+    a sweep checks its grid once and a boundary search, whose probes lie on
+    [0, 1] by construction, checks none.
     """
-    return linalg.singular_values(spa._mixture(r, trace_r, weights)).sum(axis=-1).tolist()
+    return linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1).tolist()
 
 
 def _score_spa_r(
-    norms: list[float], trace_r: float, ps: list[float]
+    r: RealignedMatrix, norms: list[float], ps: list[float]
 ) -> list[tuple[Verdict, float, float]]:
     """Verdict, norm and bound per p from the trace norms of the SPA matrices."""
+    trace_r = r.spa_trace
     scores = []
     for p, norm in zip(ps, norms):
         bound = spa_r_upper_bound(trace_r, p)
@@ -118,11 +118,12 @@ def error_suite(rho: StateLike, p: float) -> ErrorReport:
     checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
     error_norm = linalg.trace_norm(apply_spa(r, [p])[0] - r.matrix)
-    return _error_report(r, r.spa_trace, error_norm, p)
+    return _error_report(r, error_norm, p)
 
 
-def _error_report(r: RealignedMatrix, trace_r: float, error_norm: float, p: float) -> ErrorReport:
+def _error_report(r: RealignedMatrix, error_norm: float, p: float) -> ErrorReport:
     """:func:`error_suite` from the error norm ||spa - R||_1 already computed."""
+    trace_r = r.spa_trace
     bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
     bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
     return ErrorReport(
@@ -190,22 +191,21 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     """
     r = as_realigned(rho)
     mixture = apply_spa(r, [p])[0]
-    trace_r = r.spa_trace
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))
     realignment_verdict, score = realignment_criterion(r)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
-    [(spa_verdict, norm, bound)] = _score_spa_r([spa_norm], trace_r, [p])
+    [(spa_verdict, norm, bound)] = _score_spa_r(r, [spa_norm], [p])
     return CriterionReport(
         p=p,
-        trace_r=trace_r,
+        trace_r=r.spa_trace,
         realignment_score=score,
         realignment_verdict=realignment_verdict,
         trace_norm_spa_r=norm,
         upper_bound=bound,
         spa_r_verdict=spa_verdict,
-        error=_error_report(r, trace_r, error_norm, p),
+        error=_error_report(r, error_norm, p),
         q1=q1_realignment_moments(r),
         q2=_q2_score(r, sigma[2]) if with_q2 else None,
     )

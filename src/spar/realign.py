@@ -57,15 +57,17 @@ def _permute(a: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return a.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3).reshape(dim_a**2, dim_b**2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RealignedMatrix:
     """The shared analysis of one state: its realignment R plus Tr[R], the
     singular values, the eigenvalues and the moments, each computed at most
     once. Every per-state function accepts it in place of the state, and
     every number a verdict or certificate prints is read from it.
 
-    ``RealignedMatrix(state, matrix)`` is the only constructor. It is frozen and
-    fills its own caches; R from :func:`realign` and each cached array are read-only.
+    Built only by :func:`realign`, so R is always the realignment of
+    ``state``; calling the class raises ``TypeError``, as for
+    :class:`DensityMatrix`. It is frozen and fills its own caches; R and
+    each cached array are read-only.
 
     ``moment(k)`` returns Tr[R^k], and ``moment(1)`` is Tr R; those traces are
     real for any Hermitian input (the spectrum of R is closed under conjugation),
@@ -74,7 +76,10 @@ class RealignedMatrix:
 
     state: DensityMatrix
     matrix: np.ndarray = field(repr=False)
-    _moments: list[float] = field(default_factory=list, init=False, repr=False)
+    _moments: list[float] = field(repr=False)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a RealignedMatrix is built only by realign")
 
     @property
     def dim_a(self) -> int:
@@ -90,7 +95,7 @@ class RealignedMatrix:
 
     @cached_property
     def complex_trace(self) -> complex:
-        """Tr[R] before any realness check; defined for non-square R too."""
+        """Tr[R] before any realness check."""
         return complex(np.trace(self.matrix))
 
     @cached_property
@@ -105,6 +110,8 @@ class RealignedMatrix:
         return tr.real
 
     def moment(self, k: int) -> float:
+        if k < 1:
+            raise ValueError("moment requires k >= 1")
         self._extend(k)
         return self._moments[k - 1]
 
@@ -155,7 +162,10 @@ StateLike = DensityMatrix | RealignedMatrix
 
 def realign(rho: DensityMatrix) -> RealignedMatrix:
     """Realign a validated state without a second check; the result is its shared analysis."""
-    return RealignedMatrix(rho, read_only(_permute(rho.matrix, rho.dim_a, rho.dim_b)))
+    r = object.__new__(RealignedMatrix)  # past the __init__ that refuses every other caller
+    vars(r).update(state=rho, matrix=read_only(_permute(rho.matrix, rho.dim_a, rho.dim_b)),
+                   _moments=[])
+    return r
 
 
 def as_realigned(source: StateLike) -> RealignedMatrix:
@@ -173,14 +183,17 @@ def realignment_criterion(rho: StateLike) -> tuple[Verdict, float]:
 
 
 def is_schmidt_symmetric(rho: StateLike) -> bool:
-    """True iff Tr[R(rho)] is real within ``DEFAULT.moment_imag`` and equals
-    ||R(rho)||_1 within ``DEFAULT.verdict``.
+    """True iff dimA == dimB, Tr[R(rho)] is real within ``DEFAULT.moment_imag``
+    and it equals ||R(rho)||_1 within ``DEFAULT.verdict``.
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
-    matrix being positive semidefinite.
+    matrix being positive semidefinite. Such a sum needs equal subsystem
+    dimensions, so unequal ones give False.
     """
     r = as_realigned(rho)
+    if not r.is_square:
+        return False
     tr = r.complex_trace
     return abs(tr.imag) <= DEFAULT.moment_imag and abs(r.trace_norm - tr.real) <= DEFAULT.verdict
 

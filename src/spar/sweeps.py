@@ -217,12 +217,11 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
-    trace_r = r.spa_trace
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
-        [norm] = _spa_r_norms(r, trace_r, [p])
-        return Verdict.margin(norm, spa_r_upper_bound(trace_r, p))
+        [norm] = _spa_r_norms(r, [p])
+        return Verdict.margin(norm, spa_r_upper_bound(r.spa_trace, p))
 
     g0 = excess(0.0)
     if g0 <= 0:
@@ -243,8 +242,8 @@ def _state_blocks(
 
     ``ps`` is checked once, through ``spa.require_weights`` at the first
     state, so a p outside [0, 1] raises before that state's gate, q1, q2 and
-    threshold, and a sweep of no states checks nothing. Each state then runs
-    its own domain gate and is scored by :func:`_spa_r_norms`.
+    threshold, and a sweep of no states checks nothing. Each state is then
+    scored by :func:`_spa_r_norms`, which runs that state's domain gate.
 
     What cannot be computed is NaN rather than aborting the sweep: when the
     domain gate refuses the realigned trace, the norm and bound (verdict
@@ -259,8 +258,7 @@ def _state_blocks(
             _, weights = spa.require_weights(ps)
         scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            trace_r = r.spa_trace
-            scores = _score_spa_r(_spa_r_norms(r, trace_r, weights), trace_r, ps)
+            scores = _score_spa_r(r, _spa_r_norms(r, weights), ps)
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)

@@ -431,7 +431,7 @@ class TestTable1:
         assert out.encode() == (RESULTS / "table1.csv").read_bytes()
 
 
-STATE_MODE = "--s and --d are not read with a state source, which gives s and d"
+STATE_MODE = "--s, --d and --k are not read with a state source, which gives s, d and k"
 VALUE_MODE = "--p and --param are read only with --state or --family"
 
 
@@ -502,9 +502,10 @@ class TestEstimateM1:
         (["--state", "state.json", "--p", "0.9", "--d", "3"], STATE_MODE),
         (["--family", "rho_a", "--param", "0.8", "--p", "0.9", "--s", "0.2", "--k", "0"],
          STATE_MODE),
+        (["--family", "isotropic", "--param", "0.5", "--p", "0.1", "--k", "0.05"], STATE_MODE),
         (["--s", "0.1", "--d", "2", "--k", "0", "--p", "0.3"], VALUE_MODE),
         (["--s", "0.1", "--d", "2", "--k", "0", "--param", "0.3"], VALUE_MODE),
-    ], ids=["state-s-d", "state-d", "state-s-k", "values-p", "values-param"])
+    ], ids=["state-s-d", "state-d", "state-s-k", "state-k", "values-p", "values-param"])
     def test_an_option_the_mode_does_not_read_exits_1_before_a_state_is_built(
             self, capsys, monkeypatch, argv, message):
         built = []

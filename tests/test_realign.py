@@ -179,6 +179,13 @@ class TestSchmidtSymmetric:
             assert is_schmidt_symmetric(isotropic(float(beta)))
         assert not is_schmidt_symmetric(isotropic(-0.1))
 
+    def test_unequal_dimensions(self):
+        # |00><00| on 2 x 3: R is rectangular with trace 1 = ||R||_1, but a sum
+        # of A_i (x) conj(A_i) needs dimA == dimB
+        m = np.zeros((6, 6))
+        m[0, 0] = 1.0
+        assert not is_schmidt_symmetric(validate_density(m, (2, 3)))
+
 
 class TestZhangMoments:
     def test_maximally_mixed(self):
@@ -203,6 +210,16 @@ def test_moments_are_real_and_cached():
     m = r.moments(4)
     assert m.dtype == float
     assert r.moment(2) == m[1]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_moment_refuses_an_order_below_one(k):
+    r = realign(rho_t(-0.3))
+    with pytest.raises(ValueError, match="moment requires k >= 1"):
+        r.moment(k)
+    r.moments(4)  # a filled cache must not answer m_4 for k = 0, m_3 for k = -1
+    with pytest.raises(ValueError, match="moment requires k >= 1"):
+        r.moment(k)
 
 
 def test_moments_require_square_dims():
@@ -246,9 +263,14 @@ def test_realigned_matrix_keeps_its_state():
 
 def test_caches_are_neither_constructor_arguments_nor_settable():
     r = realign(rho_t(-0.3))
-    for cache in ("_moments", "_power", "_singular_values"):
-        with pytest.raises(TypeError):
-            RealignedMatrix(r.state, r.matrix, **{cache: None})
+    # only realign builds an analysis, so R is always the state's own: a
+    # separable isotropic state with R = 2 I would read ||R||_1 = 18
+    calls = [((), {}), ((r.state, r.matrix), {}), ((isotropic(0.1), 2 * np.eye(9)), {})]
+    calls += [((r.state, r.matrix), {cache: None})
+              for cache in ("_moments", "_power", "_singular_values")]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match="built only by realign"):
+            RealignedMatrix(*args, **kwargs)
     r.moments(4)
     arrays = {"matrix": r.matrix, "singular_values": r.singular_values,
               "eigenvalues": r.eigenvalues}

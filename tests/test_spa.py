@@ -308,7 +308,8 @@ class TestDomainGate:
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
             r = realign(rho)
             assert r.spa_trace == r.moment(1) == spa_threshold(r).trace_r
-            assert not hasattr(r, "trace")  # moment(1) is the one name for Tr R
+            # Tr R has two names: spa_trace behind the SPA's gate, moment(1) among the moments
+            assert not hasattr(r, "trace")
 
 
 def count_eigensolves(monkeypatch) -> list:
@@ -325,11 +326,15 @@ def count_eigensolves(monkeypatch) -> list:
 
 
 def with_skew(r, norm):
-    """The analysis of r's state with a real antisymmetric part added to R,
-    scaled so that ||R - R^H||_F = norm."""
+    """A test-only forged analysis: r's state with a real antisymmetric part
+    added to R, scaled so that ||R - R^H||_F = norm. Its R is not the
+    state's, so it is built past the constructor that only realign may use."""
     k = np.triu(np.ones(r.matrix.shape), 1)
     k = k - k.T
-    return RealignedMatrix(r.state, r.matrix + norm / (2 * np.linalg.norm(k)) * k)
+    forged = object.__new__(RealignedMatrix)
+    vars(forged).update(state=r.state, _moments=[],
+                        matrix=r.matrix + norm / (2 * np.linalg.norm(k)) * k)
+    return forged
 
 
 class TestRealSpectrumCheck:

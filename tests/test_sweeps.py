@@ -112,9 +112,9 @@ def counting_scores(monkeypatch):
     calls = []
     score = sweeps._spa_r_norms
 
-    def norms(r, trace_r, weights):
+    def norms(r, weights):
         calls.append(list(weights))
-        return score(r, trace_r, weights)
+        return score(r, weights)
 
     monkeypatch.setattr(sweeps, "_spa_r_norms", norms)
     return calls
@@ -136,7 +136,7 @@ def fake_excess(monkeypatch, norm):
     """
     probes = []
 
-    def norms(r, trace_r, weights):
+    def norms(r, weights):
         probes.extend(weights)
         return [norm(p) for p in weights]
 
