@@ -27,7 +27,7 @@ from spar import (
     q2_rmoment,
     rho_t,
     rho_t_reference_thresholds,
-    spa_r_scores,
+    spa_r_verdict,
     spa_threshold,
 )
 from spar.sweeps import bisect_boundary, csv_text, family_state, sweep_csv, table1_rows
@@ -69,8 +69,7 @@ def main():
     write_csv("comparison_q1_q2.csv", comparison, ["alpha", "q1", "q2"])
 
     def detected(rho, p=0.0):
-        [(verdict, _, _)] = spa_r_scores(rho, [p])
-        return verdict == Verdict.ENTANGLED
+        return spa_r_verdict(rho, p) == Verdict.ENTANGLED
 
     ref = rho_t_reference_thresholds(-0.7)
     boundaries = [

@@ -61,7 +61,7 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[tuple[Verdict, flo
     if not ps:
         return []
     r = as_realigned(rho)
-    _, weights = spa.require_weights(ps)
+    weights = spa.require_weights(ps)
     return _score_spa_r(r, _spa_r_norms(r, weights), ps)
 
 
@@ -117,7 +117,7 @@ def error_suite(rho: StateLike, p: float) -> ErrorReport:
     """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds;
     checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
-    error_norm = linalg.trace_norm(apply_spa(r, [p])[0] - r.matrix)
+    error_norm = linalg.trace_norm(apply_spa(r, p) - r.matrix)
     return _error_report(r, error_norm, p)
 
 
@@ -190,7 +190,7 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     separate SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
-    mixture = apply_spa(r, [p])[0]
+    mixture = apply_spa(r, p)
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))

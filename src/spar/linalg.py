@@ -3,7 +3,8 @@
 Everything here operates on plain ``numpy.ndarray`` values (complex128) and
 delegates the heavy lifting to LAPACK through numpy. Matrices in this package
 are small (9 x 9 at most in practice), so no sparse or blocked paths exist;
-many small matrices of one size go to LAPACK as one stack instead.
+many small matrices of one size go to LAPACK as one stack instead, through
+:func:`singular_values`, the one function here that takes a stack.
 All functions are pure; inputs are never mutated.
 
 The package's one matrix rule is :func:`as_matrix`. It refuses any matrix,
@@ -98,14 +99,13 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(_finite_complex(m, stacked=True), compute_uv=False)
 
 
-def trace_norm(m) -> float | np.ndarray:
-    """Trace norm: the sum of singular values.
+def trace_norm(m) -> float:
+    """Trace norm of one matrix, square or not: the sum of its singular values.
 
-    A single matrix gives a float, a stack one norm per matrix as an array;
-    each equals the float of that matrix on its own.
+    Refuses a matrix as :func:`as_matrix` does, squareness aside, so a stack
+    fails the "shape" check; a stack's norms are its singular values summed.
     """
-    norms = np.sum(singular_values(m), axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
+    return float(np.sum(singular_values(_finite_complex(m, stacked=False))))
 
 
 def power_trace(m, k: int) -> complex:

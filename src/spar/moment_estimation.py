@@ -145,7 +145,7 @@ def simulate_s(rho: StateLike, p: float) -> float:
     The imaginary part of the expectation must vanish within tolerance.
     """
     r = as_realigned(rho)
-    spa = apply_spa(r, [p])[0]
+    spa = apply_spa(r, p)
     value = complex(np.trace(spa @ (swap_operator(r.dim_a) / r.dim_a)))
     if abs(value.imag) > DEFAULT.moment_imag:
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")

@@ -223,43 +223,37 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     )
 
 
-def require_weights(p: float | Sequence[float]) -> tuple[bool, list[float]]:
-    """Whether the mixing weights ``p`` of the SPA are a 1-D sequence rather
-    than a number, and the weights as a list of floats; an entry that is not a
-    number or outside [0, 1] (NaN included) raises ``ValueError`` naming it."""
-    weights = np.asarray(p, dtype=float)
+def require_weights(ps: Sequence[float]) -> list[float]:
+    """The sequence of mixing weights ``ps`` of the SPA as a list of floats.
+
+    Raises ``ValueError`` for entries that are sequences themselves
+    (``p must be a number``, naming the first entry) and for the first entry
+    outside [0, 1], NaN included (``p must lie in [0, 1]``, naming it)."""
+    weights = np.asarray(ps, dtype=float)
     if weights.ndim > 1:
-        raise ValueError(f"p must be a number, got {p[0]}")
-    stacked = weights.ndim == 1
-    values = weights.reshape(-1).tolist()
-    for i, w in enumerate(values):
+        raise ValueError(f"p must be a number, got {ps[0]}")
+    values = weights.tolist()
+    for p, w in zip(ps, values):
         if not 0.0 <= w <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p[i] if stacked else p}")
-    return stacked, values
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    return values
 
 
-def apply_spa(rho: StateLike, p: float | Sequence[float]) -> np.ndarray:
-    """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho).
+def apply_spa(rho: StateLike, p: float) -> np.ndarray:
+    """Evaluate (p/d^2) I + ((1-p)/Tr[R]) R(rho) at one weight p.
 
-    Two steps: every weight checked with :func:`require_weights`, then the
-    mixture built by :func:`_mixture`, the package's one copy of the SPA
-    arithmetic, which reads Tr R through the domain gate
-    ``RealignedMatrix.spa_trace``. Callers that checked their weights
-    already (a sweep after its first state, a boundary search for each of
-    its probes) build through :func:`_mixture` alone. The output always has
-    unit trace. Unlike :func:`spa_threshold` this does not gate on a real
-    realigned spectrum, since the mixture and its trace norm are well
-    defined without it.
-
-    A 1-D sequence of weights gives the stack of shape (len(p), n, n). Every
-    slice is built with the same elementwise operations as a single weight,
-    so slice i equals ``apply_spa(rho, p[i])`` exactly. A function of one p
-    reads ``apply_spa(rho, [p])[0]``, which refuses a sequence p.
+    Two steps: p checked as the one-point grid ``[p]`` with
+    :func:`require_weights`, so a sequence p is refused, then the matrix built
+    by :func:`_mixture`, the package's one copy of the SPA arithmetic, which
+    reads Tr R through the domain gate ``RealignedMatrix.spa_trace``. A
+    p-grid (a sweep's, checked once; a boundary search's probes, on [0, 1] by
+    construction) is one :func:`_mixture` call, whose slice i equals
+    ``apply_spa(rho, ps[i])`` exactly. The output always has unit trace.
+    Unlike :func:`spa_threshold` this does not gate on a real realigned
+    spectrum, since the mixture and its trace norm are well defined without it.
     """
-    stacked, values = require_weights(p)
-    r = as_realigned(rho)
-    spa = _mixture(r, values)
-    return spa if stacked else spa[0]
+    weights = require_weights([p])
+    return _mixture(as_realigned(rho), weights)[0]
 
 
 def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
@@ -275,26 +269,25 @@ def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
     return coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
 
 
-def certify_completely_positive(rho: StateLike | SpaAnalysis, p: float) -> CpCertificate:
+def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertificate:
     """Witness pair for complete positivity of the SPA at p.
 
-    Certified iff p is at or above the moment threshold l, read from
-    ``rho`` when it is already a :class:`SpaAnalysis`. gamma1 is fixed to 0
-    (the smallest valid choice; the minimum eigenvalue of a state can itself
-    be 0, making ratios undefined). gamma2 is the ratio of maximum
-    eigenvalues. The SPA output's is p/n + ((1-p)/Tr[R]) max Re lambda(R), an
-    affine image of eig(R) read from the shared analysis, so no SPA matrix is
-    built; the state's comes from its validated spectrum. An uncertified
-    result is a valid outcome, not an error. Checks ``[p]`` as
-    :func:`apply_spa` does, then for a state the preconditions of :func:`spa_threshold`.
+    Certified iff p is at or above the moment threshold ``threshold.l`` of
+    :func:`spa_threshold`, whose domain gate and real-spectrum check have
+    already run. gamma1 is fixed to 0 (the smallest valid choice; the minimum
+    eigenvalue of a state can itself be 0, making ratios undefined). gamma2 is
+    the ratio of maximum eigenvalues. The SPA output's is
+    p/n + ((1-p)/Tr[R]) max Re lambda(R), an affine image of eig(R) read from
+    the shared analysis, so no SPA matrix is built; the state's comes from its
+    validated spectrum. An uncertified result is a valid outcome, not an
+    error. Checks ``[p]`` as :func:`apply_spa` does, and nothing else.
     """
     require_weights([p])
-    analysis = rho if isinstance(rho, SpaAnalysis) else spa_threshold(rho)
-    if p < analysis.l:
+    if p < threshold.l:
         return CpCertificate(False, None, None)
-    r = analysis.realigned
+    r = threshold.realigned
     lam_r = float(np.max(r.eigenvalues.real))
-    lam_spa = p / (r.dim_a * r.dim_b) + (1.0 - p) / analysis.trace_r * lam_r
+    lam_spa = p / (r.dim_a * r.dim_b) + (1.0 - p) / threshold.trace_r * lam_r
     return CpCertificate(True, 0.0, lam_spa / float(r.state.spectrum[-1]))
 
 

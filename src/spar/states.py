@@ -200,13 +200,9 @@ def alpha_state(alpha: float) -> DensityMatrix:
 # random ensembles (seeded, reproducible)
 # ---------------------------------------------------------------------------
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def random_density(dim: int, seed) -> np.ndarray:
     """Ginibre-induced random density matrix of the given dimension."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m)
@@ -222,7 +218,7 @@ def random_separable(dim_a: int, dim_b: int, terms: int, seed) -> DensityMatrix:
     """Random separable state: a Dirichlet-weighted mixture of pure products."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
     m = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=np.complex128)
     for q in weights:
@@ -240,7 +236,7 @@ def random_schmidt_symmetric(d: int, terms: int, seed) -> DensityMatrix:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
     m = np.zeros((d * d, d * d), dtype=np.complex128)
     for w in weights:

@@ -255,7 +255,7 @@ def _state_blocks(
     for param, rho in states:
         r = as_realigned(rho)
         if weights is None:
-            _, weights = spa.require_weights(ps)
+            weights = spa.require_weights(ps)
         scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
             scores = _score_spa_r(r, _spa_r_norms(r, weights), ps)

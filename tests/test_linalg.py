@@ -122,19 +122,23 @@ def test_trace_norm_examples():
 
 
 @pytest.mark.parametrize("n", [2, 4, 9])
-def test_stacked_singular_values_and_trace_norms_equal_per_matrix(n):
+def test_stacked_singular_values_equal_per_matrix(n):
     rng = rng_for(n)
     stack = np.stack([random_complex(rng, n) for _ in range(7)])
     sigma = linalg.singular_values(stack)
-    norms = linalg.trace_norm(stack)
-    assert sigma.shape == (7, n) and norms.shape == (7,)
-    for m, row, norm in zip(stack, sigma, norms.tolist()):
+    assert sigma.shape == (7, n)
+    # a stack's norms are its rows summed, each the trace norm of its matrix
+    for m, row, norm in zip(stack, sigma, sigma.sum(axis=-1).tolist()):
         assert np.array_equal(row, linalg.singular_values(m))
         assert norm == linalg.trace_norm(m)
 
 
-def test_trace_norm_of_empty_stack_and_bad_rank():
-    assert linalg.trace_norm(np.zeros((0, 3, 3))).shape == (0,)
+def test_trace_norm_takes_one_matrix_square_or_not():
+    assert linalg.trace_norm(np.ones((2, 3))) == pytest.approx(np.sqrt(6.0), abs=1e-12)
+    assert type(linalg.trace_norm(np.eye(3))) is float
+    for stack in (np.zeros((2, 3, 3)), np.zeros((0, 3, 3))):
+        assert refusal(linalg.trace_norm, stack) == (
+            "shape", "shape: expected a 2-D matrix, got ndim=3")
     with pytest.raises(ValueError):
         linalg.singular_values(np.ones(3))
 

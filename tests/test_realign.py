@@ -295,7 +295,7 @@ def test_a_forged_trace_cannot_certify_a_refused_state():
     with pytest.raises(DomainError, match="is not positive"):
         spa_threshold(r)
     with pytest.raises(DomainError, match="is not positive"):
-        certify_completely_positive(r, 0.5)
+        certify_completely_positive(spa_threshold(r), 0.5)
 
 
 def test_singular_values_with_caches_r_once_and_returns_the_others():

@@ -230,7 +230,6 @@ WITH_P = {
     "error_suite": error_suite,
     "criterion_report": criterion_report,
     "simulate_s": simulate_s,
-    "certify_completely_positive": certify_completely_positive,
 }
 # and those that take no weight
 WITHOUT_P = {
@@ -282,10 +281,8 @@ class TestDomainGate:
     def test_a_function_of_one_p_refuses_a_sequence_before_the_gate(self, monkeypatch, case):
         p, text = SEQUENCE_P[case]
         gates, _ = count_spa_checks(monkeypatch)
-        # apply_spa alone takes a grid as well as one p
-        single = {name: f for name, f in WITH_P.items() if name != "apply_spa"}
         for rho in (rho_t(0.3), TRACE_ZERO, GATE_CASES["unequal_dims"][0]):
-            for name, call in single.items():
+            for name, call in WITH_P.items():
                 with pytest.raises(ValueError) as err:
                     call(rho, p)
                 assert (type(err.value), str(err.value)) == (
@@ -303,6 +300,16 @@ class TestDomainGate:
             call(rho)
             assert len(gates) == 1
             assert len(weights) == (name in WITH_P)
+
+    def test_certify_checks_p_once_on_a_threshold_and_runs_no_gate(self, monkeypatch):
+        # the gate ran where the threshold was built; a second threshold
+        # (a fresh realignment) would run it again
+        thresholds = [spa_threshold(rho) for rho in (rho_t(-0.6), alpha_state(0.3),
+                                                     isotropic(0.4, 4))]
+        gates, weights = count_spa_checks(monkeypatch)
+        for threshold in thresholds:
+            certify_completely_positive(threshold, 0.5)
+        assert (gates, weights) == ([], [[0.5]] * 3)
 
     def test_the_trace_is_the_analysis_trace(self):
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
@@ -394,19 +401,23 @@ class TestApplySpa:
             apply_spa(rho_t(0.3), 1.5)
 
     def test_weight_sequence_gives_the_stack_of_single_weights(self):
+        # the p-grid of a sweep or a boundary search is one _mixture call
         ps = [-0.0, 0.0, 0.25, 0.7, 1.0]
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
-            stack = apply_spa(rho, ps)
+            stack = spar.spa._mixture(realign(rho), ps)
             assert stack.shape == (len(ps),) + (rho.dim,) * 2
             for p, spa in zip(ps, stack):
                 assert np.array_equal(spa, apply_spa(rho, p))
-        assert apply_spa(rho_t(0.3), []).shape == (0, 4, 4)
+        assert spar.spa._mixture(realign(rho_t(0.3)), []).shape == (0, 4, 4)
 
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
+        # the check a grid passes once before it goes to _mixture
+        check = spar.spa.require_weights
+        assert check((0.25, 1)) == [0.25, 1.0] and check([]) == []
         with pytest.raises(ValueError, match=r"got -0\.5$"):
-            apply_spa(rho_t(0.3), [0.1, -0.5, 1.5])
+            check([0.1, -0.5, 1.5])
         with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.1, 0.2]")):
-            apply_spa(rho_t(0.3), [[0.1, 0.2]])
+            check([[0.1, 0.2]])
 
     def test_schmidt_symmetric_norm_is_one(self, schmidt_symmetric_states):
         from spar.linalg import trace_norm
@@ -440,13 +451,13 @@ class TestApplySpa:
 
 class TestCertifyCompletelyPositive:
     def test_depolarizing_limit_always_certified(self):
-        cert = certify_completely_positive(rho_t(-0.5), 1.0)
+        cert = certify_completely_positive(spa_threshold(rho_t(-0.5)), 1.0)
         assert cert.certified
         assert cert.gamma1 == 0.0
         assert cert.gamma2 >= 0.0
 
     def test_below_threshold_not_certified(self):
-        cert = certify_completely_positive(rho_t(-0.7), 0.0)
+        cert = certify_completely_positive(spa_threshold(rho_t(-0.7)), 0.0)
         assert not cert.certified
         assert cert.gamma1 is None
 
@@ -458,31 +469,30 @@ class TestCertifyCompletelyPositive:
         assert below == CpCertificate(False, None, None)
 
     def test_isotropic_certified_for_all_p(self):
+        th = spa_threshold(isotropic(0.5))
         for p in (0.0, 0.5, 1.0):
-            assert certify_completely_positive(isotropic(0.5), p).certified
+            assert certify_completely_positive(th, p).certified
 
     @pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
     def test_rejects_a_weight_outside_the_unit_interval(self, p):
         # isotropic(0.5) has l = 0, so no threshold comparison can refuse p
-        rho = isotropic(0.5)
-        for source in (rho, spa_threshold(rho)):
-            with pytest.raises(ValueError, match="p must lie in"):
-                certify_completely_positive(source, p)
+        with pytest.raises(ValueError, match="p must lie in"):
+            certify_completely_positive(spa_threshold(isotropic(0.5)), p)
 
     def test_rejects_a_sequence_of_weights(self):
-        rho = isotropic(0.5)
-        for source in (rho, spa_threshold(rho)):
-            with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.5, 0.6]")):
-                certify_completely_positive(source, [0.5, 0.6])
+        with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.5, 0.6]")):
+            certify_completely_positive(spa_threshold(isotropic(0.5)), [0.5, 0.6])
 
     def test_reads_the_threshold_from_a_spa_analysis(self):
         for rho, p in ((rho_t(-0.7), 0.0), (rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2)):
             analysis = spa_threshold(realign(rho))
-            assert certify_completely_positive(analysis, p) == certify_completely_positive(rho, p)
+            cert = certify_completely_positive(analysis, p)
+            assert cert.certified == (p >= analysis.l)
+            assert (cert.gamma1 is None) == (not cert.certified)
 
     def test_witnesses_satisfy_the_two_inequalities(self):
         for rho, p in ((rho_t(-0.5), 0.9), (alpha_state(0.3), 0.2), (isotropic(0.8), 0.0)):
-            cert = certify_completely_positive(rho, p)
+            cert = certify_completely_positive(spa_threshold(rho), p)
             assert cert.certified
             lam_spa = general_eigenvalues(apply_spa(rho, p)).real
             lam_rho = hermitian_eigenvalues(rho.matrix)
@@ -500,7 +510,7 @@ class TestCertifyCompletelyPositive:
             p = 1.0 if th.l > 0.9 else 0.9
             lam_r = float(np.max(general_eigenvalues(realign(rho).matrix).real))
             lam_rho = float(np.max(hermitian_eigenvalues(rho.matrix)))
-            gamma2 = certify_completely_positive(rho, p).gamma2
+            gamma2 = certify_completely_positive(th, p).gamma2
             assert gamma2 == (p / rho.dim + (1.0 - p) / th.trace_r * lam_r) / lam_rho
             # the eigensolve of the SPA matrix that gamma2 once came from
             lam_spa = float(np.max(general_eigenvalues(apply_spa(rho, p)).real))
@@ -516,7 +526,7 @@ def test_gamma2_matches_the_exact_spa_spectrum(rho, p):
     # oracle: lambda_max of the SPA matrix and of the state from the same
     # doubles, in 50-digit arithmetic; gamma2 may differ by rounding alone
     mpmath = pytest.importorskip("mpmath")
-    cert = certify_completely_positive(rho, p)
+    cert = certify_completely_positive(spa_threshold(rho), p)
     assert cert.certified
     d, n = rho.dim_a, rho.dim
     with mpmath.workdps(50):
