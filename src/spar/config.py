@@ -9,12 +9,15 @@ __all__ = ["DEFAULT", "Tolerances"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerances for validation and verdicts.
-
-    ``validation`` guards state construction (Hermiticity, unit trace, PSD),
-    ``precondition`` guards algorithm inputs, ``verdict`` is the one margin
-    of every verdict on a strict entanglement inequality (ties resolve to
-    inconclusive).
+    """Default tolerances, one per guard: ``validation`` for state construction
+    (Hermiticity, unit trace, PSD); ``precondition`` for the Hermiticity of an
+    input to ``linalg.hermitian_eigenvalues``; ``verdict``, the one margin of
+    every verdict on a strict entanglement inequality (ties resolve to
+    inconclusive); ``coefficient``, the share of its recursion scale within
+    which a coefficient counts as zero in the Descartes sign test;
+    ``spectrum_imag``, the largest imaginary part of the realigned spectrum
+    that the SPA threshold accepts; ``trace_positive``, what Tr R must exceed
+    to pass the SPA's domain gate.
     """
 
     validation: float = 1e-10
@@ -23,7 +26,6 @@ class Tolerances:
     coefficient: float = 1e-9
     spectrum_imag: float = 1e-7
     trace_positive: float = 1e-9
-    moment_imag: float = 1e-9
 
 
 DEFAULT = Tolerances()

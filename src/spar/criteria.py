@@ -62,7 +62,7 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[tuple[Verdict, flo
         return []
     r = as_realigned(rho)
     weights = spa.require_weights(ps)
-    return _score_spa_r(r, _spa_r_norms(r, weights), ps)
+    return _score_spa_r(r, _spa_r_norms(r, weights), weights)
 
 
 def _spa_r_norms(r: RealignedMatrix, weights: list[float]) -> list[float]:
@@ -77,12 +77,12 @@ def _spa_r_norms(r: RealignedMatrix, weights: list[float]) -> list[float]:
 
 
 def _score_spa_r(
-    r: RealignedMatrix, norms: list[float], ps: list[float]
+    r: RealignedMatrix, norms: list[float], weights: list[float]
 ) -> list[tuple[Verdict, float, float]]:
-    """Verdict, norm and bound per p from the trace norms of the SPA matrices."""
+    """Verdict, norm and bound per checked weight from the trace norms of the SPA matrices."""
     trace_r = r.spa_trace
     scores = []
-    for p, norm in zip(ps, norms):
+    for p, norm in zip(weights, norms):
         bound = spa_r_upper_bound(trace_r, p)
         scores.append((Verdict.from_score(norm, bound), norm, bound))
     return scores
@@ -118,7 +118,7 @@ def error_suite(rho: StateLike, p: float) -> ErrorReport:
     checks as :func:`apply_spa`: p, then the domain gate."""
     r = as_realigned(rho)
     error_norm = linalg.trace_norm(apply_spa(r, p) - r.matrix)
-    return _error_report(r, error_norm, p)
+    return _error_report(r, error_norm, float(p))  # p passed apply_spa's check
 
 
 def _error_report(r: RealignedMatrix, error_norm: float, p: float) -> ErrorReport:
@@ -191,6 +191,7 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     """
     r = as_realigned(rho)
     mixture = apply_spa(r, p)
+    p = float(p)  # checked by apply_spa; the bounds take its double
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))

@@ -70,8 +70,8 @@ class RealignedMatrix:
     each cached array are read-only.
 
     ``moment(k)`` returns Tr[R^k], and ``moment(1)`` is Tr R; those traces are
-    real for any Hermitian input (the spectrum of R is closed under conjugation),
-    which the cache enforces. Moments are only defined for square R (dimA == dimB).
+    real, since the state's matrix is Hermitian (conj(R) = P R P, P the swap),
+    so the cache keeps their real parts. Moments need square R (dimA == dimB).
     """
 
     state: DensityMatrix
@@ -94,20 +94,15 @@ class RealignedMatrix:
         return self.dim_a == self.dim_b
 
     @cached_property
-    def complex_trace(self) -> complex:
-        """Tr[R] before any realness check."""
-        return complex(np.trace(self.matrix))
-
-    @cached_property
     def spa_trace(self) -> float:
         """Tr[R] behind the SPA's domain gate: unequal subsystem dimensions raise
-        ``ValueError``, then a trace not real and positive :class:`DomainError`."""
+        ``ValueError``, then a trace ``moment(1)`` not positive :class:`DomainError`."""
         if not self.is_square:
             raise ValueError("the SPA requires equal subsystem dimensions")
-        tr = self.complex_trace
-        if abs(tr.imag) > DEFAULT.moment_imag or tr.real <= DEFAULT.trace_positive:
+        tr = self.moment(1)
+        if tr <= DEFAULT.trace_positive:
             raise DomainError(f"realigned trace {tr} is not positive")
-        return tr.real
+        return tr
 
     def moment(self, k: int) -> float:
         if k < 1:
@@ -128,12 +123,8 @@ class RealignedMatrix:
         power = self.__dict__.get("_power")
         while len(self._moments) < count:
             power = self.matrix if power is None else power @ self.matrix
-            value = complex(np.trace(power))
-            if abs(value.imag) > DEFAULT.moment_imag:
-                k = len(self._moments) + 1
-                raise ValueError(f"moment {k} has imaginary part {value.imag:.3e}")
-            self.__dict__["_power"] = power
-            self._moments.append(value.real)
+            self._moments.append(float(np.trace(power).real))
+        self.__dict__["_power"] = power
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -183,8 +174,8 @@ def realignment_criterion(rho: StateLike) -> tuple[Verdict, float]:
 
 
 def is_schmidt_symmetric(rho: StateLike) -> bool:
-    """True iff dimA == dimB, Tr[R(rho)] is real within ``DEFAULT.moment_imag``
-    and it equals ||R(rho)||_1 within ``DEFAULT.verdict``.
+    """True iff dimA == dimB and Tr[R(rho)] equals ||R(rho)||_1 within
+    ``DEFAULT.verdict``.
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
@@ -192,10 +183,7 @@ def is_schmidt_symmetric(rho: StateLike) -> bool:
     dimensions, so unequal ones give False.
     """
     r = as_realigned(rho)
-    if not r.is_square:
-        return False
-    tr = r.complex_trace
-    return abs(tr.imag) <= DEFAULT.moment_imag and abs(r.trace_norm - tr.real) <= DEFAULT.verdict
+    return r.is_square and abs(r.trace_norm - r.moment(1)) <= DEFAULT.verdict
 
 
 def realignment_moment(rho: StateLike, k: int) -> float:

@@ -25,6 +25,7 @@ eig(R); for a Hermitian R the certificate computes them.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -224,19 +225,17 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
 
 
 def require_weights(ps: Sequence[float]) -> list[float]:
-    """The sequence of mixing weights ``ps`` of the SPA as a list of floats.
+    """The mixing weights ``ps`` of the SPA as Python floats, one double each.
 
-    Raises ``ValueError`` for entries that are sequences themselves
-    (``p must be a number``, naming the first entry) and for the first entry
-    outside [0, 1], NaN included (``p must lie in [0, 1]``, naming it)."""
-    weights = np.asarray(ps, dtype=float)
-    if weights.ndim > 1:
-        raise ValueError(f"p must be a number, got {ps[0]}")
-    values = weights.tolist()
-    for p, w in zip(ps, values):
-        if not 0.0 <= w <= 1.0:
+    Raises ``ValueError`` at the first entry that is not a real number or is a
+    bool (``p must be a number``, naming it) or lies outside [0, 1], NaN
+    included (``p must lie in [0, 1]``, naming it)."""
+    for p in ps:
+        if not isinstance(p, numbers.Real) or isinstance(p, bool):
+            raise ValueError(f"p must be a number, got {p}")
+        if not 0.0 <= float(p) <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-    return values
+    return [float(p) for p in ps]
 
 
 def apply_spa(rho: StateLike, p: float) -> np.ndarray:
@@ -282,7 +281,7 @@ def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertifica
     validated spectrum. An uncertified result is a valid outcome, not an
     error. Checks ``[p]`` as :func:`apply_spa` does, and nothing else.
     """
-    require_weights([p])
+    [p] = require_weights([p])
     if p < threshold.l:
         return CpCertificate(False, None, None)
     r = threshold.realigned

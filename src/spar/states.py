@@ -42,9 +42,10 @@ class DensityMatrix:
     """A validated bipartite state with subsystem dimensions (dimA, dimB).
 
     Built only by :func:`validate_density`, which :func:`spar.realign.realign`
-    trusts: ``matrix`` is finite, square, of size dimA*dimB and the state's own
-    read-only copy. ``spectrum`` holds its eigenvalues in ascending order,
-    read-only, as :func:`validate_density` computed them for its PSD check.
+    trusts: ``matrix`` is the Hermitian part of the accepted input, finite,
+    square, of size dimA*dimB and the state's own read-only copy. ``spectrum``
+    holds its eigenvalues in ascending order, read-only, as
+    :func:`validate_density` computed them for its PSD check.
     Calling the class raises ``TypeError``, so no unchecked matrix gets in.
     """
 
@@ -92,23 +93,29 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     Verifies squareness and finite entries (:func:`linalg.as_matrix`), the dims
     (:func:`require_dims`), Hermiticity, unit trace and positive semidefiniteness
     within ``DEFAULT.validation``, each failure a :class:`StateValidationError`.
+    The state keeps the Hermitian part (M + M^dag)/2, which the trace and PSD
+    checks read, so its realigned moments are real by construction; exactly
+    Hermitian input keeps its bits (subnormal entries aside).
     """
     tol = DEFAULT.validation
-    a = np.array(linalg.as_matrix(m))  # the state's own copy
+    a = linalg.as_matrix(m)
     dim_a, dim_b = require_dims(dims, a.shape[0])
     defect = linalg.hermiticity_defect(a)
     if defect > tol:
         raise StateValidationError("hermitian", f"|M - M^dag| = {defect:.3e} exceeds {tol:.1e}")
-    tr = complex(np.trace(a))
+    # the state's own copy: the Hermitian part, halved first so no sum overflows
+    h = a * 0.5
+    h += h.conj().T
+    tr = complex(np.trace(h))
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
     # what linalg.hermitian_eigenvalues checks has passed above, to a tighter tolerance
-    spectrum = np.linalg.eigvalsh(a)
+    spectrum = np.linalg.eigvalsh(h)
     lam_min = float(spectrum[0])
     if lam_min < -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
     rho = object.__new__(DensityMatrix)  # past the __init__ that refuses every other caller
-    vars(rho).update(dim_a=dim_a, dim_b=dim_b, matrix=read_only(a), spectrum=read_only(spectrum))
+    vars(rho).update(dim_a=dim_a, dim_b=dim_b, matrix=read_only(h), spectrum=read_only(spectrum))
     return rho
 
 

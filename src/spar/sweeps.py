@@ -258,7 +258,7 @@ def _state_blocks(
             weights = spa.require_weights(ps)
         scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            scores = _score_spa_r(r, _spa_r_norms(r, weights), ps)
+            scores = _score_spa_r(r, _spa_r_norms(r, weights), weights)
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)

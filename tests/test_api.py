@@ -1,6 +1,10 @@
 """The public surface: the names ``spar`` exports and the functions the
-benchmark's tracer wraps by name."""
+benchmark's tracer wraps by name; and two guards over the whole tree: every
+tolerance is read somewhere, and every file parses with the oldest grammar
+that pyproject.toml supports."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -100,3 +104,31 @@ def test_no_callable_takes_a_verdict_tolerance():
             if {"tol", "verdict_tol"} & set(inspect.signature(func).parameters):
                 found.append(f"{module_name}.{qualname}")
     assert sorted(found) == sorted(SEARCH_STEP)
+
+
+def read_tolerances():
+    """The fields of ``Tolerances`` that modules under ``src/spar/`` read as ``DEFAULT.<field>``."""
+    read = set()
+    for path in (ROOT / "src" / "spar").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "DEFAULT"):
+                read.add(node.attr)
+    return read
+
+
+def test_every_tolerance_is_read():
+    # a tolerance no code reads guards nothing: it must go, not linger
+    fields = {f.name for f in dataclasses.fields(spar.Tolerances)}
+    assert fields - read_tolerances() == set()
+
+
+PYTHON_FILES = sorted(p for folder in ("src", "scripts", "tests", "benchmarks")
+                      for p in (ROOT / folder).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_with_the_oldest_supported_grammar(path):
+    # pyproject.toml declares requires-python >= 3.10; this catches syntax
+    # newer than 3.10 (except*, for one), not library calls newer than 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

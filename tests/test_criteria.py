@@ -243,8 +243,11 @@ class TestSharedAnalysis:
         assert violation_p_max(realign(rho)) == violation_p_max(rho)
 
 
-# p-grid with both zeros, the end point and off-grid weights
-P_GRID = [-0.0, 0.0, 1.0] + np.linspace(0.0, 1.0, 41).tolist() + [1e-12, 0.123456789, 1 - 1e-12]
+# p-grid with both zeros, the end point, off-grid weights and a float32 weight,
+# which is scored as its double: in float32 its bound is about 5e-8 off and the
+# verdict of rho_t(-0.7412820512820513) there flips to ENTANGLED
+P_GRID = [-0.0, 0.0, 1.0] + np.linspace(0.0, 1.0, 41).tolist() + [
+    1e-12, 0.123456789, 1 - 1e-12, np.float32(0.8232569098472595)]
 
 GRID_STATES = (
     [rho_t(t) for t in (-0.79, -0.6, 0.0, 0.11, 0.3, 0.79)]
@@ -252,12 +255,13 @@ GRID_STATES = (
     + [isotropic(b, d) for d in range(2, 7) for b in (-1 / (d * d - 1) + 1e-3, 0.2, 0.9)]
     + [alpha_state(a) for a in (0.0, 0.3, 0.7, 1.0)]
     + [random_schmidt_symmetric(d, 3, seed=d) for d in range(2, 6)]
+    + [rho_t(-0.7412820512820513)]  # the state whose verdict the float32 weight flipped
 )
 
 
 def per_cell_norm(r, p):
-    """||spa(rho; p)||_1 from one SPA matrix and one SVD for this p alone."""
-    n = r.dim_a * r.dim_b
+    """||spa(rho; p)||_1 from one SPA matrix and one SVD for the double of p alone."""
+    p, n = float(p), r.dim_a * r.dim_b
     spa = (p / n) * np.eye(n, dtype=np.complex128) + ((1.0 - p) / r.moment(1)) * r.matrix
     return float(np.sum(np.linalg.svd(spa, compute_uv=False)))
 
@@ -270,8 +274,9 @@ def svd_norm(m):
 class TestStackedReport:
     @pytest.mark.parametrize("rho", GRID_STATES, ids=repr)
     def test_one_stacked_svd_gives_the_doubles_of_separate_ones(self, rho):
-        for p in (0.0, 0.3, 1.0):
+        for p in (0.0, 0.3, 1.0, np.float32(0.1)):
             report = criterion_report(rho, p)
+            assert type(report.upper_bound) is float
             r = realign(rho)
             spa = apply_spa(r, p)
             assert report.realignment_score == svd_norm(r.matrix) == r.trace_norm
@@ -294,7 +299,7 @@ class TestSpaRScores:
         scores = spa_r_scores(r, P_GRID)
         assert scores == [spa_r_scores(r, [p])[0] for p in P_GRID]
         assert [norm for _, norm, _ in scores] == [per_cell_norm(r, p) for p in P_GRID]
-        bounds = [spa_r_upper_bound(r.moment(1), p) for p in P_GRID]
+        bounds = [spa_r_upper_bound(r.moment(1), float(p)) for p in P_GRID]
         assert [bound for _, _, bound in scores] == bounds
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])

@@ -13,6 +13,7 @@ from spar import (
     certify_completely_positive,
     is_schmidt_symmetric,
     isotropic,
+    random_density,
     random_schmidt_symmetric,
     random_separable,
     realign,
@@ -252,6 +253,21 @@ def test_running_product_moments_match_power_trace_exactly(rho):
     assert list(r.moments(n)) == want
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_moments_are_real_up_to_matmul_rounding(d):
+    # conj(R) = P R P (P the swap) for the exactly Hermitian stored matrix, so
+    # Tr R^k is real and its computed imaginary part is rounding alone: the
+    # premise on which the moments keep their real parts unchecked
+    n = d * d
+    for seed in range(3):
+        for rho in (validate_density(random_density(n, seed=seed), (d, d)),
+                    random_schmidt_symmetric(d, 3, seed=seed)):
+            power = r = realign(rho).matrix
+            for k in range(1, n + 1):
+                assert abs(np.trace(power).imag) <= k * n * np.finfo(float).eps
+                power = power @ r
+
+
 def test_realigned_matrix_keeps_its_state():
     rho = rho_t(0.3)
     r = realign(rho)
@@ -274,8 +290,7 @@ def test_caches_are_neither_constructor_arguments_nor_settable():
     r.moments(4)
     arrays = {"matrix": r.matrix, "singular_values": r.singular_values,
               "eigenvalues": r.eigenvalues}
-    values = {"state": r.state, **arrays, "_moments": [], "spa_trace": 1.0,
-              "complex_trace": 1.0 + 0j}
+    values = {"state": r.state, **arrays, "_moments": [], "spa_trace": 1.0}
     for name, value in values.items():
         # a frozen dataclass refuses with FrozenInstanceError, an AttributeError
         with pytest.raises(AttributeError):

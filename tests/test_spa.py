@@ -243,15 +243,18 @@ GATE_CASES = {
     "unequal_dims": (random_separable(2, 3, 3, seed=1), 0.5, ValueError,
                      "the SPA requires equal subsystem dimensions"),
     "trace_zero_bad_p": (TRACE_ZERO, 2.0, ValueError, "p must lie in [0, 1], got 2.0"),
-    "trace_zero": (TRACE_ZERO, 0.5, DomainError, r"realigned trace \(.*\) is not positive"),
+    "trace_zero": (TRACE_ZERO, 0.5, DomainError, r"realigned trace [-+.0-9e]+ is not positive"),
     "bad_p": (rho_t(0.3), 1.5, ValueError, "p must lie in [0, 1], got 1.5"),
 }
-# a sequence where one weight belongs, and the text of it that the refusal names
+# a sequence or another value that is not a real number where one weight
+# belongs, and the text of it that the refusal names
 SEQUENCE_P = {
     "list": ([0.1, 0.2], "[0.1, 0.2]"),
     "tuple": ((0.1, 0.2), "(0.1, 0.2)"),
     "array": (np.array([0.5]), "[0.5]"),
     "nested": ([[0.5]], "[[0.5]]"),
+    "string": ("0.5", "0.5"),
+    "bool": (True, "True"),
 }
 
 
@@ -414,10 +417,18 @@ class TestApplySpa:
         # the check a grid passes once before it goes to _mixture
         check = spar.spa.require_weights
         assert check((0.25, 1)) == [0.25, 1.0] and check([]) == []
+        # one double per weight: a float32 or numpy weight becomes a Python float
+        weights = check([np.float32(0.1), np.float64(0.5), np.int64(1)])
+        assert weights == [float(np.float32(0.1)), 0.5, 1.0]
+        assert {type(w) for w in weights} == {float}
         with pytest.raises(ValueError, match=r"got -0\.5$"):
             check([0.1, -0.5, 1.5])
         with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.1, 0.2]")):
             check([[0.1, 0.2]])
+        with pytest.raises(ValueError, match=re.escape("p must be a number, got [0.2]")):
+            check([0.5, [0.2]])
+        with pytest.raises(ValueError, match=re.escape("p must be a number, got False")):
+            check([0.5, False])
 
     def test_schmidt_symmetric_norm_is_one(self, schmidt_symmetric_states):
         from spar.linalg import trace_norm

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from spar import (
     alpha_state,
     bell_state,
     isotropic,
+    random_density,
+    random_schmidt_symmetric,
     random_separable,
     read_state_file,
+    realign,
     realign_matrix,
     realignment_criterion,
     rho_a,
@@ -143,6 +147,64 @@ class TestValidateDensity:
     def test_is_the_only_way_to_build_a_state(self, build):
         with pytest.raises(TypeError, match="^a DensityMatrix is built only by validate_density$"):
             build()
+
+
+def slack_state(d=6):
+    """I/d^2 plus 0.495e-10 i at each (ii, kk) and (kk, ii), i != k: an
+    anti-Hermitian defect of 0.99e-10, within the validation slack. Kept as
+    given, its realigned trace would read 1/d + 1.485e-9 i at d = 6."""
+    m = np.eye(d * d, dtype=complex) / (d * d)
+    for i in range(d):
+        for k in range(d):
+            if i != k:
+                m[i * d + i, k * d + k] = 0.495e-10j
+    return m
+
+
+def hermitian_inputs():
+    """Seeded Ginibre, separable and Schmidt-symmetric input at d = 2..6, and
+    a hand-built input with a Hermiticity defect of 0.99e-10."""
+    for d in range(2, 7):
+        yield pytest.param(random_density(d * d, seed=d), (d, d), id=f"ginibre{d}")
+        yield pytest.param(random_separable(d, d, 3, seed=d).matrix, (d, d), id=f"separable{d}")
+        yield pytest.param(random_schmidt_symmetric(d, 3, seed=d).matrix, (d, d), id=f"schmidt{d}")
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 0.99e-10
+    yield pytest.param(m, (2, 2), id="defect")
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("m,dims", hermitian_inputs())
+    def test_stores_the_exactly_hermitian_part(self, m, dims):
+        rho = validate_density(m, dims)
+        h = rho.matrix
+        assert np.array_equal(h, h.conj().T)
+        assert np.allclose(h, (m + m.conj().T) / 2, rtol=0, atol=1e-16)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(h))
+
+    @pytest.mark.parametrize("rho", [rho_t(-0.7), rho_t(0.3), rho_a(0.8), alpha_state(0.4)]
+                             + [isotropic(0.3, d) for d in range(2, 7)], ids=repr)
+    def test_revalidating_a_family_state_keeps_its_bytes(self, rho):
+        again = validate_density(rho.matrix, (rho.dim_a, rho.dim_b))
+        assert again.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_slack_state_has_a_real_positive_realigned_trace(self, tmp_path, capsys):
+        rho = validate_density(slack_state(), (6, 6))
+        assert np.array_equal(rho.matrix, np.eye(36) / 36)
+        assert realign(rho).spa_trace == 1 / 6
+        flat = slack_state().reshape(-1)
+        path = tmp_path / "slack.json"
+        path.write_text(json.dumps({"dims": [6, 6], "matrix": [[z.real, z.imag] for z in flat]}))
+        assert main(["analyze", "--state", str(path), "--p", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["realignment"]["trace"] == 0.16666666666666666
+
+    def test_halves_before_it_adds(self):
+        # (M + M^dag)/2 would overflow here; the halves sum to 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError) as err:
+                validate_density([[0.5, 1e308], [1e308, 0.5]], (1, 2))
+        assert err.value.check == "psd"
 
 
 class TestFamilies:
