@@ -122,33 +122,26 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict) -> dict:
         # the SPA machinery needs equal subsystem dimensions; report the
         # dimension-agnostic realignment data only
         require_weights([p])
-        verdict, score = realignment_criterion(r)
+        score = realignment_criterion(r)
         return {
             **head,
-            "realignment": {"trace_norm": score, "verdict": verdict},
+            "realignment": {"trace_norm": score.value, "verdict": score.verdict},
             "moments": {"q1": q1_realignment_moments(r), "q2": None},
         }
     report = criterion_report(r, p)
     threshold = spa_threshold(r)
     cert = certify_completely_positive(threshold, p)
+    rea, spa_r, error = report.realignment, report.spa_r, report.error
     return {
         **head,
-        "realignment": {
-            "trace": report.trace_r,
-            "trace_norm": report.realignment_score,
-            "verdict": report.realignment_verdict,
-        },
-        "spa_r": {
-            "trace_norm": report.trace_norm_spa_r,
-            "upper_bound": report.upper_bound,
-            "verdict": report.spa_r_verdict,
-        },
+        "realignment": {"trace": report.trace_r, "trace_norm": rea.value, "verdict": rea.verdict},
+        "spa_r": {"trace_norm": spa_r.value, "upper_bound": spa_r.bound, "verdict": spa_r.verdict},
         "error": {
-            "norm": report.error.error_norm,
-            "bound_general": report.error.bound_general,
-            "bound_separable": report.error.bound_separable,
-            "verdict": report.error.verdict,
-            "bound_valid": report.error.bound_valid,
+            "norm": error.score.value,
+            "bound_general": error.bound_general,
+            "bound_separable": error.score.bound,
+            "verdict": error.score.verdict,
+            "bound_valid": error.bound_valid,
         },
         "moments": {"q1": report.q1, "q2": report.q2},
         "spa": {

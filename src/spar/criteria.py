@@ -16,6 +16,7 @@ from . import linalg, spa
 from .config import DEFAULT
 from .realign import (
     RealignedMatrix,
+    Score,
     StateLike,
     Verdict,
     as_realigned,
@@ -48,68 +49,54 @@ def spa_r_upper_bound(trace_r: float, p: float) -> float:
     return p + (1.0 - p) / trace_r
 
 
-def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[tuple[Verdict, float, float]]:
-    """SPA separability test over a p-grid: for each p the verdict,
-    ||spa(rho; p)||_1 and the separable bound it is compared against.
+def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[Score]:
+    """SPA separability test over a p-grid: for each p the :class:`Score` of
+    ||spa(rho; p)||_1 against the separable bound :func:`spa_r_upper_bound`.
 
     The whole grid is one stack of SPA matrices and one stacked SVD; each
     norm is the same double as for that p alone. Checks as :func:`apply_spa`:
     the grid with ``spa.require_weights``, then the domain gate, then scores
-    with :func:`_spa_r_norms`. An empty grid scores nothing and checks nothing.
+    with :func:`_spa_r_scores`. An empty grid scores nothing and checks nothing.
     """
     ps = list(ps)
     if not ps:
         return []
-    r = as_realigned(rho)
-    weights = spa.require_weights(ps)
-    return _score_spa_r(r, _spa_r_norms(r, weights), weights)
+    return _spa_r_scores(as_realigned(rho), spa.require_weights(ps))
 
 
-def _spa_r_norms(r: RealignedMatrix, weights: list[float]) -> list[float]:
-    """||spa(rho; w)||_1 per weight as Python floats, from one stacked SVD.
+def _spa_r_scores(r: RealignedMatrix, weights: list[float]) -> list[Score]:
+    """The :class:`Score` per weight, each norm a Python float from one stacked SVD.
 
     The scorer behind :func:`spa_r_scores` for weights already checked; like
     ``spa._mixture``, which runs the domain gate, it does not check them, so
     a sweep checks its grid once and a boundary search, whose probes lie on
     [0, 1] by construction, checks none.
     """
-    return linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1).tolist()
-
-
-def _score_spa_r(
-    r: RealignedMatrix, norms: list[float], weights: list[float]
-) -> list[tuple[Verdict, float, float]]:
-    """Verdict, norm and bound per checked weight from the trace norms of the SPA matrices."""
+    norms = linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1).tolist()
     trace_r = r.spa_trace
-    scores = []
-    for p, norm in zip(weights, norms):
-        bound = spa_r_upper_bound(trace_r, p)
-        scores.append((Verdict.from_score(norm, bound), norm, bound))
-    return scores
+    return [Score(norm, spa_r_upper_bound(trace_r, p)) for p, norm in zip(weights, norms)]
 
 
 def spa_r_verdict(rho: StateLike, p: float) -> Verdict:
-    """Entangled iff ||spa(rho; p)||_1 exceeds the separable bound by more than
-    ``DEFAULT.verdict``: the verdict of :func:`spa_r_scores` at the single p."""
-    return spa_r_scores(rho, [p])[0][0]
+    """The verdict of :func:`spa_r_scores` at the single p."""
+    return spa_r_scores(rho, [p])[0].verdict
 
 
 @dataclass(frozen=True)
 class ErrorReport:
     """Trace-norm error of the SPA against the raw realignment.
 
-    ``bound_general`` is p + ((1-p-Tr[R])/Tr[R]) ||R||_1 and
-    ``bound_separable`` is (1-p)(1-Tr[R])/Tr[R]. Both are derived assuming
-    the mixing coefficient (1-p)/Tr[R] - 1 is nonnegative, i.e.
-    p <= 1 - Tr[R]; outside that window the bounds can drop below the actual
-    error even for separable states, so ``verdict`` is only meaningful for
-    p within the window (``bound_valid``, with ``DEFAULT.verdict`` as its slack).
+    ``score`` is the error ||spa - R||_1 against its separable bound
+    (1-p)(1-Tr[R])/Tr[R]; ``bound_general`` is p + ((1-p-Tr[R])/Tr[R]) ||R||_1.
+    Both bounds are derived assuming the mixing coefficient (1-p)/Tr[R] - 1
+    is nonnegative, i.e. p <= 1 - Tr[R]; outside that window they can drop
+    below the actual error even for separable states, so the score's verdict
+    is only meaningful for p within the window (``bound_valid``, with
+    ``DEFAULT.verdict`` as its slack).
     """
 
-    error_norm: float
+    score: Score
     bound_general: float
-    bound_separable: float
-    verdict: Verdict
     bound_valid: bool
 
 
@@ -124,13 +111,9 @@ def error_suite(rho: StateLike, p: float) -> ErrorReport:
 def _error_report(r: RealignedMatrix, error_norm: float, p: float) -> ErrorReport:
     """:func:`error_suite` from the error norm ||spa - R||_1 already computed."""
     trace_r = r.spa_trace
-    bound_general = p + (1.0 - p - trace_r) / trace_r * r.trace_norm
-    bound_separable = (1.0 - p) * (1.0 - trace_r) / trace_r
     return ErrorReport(
-        error_norm=error_norm,
-        bound_general=bound_general,
-        bound_separable=bound_separable,
-        verdict=Verdict.from_score(error_norm, bound_separable),
+        score=Score(error_norm, (1.0 - p) * (1.0 - trace_r) / trace_r),
+        bound_general=p + (1.0 - p - trace_r) / trace_r * r.trace_norm,
         bound_valid=p <= 1.0 - trace_r + DEFAULT.verdict,
     )
 
@@ -166,15 +149,14 @@ def _q2_score(r: RealignedMatrix, state_sigma: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """All per-state scalars for one (state, p) analysis."""
+    """All per-state scalars for one (state, p) analysis: the realignment
+    score ||R||_1 against 1 and the SPA-R score ||spa(rho; p)||_1 against
+    :func:`spa_r_upper_bound`, each verdict read from its :class:`Score`."""
 
     p: float
     trace_r: float
-    realignment_score: float
-    realignment_verdict: Verdict
-    trace_norm_spa_r: float
-    upper_bound: float
-    spa_r_verdict: Verdict
+    realignment: Score
+    spa_r: Score
     error: ErrorReport
     q1: float
     q2: float | None
@@ -195,17 +177,12 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))
-    realignment_verdict, score = realignment_criterion(r)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
-    [(spa_verdict, norm, bound)] = _score_spa_r(r, [spa_norm], [p])
     return CriterionReport(
         p=p,
         trace_r=r.spa_trace,
-        realignment_score=score,
-        realignment_verdict=realignment_verdict,
-        trace_norm_spa_r=norm,
-        upper_bound=bound,
-        spa_r_verdict=spa_verdict,
+        realignment=realignment_criterion(r),
+        spa_r=Score(spa_norm, spa_r_upper_bound(r.spa_trace, p)),
         error=_error_report(r, error_norm, p),
         q1=q1_realignment_moments(r),
         q2=_q2_score(r, sigma[2]) if with_q2 else None,

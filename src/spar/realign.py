@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .states import DensityMatrix, read_only, require_dims
 
 __all__ = [
     "Verdict",
+    "Score",
     "RealignedMatrix",
     "realign_matrix",
     "realign",
@@ -36,15 +38,24 @@ class Verdict(enum.Enum):
     ENTANGLED = "entangled"
     INCONCLUSIVE = "inconclusive"
 
-    @staticmethod
-    def margin(score: float, bound: float) -> float:
-        """``score - (bound + DEFAULT.verdict)``, the one verdict margin: ties stay inconclusive."""
-        return score - (bound + DEFAULT.verdict)
 
-    @classmethod
-    def from_score(cls, score: float, bound: float) -> Verdict:
-        """Entangled iff the score's :meth:`margin` over its separable bound is positive."""
-        return cls.ENTANGLED if cls.margin(score, bound) > 0 else cls.INCONCLUSIVE
+class Score(NamedTuple):
+    """One one-sided test: a ``value`` against the ``bound`` that every
+    separable state obeys. The verdict is derived, never stored."""
+
+    value: float
+    bound: float
+
+    @property
+    def margin(self) -> float:
+        """``value - (bound + DEFAULT.verdict)``, the one verdict margin: ties
+        stay inconclusive, and so does NaN in either field."""
+        return self.value - (self.bound + DEFAULT.verdict)
+
+    @property
+    def verdict(self) -> Verdict:
+        """Entangled iff :attr:`margin` is positive."""
+        return Verdict.ENTANGLED if self.margin > 0 else Verdict.INCONCLUSIVE
 
 
 def realign_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
@@ -164,13 +175,9 @@ def as_realigned(source: StateLike) -> RealignedMatrix:
     return source if isinstance(source, RealignedMatrix) else realign(source)
 
 
-def realignment_criterion(rho: StateLike) -> tuple[Verdict, float]:
-    """Plain realignment test: entangled iff ||R(rho)||_1 > 1 + ``DEFAULT.verdict``.
-
-    Returns the verdict together with the score ||R(rho)||_1.
-    """
-    score = as_realigned(rho).trace_norm
-    return Verdict.from_score(score, 1), score
+def realignment_criterion(rho: StateLike) -> Score:
+    """Plain realignment test: ||R(rho)||_1 against its separable bound 1."""
+    return Score(as_realigned(rho).trace_norm, 1.0)
 
 
 def is_schmidt_symmetric(rho: StateLike) -> bool:

@@ -228,11 +228,12 @@ def require_weights(ps: Sequence[float]) -> list[float]:
     """The mixing weights ``ps`` of the SPA as Python floats, one double each.
 
     Raises ``ValueError`` at the first entry that is not a real number or is a
-    bool (``p must be a number``, naming it) or lies outside [0, 1], NaN
-    included (``p must lie in [0, 1]``, naming it)."""
+    bool (``p must be a number``, naming its ``repr``, so a string shows its
+    quotes) or lies outside [0, 1], NaN included (``p must lie in [0, 1]``,
+    naming its ``str``)."""
     for p in ps:
         if not isinstance(p, numbers.Real) or isinstance(p, bool):
-            raise ValueError(f"p must be a number, got {p}")
+            raise ValueError(f"p must be a number, got {p!r}")
         if not 0.0 <= float(p) <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
     return [float(p) for p in ps]

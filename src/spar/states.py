@@ -106,7 +106,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     # the state's own copy: the Hermitian part, halved first so no sum overflows
     h = a * 0.5
     h += h.conj().T
-    tr = complex(np.trace(h))
+    tr = float(np.trace(h).real)  # the diagonal of h is exactly real
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
     # what linalg.hermitian_eigenvalues checks has passed above, to a tighter tolerance

@@ -32,15 +32,9 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import spa
-from .criteria import (
-    _score_spa_r,
-    _spa_r_norms,
-    q1_realignment_moments,
-    q2_rmoment,
-    spa_r_upper_bound,
-)
+from .criteria import _spa_r_scores, q1_realignment_moments, q2_rmoment
 from .exceptions import DomainError
-from .realign import StateLike, Verdict, as_realigned
+from .realign import Score, StateLike, as_realigned
 from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
@@ -205,9 +199,9 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     when the state is not detected even at p = 0.
 
     The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
-    the verdict's own :meth:`Verdict.margin`, is positive exactly where the
-    verdict is ENTANGLED. It is convex in p and negative at p = 1, so the
-    violated set is an interval [0, p*). Let h = 2**-j be the largest power
+    the :attr:`Score.margin` of the SPA-R score at p, is positive exactly
+    where the verdict is ENTANGLED. It is convex in p and negative at p = 1,
+    so the violated set is an interval [0, p*). Let h = 2**-j be the largest power
     of two not above ``tol``. The result is the midpoint of the grid cell
     [k h, (k+1) h] whose left end is violated and whose right end is not:
     the value ``bisect_boundary(violated, 0.0, 1.0, tol)`` returns, bit for
@@ -220,8 +214,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
-        [norm] = _spa_r_norms(r, [p])
-        return Verdict.margin(norm, spa_r_upper_bound(r.spa_trace, p))
+        return _spa_r_scores(r, [p])[0].margin
 
     g0 = excess(0.0)
     if g0 <= 0:
@@ -235,7 +228,7 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
 def _state_blocks(
     states: Iterable[tuple[float, StateLike]], ps: list[float]
-) -> Iterator[tuple[float, tuple, list[tuple[Verdict, float, float]]]]:
+) -> Iterator[tuple[float, tuple, list[Score]]]:
     """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
     the scores being those of :func:`spa_r_scores` over ``ps``; each state is
     scored first, before the next is drawn.
@@ -243,12 +236,13 @@ def _state_blocks(
     ``ps`` is checked once, through ``spa.require_weights`` at the first
     state, so a p outside [0, 1] raises before that state's gate, q1, q2 and
     threshold, and a sweep of no states checks nothing. Each state is then
-    scored by :func:`_spa_r_norms`, which runs that state's domain gate.
+    scored by :func:`_spa_r_scores`, which runs that state's domain gate.
 
     What cannot be computed is NaN rather than aborting the sweep: when the
-    domain gate refuses the realigned trace, the norm and bound (verdict
-    inconclusive) and l and k, with no threshold run; l and k alone when the
-    spectrum is not real. q2 is None outside 3x3 systems.
+    domain gate refuses the realigned trace, each score's value and bound (a
+    NaN margin, so the verdict stays inconclusive) and l and k, with no
+    threshold run; l and k alone when the spectrum is not real. q2 is None
+    outside 3x3 systems.
     """
     nan = float("nan")
     weights = None  # ps as checked floats, once the first state is drawn
@@ -256,9 +250,9 @@ def _state_blocks(
         r = as_realigned(rho)
         if weights is None:
             weights = spa.require_weights(ps)
-        scores, l, k = [(Verdict.INCONCLUSIVE, nan, nan)] * len(ps), nan, nan
+        scores, l, k = [Score(nan, nan)] * len(ps), nan, nan
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            scores = _score_spa_r(r, _spa_r_norms(r, weights), weights)
+            scores = _spa_r_scores(r, weights)
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)
@@ -271,9 +265,9 @@ def sweep_rows(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -
     :data:`SWEEP_COLUMNS` dicts: the rows :func:`sweep_csv` writes."""
     ps = list(ps)
     for param, columns, scores in _state_blocks(states, ps):
-        for p, (verdict, norm, bound) in zip(ps, scores):
-            violated = int(verdict == Verdict.ENTANGLED)
-            yield dict(zip(SWEEP_COLUMNS, (param, p, norm, bound, violated, *columns)))
+        for p, score in zip(ps, scores):
+            violated = int(score.margin > 0)
+            yield dict(zip(SWEEP_COLUMNS, (param, p, score.value, score.bound, violated, *columns)))
 
 
 def sweep_csv(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -> str:
@@ -290,9 +284,9 @@ def sweep_csv(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) ->
     for param, columns, scores in _state_blocks(states, ps):
         head = _cell(param) + ","
         tail = "," + _line(columns)
-        for p, (verdict, norm, bound) in zip(p_cells, scores):
-            violated = "1" if verdict == Verdict.ENTANGLED else "0"
-            lines.append(f"{head}{p},{norm!s},{bound!s},{violated}{tail}")
+        for p, score in zip(p_cells, scores):
+            violated = "1" if score.margin > 0 else "0"
+            lines.append(f"{head}{p},{score.value!s},{score.bound!s},{violated}{tail}")
     lines.append("")
     return "\n".join(lines)
 

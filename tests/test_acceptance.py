@@ -374,7 +374,7 @@ def test_c7_schmidt_symmetric_lemma_and_equivalence(schmidt_symmetric_states):
     assert len(schmidt_symmetric_states) == 200
     p_grid = (0.0, 0.25, 0.5, 0.75, 0.9)  # p = 1 is the exact-tie endpoint
     for rho in schmidt_symmetric_states:
-        plain, _ = realignment_criterion(rho)
+        plain = realignment_criterion(rho).verdict
         for p in p_grid:
             assert trace_norm(apply_spa(rho, p)) == pytest.approx(1.0, abs=1e-9)
             assert spa_r_verdict(rho, p) == plain
@@ -389,7 +389,7 @@ def test_c7_error_bound_on_separable_ensemble(separable_22, separable_33):
         window = 1 - realign(rho).moment(1)
         for frac in (0.0, 0.5, 1.0):
             rep = error_suite(rho, frac * window)
-            assert rep.error_norm <= rep.bound_separable + 1e-9
+            assert rep.score.value <= rep.score.bound + 1e-9
     ok("criterion 7g: separable error bound holds across its validity window "
        "(200 states x 3 p)")
 

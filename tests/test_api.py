@@ -1,13 +1,17 @@
 """The public surface: the names ``spar`` exports and the functions the
-benchmark's tracer wraps by name; and two guards over the whole tree: every
-tolerance is read somewhere, and every file parses with the oldest grammar
-that pyproject.toml supports."""
+benchmark's tracer wraps by name; three guards over the whole tree: every
+tolerance is read somewhere, no record stores a verdict, and every file
+parses with the oldest grammar that pyproject.toml supports; and one over
+the test configuration: a failing Hypothesis test does not stop the run."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,7 @@ EXPORTED = {
     "spa_r_verdict",
     "CaseTag", "EstimationInput", "MomentInterval", "m1_case_bounds",
     "m1_interval_quadratic", "simulate_s", "swap_operator",
-    "RealignedMatrix", "Verdict", "is_schmidt_symmetric", "realign", "realign_matrix",
+    "RealignedMatrix", "Score", "Verdict", "is_schmidt_symmetric", "realign", "realign_matrix",
     "realignment_criterion", "realignment_moment",
     "CharPolyCoeffs", "CpCertificate", "ReferenceThresholds", "SpaAnalysis", "apply_spa",
     "certify_completely_positive", "descartes_psd_test", "eigenvalue_offset",
@@ -123,6 +127,26 @@ def test_every_tolerance_is_read():
     assert fields - read_tolerances() == set()
 
 
+def mentions(hint, target) -> bool:
+    """Whether the type ``hint`` is ``target`` or has it among its arguments, at any depth."""
+    return hint is target or any(mentions(arg, target) for arg in typing.get_args(hint))
+
+
+def test_no_record_stores_a_verdict():
+    # a verdict is derived from its Score's value and bound, never kept beside them
+    found = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"spar.{module_name}")
+        for name, cls in vars(module).items():
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            if dataclasses.is_dataclass(cls) or hasattr(cls, "_fields"):  # NamedTuple
+                hints = typing.get_type_hints(cls)
+                found += [f"{module_name}.{name}.{field}" for field, hint in hints.items()
+                          if mentions(hint, spar.Verdict)]
+    assert found == []
+
+
 PYTHON_FILES = sorted(p for folder in ("src", "scripts", "tests", "benchmarks")
                       for p in (ROOT / folder).rglob("*.py"))
 
@@ -132,3 +156,30 @@ def test_parses_with_the_oldest_supported_grammar(path):
     # pyproject.toml declares requires-python >= 3.10; this catches syntax
     # newer than 3.10 (except*, for one), not library calls newer than 3.10
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    # Hypothesis's failure report imports a module that raises a
+    # DeprecationWarning; unless pyproject.toml ignores it, filterwarnings =
+    # error turns it into an INTERNALERROR that ends the session there
+    (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -223,7 +223,7 @@ class TestAnalyze:
                            "--param", "0.3", "--p", "0.25")
         assert code == 0
         norm = json.loads(out)["spa_r"]["trace_norm"]
-        assert norm == criterion_report(rho_t(0.3), 0.25).trace_norm_spa_r
+        assert norm == criterion_report(rho_t(0.3), 0.25).spa_r.value
 
 
 UNDECODABLE = {
@@ -370,20 +370,20 @@ class TestSweep:
             write_state_file(str(path), sweeps.family_state("alpha_state", param))
             expected_files[f"alpha_state_{i:04d}.json"] = path.read_bytes()
         built, events = [], []
-        build, score = sweeps.family_state, sweeps._spa_r_norms
+        build, score = sweeps.family_state, sweeps._spa_r_scores
 
         def family_state(name, param):
             built.append(param)
             events.append("build")
             return build(name, param)
 
-        def spa_r_norms(*args):
+        def spa_r_scores(*args):
             events.append("score")
             return score(*args)
 
         monkeypatch.setattr(cli, "family_state", family_state)
         monkeypatch.setattr(sweeps, "family_state", family_state)
-        monkeypatch.setattr(sweeps, "_spa_r_norms", spa_r_norms)
+        monkeypatch.setattr(sweeps, "_spa_r_scores", spa_r_scores)
         dump = tmp_path / "states"
         code, out, _ = run(capsys, "sweep", "--family", "alpha_state",
                            "--param-range=0.1:0.9:5", "--p-range=0:1:3",

@@ -91,8 +91,8 @@ class TestSpaRVerdict:
         # of these ENTANGLED by realignment and 181 by SPA-R on this grid
         ps = np.linspace(0.0, 1.0, 11)
         for rho in pure_products:
-            assert realignment_criterion(rho)[0] == Verdict.INCONCLUSIVE
-            assert {verdict for verdict, _, _ in spa_r_scores(rho, ps)} == {Verdict.INCONCLUSIVE}
+            assert realignment_criterion(rho).verdict == Verdict.INCONCLUSIVE
+            assert {score.verdict for score in spa_r_scores(rho, ps)} == {Verdict.INCONCLUSIVE}
 
 
 def test_report_on_the_bound_is_inconclusive(pure_products):
@@ -101,8 +101,8 @@ def test_report_on_the_bound_is_inconclusive(pure_products):
     for rho in pure_products:
         for p in (0.0, 0.5, 1.0):
             rep = criterion_report(rho, p)
-            assert rep.realignment_verdict == rep.spa_r_verdict == Verdict.INCONCLUSIVE
-            assert not rep.error.bound_valid or rep.error.verdict == Verdict.INCONCLUSIVE
+            assert rep.realignment.verdict == rep.spa_r.verdict == Verdict.INCONCLUSIVE
+            assert not rep.error.bound_valid or rep.error.score.verdict == Verdict.INCONCLUSIVE
 
 
 class TestSchmidtSymmetricEquivalence:
@@ -110,7 +110,7 @@ class TestSchmidtSymmetricEquivalence:
         # below full depolarization the SPA verdict carries exactly the
         # realignment information for these states
         for rho in schmidt_symmetric_states[:30]:
-            want, _ = realignment_criterion(rho)
+            want = realignment_criterion(rho).verdict
             for p in (0.0, 0.25, 0.5, 0.75, 0.9):
                 assert spa_r_verdict(rho, p) == want
 
@@ -123,10 +123,10 @@ class TestErrorSuite:
         n = rho.dim_a ** 2
         from spar.linalg import trace_norm
 
-        assert rep.error_norm == pytest.approx(
+        assert rep.score.value == pytest.approx(
             trace_norm(np.eye(n) / n - r.matrix), abs=1e-12
         )
-        assert rep.bound_separable == 0.0
+        assert rep.score.bound == 0.0
         assert not rep.bound_valid
 
     def test_separable_bound_inside_validity_window(self, separable_22):
@@ -136,23 +136,23 @@ class TestErrorSuite:
                 p = frac * (1 - trace_r)
                 rep = error_suite(rho, p)
                 assert rep.bound_valid
-                assert rep.error_norm <= rep.bound_separable + 1e-9
-                assert rep.verdict == Verdict.INCONCLUSIVE
+                assert rep.score.value <= rep.score.bound + 1e-9
+                assert rep.score.verdict == Verdict.INCONCLUSIVE
 
     def test_general_bound_inside_validity_window(self, separable_22, separable_33):
         for rho in separable_22[:20] + separable_33[:20]:
             trace_r = realign(rho).moment(1)
             rep = error_suite(rho, 0.5 * (1 - trace_r))
-            assert rep.error_norm <= rep.bound_general + 1e-9
+            assert rep.score.value <= rep.bound_general + 1e-9
 
     def test_bounds_fail_outside_window_even_for_separable_states(self):
         # the maximally mixed state violates both bounds at p = 0.8,
         # which is why the verdict is gated by bound_valid
         rep = error_suite(mm_state(), 0.8)
         assert not rep.bound_valid
-        assert rep.error_norm == pytest.approx(0.7, abs=1e-12)
-        assert rep.error_norm > rep.bound_general
-        assert rep.error_norm > rep.bound_separable
+        assert rep.score.value == pytest.approx(0.7, abs=1e-12)
+        assert rep.score.value > rep.bound_general
+        assert rep.score.value > rep.score.bound
 
     def test_validity_window_takes_the_verdict_margin_as_slack(self):
         # Tr R = 1/2 exactly, so the window is p <= 1/2 + DEFAULT.verdict
@@ -164,7 +164,7 @@ class TestErrorSuite:
         rho = mm_state()
         trace_r = realign(rho).moment(1)  # 1/2
         rep = error_suite(rho, 1 - trace_r)
-        assert rep.error_norm == pytest.approx(rep.bound_separable, abs=1e-12)
+        assert rep.score.value == pytest.approx(rep.score.bound, abs=1e-12)
 
 
 class TestQ1:
@@ -212,9 +212,9 @@ class TestCriterionReport:
         rep = criterion_report(rho, 0.01)
         assert rep.p == 0.01
         assert rep.trace_r == pytest.approx(realign(rho).moment(1), abs=1e-14)
-        assert rep.spa_r_verdict == Verdict.ENTANGLED
-        assert (rep.trace_norm_spa_r > rep.upper_bound) == (
-            rep.spa_r_verdict == Verdict.ENTANGLED
+        assert rep.spa_r.verdict == Verdict.ENTANGLED
+        assert (rep.spa_r.value > rep.spa_r.bound) == (
+            rep.spa_r.verdict == Verdict.ENTANGLED
         )
         assert rep.q2 is not None
 
@@ -276,12 +276,12 @@ class TestStackedReport:
     def test_one_stacked_svd_gives_the_doubles_of_separate_ones(self, rho):
         for p in (0.0, 0.3, 1.0, np.float32(0.1)):
             report = criterion_report(rho, p)
-            assert type(report.upper_bound) is float
+            assert type(report.spa_r.bound) is float
             r = realign(rho)
             spa = apply_spa(r, p)
-            assert report.realignment_score == svd_norm(r.matrix) == r.trace_norm
-            assert report.trace_norm_spa_r == svd_norm(spa)
-            assert report.error.error_norm == svd_norm(spa - r.matrix)
+            assert report.realignment.value == svd_norm(r.matrix) == r.trace_norm
+            assert report.spa_r.value == svd_norm(spa)
+            assert report.error.score.value == svd_norm(spa - r.matrix)
             assert report.error == error_suite(realign(rho), p)
             assert report.q1 == q1_realignment_moments(realign(rho))
             assert report.q2 == (q2_rmoment(r) if rho.dim == 9 else None)
@@ -298,9 +298,9 @@ class TestSpaRScores:
         r = realign(rho)
         scores = spa_r_scores(r, P_GRID)
         assert scores == [spa_r_scores(r, [p])[0] for p in P_GRID]
-        assert [norm for _, norm, _ in scores] == [per_cell_norm(r, p) for p in P_GRID]
+        assert [score.value for score in scores] == [per_cell_norm(r, p) for p in P_GRID]
         bounds = [spa_r_upper_bound(r.moment(1), float(p)) for p in P_GRID]
-        assert [bound for _, _, bound in scores] == bounds
+        assert [score.bound for score in scores] == bounds
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_p_outside_unit_interval_raises_with_the_first_offender(self, bad):
@@ -326,10 +326,10 @@ class TestSweepRows:
         ]
         for row in rows:
             r = realign(family_state(family, row["param"]))
-            [(verdict, norm, bound)] = spa_r_scores(r, [row["p"]])
-            assert row["traceNormSpaR"] == norm == per_cell_norm(r, row["p"])
-            assert row["upperBound"] == bound
-            assert row["violated"] == int(verdict == Verdict.ENTANGLED)
+            [score] = spa_r_scores(r, [row["p"]])
+            assert row["traceNormSpaR"] == score.value == per_cell_norm(r, row["p"])
+            assert row["upperBound"] == score.bound
+            assert row["violated"] == int(score.verdict == Verdict.ENTANGLED)
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, float("nan")])
     def test_p_outside_unit_interval_raises_before_any_row(self, bad):

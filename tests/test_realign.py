@@ -1,8 +1,9 @@
 import importlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spar import (
@@ -28,7 +29,7 @@ from spar import (
 import spar.linalg
 import spar.states
 from spar.linalg import power_trace, singular_values
-from spar.realign import RealignedMatrix, Verdict
+from spar.realign import RealignedMatrix, Score, Verdict
 
 from util import random_complex, random_hermitian, realign_blockwise, rng_for
 
@@ -148,15 +149,16 @@ def test_separable_bound_sample(separable_22, separable_33):
 
 class TestRealignmentCriterion:
     def test_isotropic_entangled(self):
-        assert realignment_criterion(isotropic(0.5))[0] == Verdict.ENTANGLED
+        assert realignment_criterion(isotropic(0.5)).verdict == Verdict.ENTANGLED
 
     def test_rho_t_entangled(self):
-        assert realignment_criterion(rho_t(0.2))[0] == Verdict.ENTANGLED
+        assert realignment_criterion(rho_t(0.2)).verdict == Verdict.ENTANGLED
 
     def test_maximally_mixed_inconclusive(self):
-        verdict, score = realignment_criterion(validate_density(np.eye(4) / 4, (2, 2)))
-        assert verdict == Verdict.INCONCLUSIVE
-        assert score == pytest.approx(0.5, abs=1e-12)
+        score = realignment_criterion(validate_density(np.eye(4) / 4, (2, 2)))
+        assert score.verdict == Verdict.INCONCLUSIVE
+        assert score.value == pytest.approx(0.5, abs=1e-12)
+        assert score.bound == 1.0
 
 
 class TestSchmidtSymmetric:
@@ -354,8 +356,16 @@ def test_criteria_accept_the_realigned_matrix():
 
 
 @given(st.floats(), st.floats())
+@example(1.0 + DEFAULT.verdict, 1.0)  # a tie is inconclusive
+@example(0.5 + DEFAULT.verdict, 0.5)
+@example(float("nan"), 1.0)  # NaN in either field is inconclusive
+@example(2.0, float("nan"))
+@example(float("nan"), float("nan"))
 @settings(max_examples=300, deadline=None)
 def test_verdict_margin_is_positive_exactly_when_the_score_exceeds_bound_plus_tol(s, b):
     entangled = s > b + DEFAULT.verdict
-    assert (Verdict.margin(s, b) > 0) == entangled
-    assert (Verdict.from_score(s, b) == Verdict.ENTANGLED) == entangled
+    score = Score(s, b)
+    # the margin is this one expression, bit for bit
+    assert struct.pack("<d", score.margin) == struct.pack("<d", s - (b + DEFAULT.verdict))
+    assert (score.margin > 0) == entangled
+    assert (score.verdict == Verdict.ENTANGLED) == entangled

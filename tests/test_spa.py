@@ -247,13 +247,13 @@ GATE_CASES = {
     "bad_p": (rho_t(0.3), 1.5, ValueError, "p must lie in [0, 1], got 1.5"),
 }
 # a sequence or another value that is not a real number where one weight
-# belongs, and the text of it that the refusal names
+# belongs, and its repr, which the refusal names
 SEQUENCE_P = {
     "list": ([0.1, 0.2], "[0.1, 0.2]"),
     "tuple": ((0.1, 0.2), "(0.1, 0.2)"),
-    "array": (np.array([0.5]), "[0.5]"),
+    "array": (np.array([0.5]), "array([0.5])"),
     "nested": ([[0.5]], "[[0.5]]"),
-    "string": ("0.5", "0.5"),
+    "string": ("0.5", "'0.5'"),
     "bool": (True, "True"),
 }
 

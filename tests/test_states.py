@@ -70,7 +70,8 @@ class TestValidateDensity:
         assert not rho.matrix.flags.writeable
         m[0, 3] = m[3, 0] = 0.5  # the source is no longer PSD
         assert np.array_equal(rho.matrix, np.eye(4) / 4)
-        assert realignment_criterion(rho) == (Verdict.INCONCLUSIVE, 0.5)
+        score = realignment_criterion(rho)
+        assert (score.verdict, score.value) == (Verdict.INCONCLUSIVE, 0.5)
 
     def test_rejects_non_square(self):
         with pytest.raises(StateValidationError) as err:
@@ -107,10 +108,15 @@ class TestValidateDensity:
             validate_density(m, (2, 2))
         assert err.value.check == "hermitian"
 
-    def test_rejects_bad_trace(self):
+    @pytest.mark.parametrize("m,trace", [
+        (np.eye(4), "4.0"),
+        (np.eye(4, dtype=complex) / 2, "2.0"),  # named as a real number, not (2+0j)
+    ])
+    def test_rejects_bad_trace(self, m, trace):
         with pytest.raises(StateValidationError) as err:
-            validate_density(np.eye(4), (2, 2))
+            validate_density(m, (2, 2))
         assert err.value.check == "trace"
+        assert str(err.value) == f"trace: trace = {trace} is not 1 within 1.0e-10"
 
     def test_rejects_negative_eigenvalue(self):
         # the rho_t matrix just past its validity edge
@@ -221,7 +227,7 @@ class TestFamilies:
     def test_rho_t_zero_is_separable_diagonal(self):
         rho = rho_t(0.0)
         assert np.allclose(rho.matrix, np.diag(np.diag(rho.matrix)))
-        assert realignment_criterion(rho)[0] == Verdict.INCONCLUSIVE
+        assert realignment_criterion(rho).verdict == Verdict.INCONCLUSIVE
 
     def test_rho_a_grid_valid(self):
         for a in np.linspace(1 / math.sqrt(2), 1.0, 50):
@@ -289,14 +295,12 @@ class TestRandomEnsembles:
 
     def test_single_term_is_product_state(self):
         rho = random_separable(2, 3, terms=1, seed=5)
-        _, score = realignment_criterion(rho)
-        assert score <= 1 + 1e-9
+        assert realignment_criterion(rho).value <= 1 + 1e-9
 
     def test_separable_passes_validation_and_is_inconclusive(self):
         for seed in range(20):
             rho = random_separable(2, 2, terms=6, seed=seed)
-            verdict, _ = realignment_criterion(rho)
-            assert verdict == Verdict.INCONCLUSIVE
+            assert realignment_criterion(rho).verdict == Verdict.INCONCLUSIVE
 
     def test_terms_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from spar import (
     DEFAULT,
     DomainError,
+    Score,
     Verdict,
     alpha_state,
     isotropic,
@@ -110,13 +111,13 @@ def counting_scores(monkeypatch):
     """Count the calls of the SPA scorer made by the sweeps module, each
     recorded as its list of weights."""
     calls = []
-    score = sweeps._spa_r_norms
+    score = sweeps._spa_r_scores
 
-    def norms(r, weights):
+    def scores(r, weights):
         calls.append(list(weights))
         return score(r, weights)
 
-    monkeypatch.setattr(sweeps, "_spa_r_norms", norms)
+    monkeypatch.setattr(sweeps, "_spa_r_scores", scores)
     return calls
 
 
@@ -129,19 +130,18 @@ def test_table1_edge_takes_at_most_16_evaluations(monkeypatch, alpha):
 
 
 def fake_excess(monkeypatch, norm):
-    """Replace the SPA norms by norm(p) and the bound by 0.0, and record the probed p.
+    """Replace the SPA scores by norm(p) against the bound 0.0, and record the probed p.
 
     The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
     matching predicate for bisect_boundary.
     """
     probes = []
 
-    def norms(r, weights):
+    def scores(r, weights):
         probes.extend(weights)
-        return [norm(p) for p in weights]
+        return [Score(norm(p), 0.0) for p in weights]
 
-    monkeypatch.setattr(sweeps, "_spa_r_norms", norms)
-    monkeypatch.setattr(sweeps, "spa_r_upper_bound", lambda trace_r, p: 0.0)
+    monkeypatch.setattr(sweeps, "_spa_r_scores", scores)
     return probes, lambda p: norm(p) > 0.0 + DEFAULT.verdict
 
 
