@@ -56,14 +56,16 @@ def _finite_complex(m, stacked: bool) -> np.ndarray:
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of the square array ``a`` from its
     conjugate transpose; ``a`` is used as given, not coerced or checked."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in ascending order.
 
     Refuses a matrix as :func:`as_matrix` does, and one that is not Hermitian
-    (beyond ``DEFAULT.precondition``) with ``ValueError``.
+    (beyond ``DEFAULT.precondition``) with ``ValueError``. One production
+    path calls it: ``RealignedMatrix.eigenvalues`` of an R that equals R^H
+    exactly, which the CP certificate and the boundary search read.
     """
     a = as_matrix(m)
     defect, tol = hermiticity_defect(a), DEFAULT.precondition
@@ -78,13 +80,15 @@ def general_eigenvalues(m) -> np.ndarray:
     Standard balanced Hessenberg + shifted-QR path via LAPACK; numpy raises
     ``LinAlgError`` if the iteration fails to converge, which signals a
     pathological input. One production path calls it:
-    ``RealignedMatrix.eigenvalues``, eig(R) computed at most once per state.
-    ``spa.require_real_spectrum`` reads it only when R is not Hermitian
-    within ``DEFAULT.spectrum_imag`` (for a Hermitian R, Bendixson's theorem
-    settles the check without it), and ``spa.certify_completely_positive``
-    takes ``gamma2`` from its largest real part. The PSD verdict itself comes
-    from the moments, not from these eigenvalues; the tests also use this
-    function as the oracle for that verdict.
+    ``RealignedMatrix.eigenvalues``, eig(R) computed at most once per state,
+    for every R that is not exactly Hermitian (an exactly Hermitian R goes
+    to :func:`hermitian_eigenvalues`). ``spa.require_real_spectrum`` reads
+    it only when R is not Hermitian within ``DEFAULT.spectrum_imag`` (for a
+    Hermitian R, Bendixson's theorem settles the check without it), and
+    ``spa.certify_completely_positive`` takes ``gamma2`` from its largest
+    real part. The PSD verdict itself comes from the moments, not from
+    these eigenvalues; the tests also use this function as the oracle for
+    that verdict.
     """
     return np.linalg.eigvals(as_matrix(m))
 

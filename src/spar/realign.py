@@ -9,6 +9,7 @@ trace norm of the realigned matrix exceeding 1 certifies entanglement.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -70,9 +71,9 @@ def _permute(a: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class RealignedMatrix:
-    """The shared analysis of one state: its realignment R plus Tr[R], the
-    singular values, the eigenvalues and the moments, each computed at most
-    once. Every per-state function accepts it in place of the state, and
+    """The shared analysis of one state: its realignment R plus Tr[R],
+    ||R - R^H||_F, the singular values, the eigenvalues and the moments, each
+    computed at most once. Every per-state function accepts it in place of the state, and
     every number a verdict or certificate prints is read from it.
 
     Built only by :func:`realign`, so R is always the realignment of
@@ -134,7 +135,7 @@ class RealignedMatrix:
         power = self.__dict__.get("_power")
         while len(self._moments) < count:
             power = self.matrix if power is None else power @ self.matrix
-            self._moments.append(float(np.trace(power).real))
+            self._moments.append(float(power.trace().real))
         self.__dict__["_power"] = power
 
     @cached_property
@@ -148,9 +149,35 @@ class RealignedMatrix:
         return sigma[1:]
 
     @cached_property
+    def hermiticity_defect(self) -> float:
+        """||R - R^H||_F, measured once per analysis; inf for a non-square R.
+
+        Two tests read it: the SPA's real-spectrum check (Bendixson's bound,
+        ``spa.require_real_spectrum``) and :attr:`is_exactly_hermitian`.
+        """
+        if not self.is_square:
+            return math.inf
+        d = self.matrix - self.matrix.conj().T
+        return math.sqrt(np.vdot(d, d).real)
+
+    @property
+    def is_exactly_hermitian(self) -> bool:
+        """R == R^H entry for entry (:attr:`hermiticity_defect` is 0.0), as
+        for every isotropic state. Then the spectral closed forms give the
+        norms of the very matrix an SVD sees, up to rounding. (A difference
+        whose entries all lie below 1e-154 squares to 0.0 as well; it moves
+        no norm of a unit-trace state by more than rounding.)"""
+        return self.hermiticity_defect == 0.0
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """eig(R): the real-spectrum check of a non-Hermitian R and the CP
-        certificate both read this one eigensolve."""
+        """eig(R), computed once: for an exactly Hermitian R the real spectrum
+        in ascending order from one Hermitian eigensolve, for any other R the
+        complex eigenvalues of a general eigensolve. The real-spectrum check
+        of a non-Hermitian R, the CP certificate and the boundary search of
+        an exactly Hermitian R read it."""
+        if self.is_exactly_hermitian:
+            return read_only(linalg.hermitian_eigenvalues(self.matrix))
         return read_only(linalg.general_eigenvalues(self.matrix))
 
     @property

@@ -19,7 +19,9 @@ A Hermitian R (Schmidt-symmetric and isotropic states, for instance) passes
 on that bound alone; any other R has its eigenvalues computed and checked.
 Those eigenvalues, cached on the shared analysis, also give the CP
 certificate's gamma2, since the SPA output's spectrum is an affine image of
-eig(R); for a Hermitian R the certificate computes them.
+eig(R). For a Hermitian R the certificate computes them: one Hermitian
+eigensolve when R equals R^H exactly (every isotropic state), a general one
+otherwise.
 """
 
 from __future__ import annotations
@@ -167,12 +169,12 @@ def require_real_spectrum(r: RealignedMatrix) -> None:
     """Check that the eigenvalues of R have imaginary parts within
     ``DEFAULT.spectrum_imag``.
 
-    When ||R - R^H||_F is within that tolerance, Bendixson's theorem bounds
-    every |Im lambda| by half of it and no eigensolve runs; otherwise the
-    check reads ``r.eigenvalues``.
+    When ||R - R^H||_F (``r.hermiticity_defect``, cached on the analysis) is
+    within that tolerance, Bendixson's theorem bounds every |Im lambda| by
+    half of it and no eigensolve runs; otherwise the check reads
+    ``r.eigenvalues``.
     """
-    m = r.matrix
-    if np.linalg.norm(m - m.conj().T) <= DEFAULT.spectrum_imag:
+    if r.hermiticity_defect <= DEFAULT.spectrum_imag:
         return
     eigs = r.eigenvalues
     worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0

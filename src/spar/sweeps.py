@@ -32,7 +32,12 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import spa
-from .criteria import _spa_r_scores, q1_realignment_moments, q2_rmoment
+from .criteria import (
+    _spa_r_scores,
+    _spa_r_spectral_scores,
+    q1_realignment_moments,
+    q2_rmoment,
+)
 from .exceptions import DomainError
 from .realign import Score, StateLike, as_realigned
 from .spa import spa_threshold
@@ -204,17 +209,22 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     so the violated set is an interval [0, p*). Let h = 2**-j be the largest power
     of two not above ``tol``. The result is the midpoint of the grid cell
     [k h, (k+1) h] whose left end is violated and whose right end is not:
-    the value ``bisect_boundary(violated, 0.0, 1.0, tol)`` returns, bit for
-    bit, whenever the computed verdict flips once on the grid. Convex
-    brackets find that cell in a few evaluations (see :func:`_flip_cell`).
-    ``tol`` must be finite and at least the double spacing at 1, 2**-52.
+    the value that bisection of [0, 1] with ``tol`` (:func:`bisect_boundary`)
+    returns, bit for bit, on the verdict of the scorer used here, whenever
+    that verdict flips once on the grid. Convex brackets find that cell in a
+    few evaluations (see :func:`_flip_cell`). The scorer is the closed form
+    over eig(R) (one Hermitian eigensolve, then O(n) floats per probe) when R
+    is exactly Hermitian, as for every isotropic state, and the SPA matrix's
+    SVD otherwise; the two norms agree up to rounding. ``tol`` must be finite
+    and at least the double spacing at 1, 2**-52.
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
+    scores = _spa_r_spectral_scores if r.is_exactly_hermitian else _spa_r_scores
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
-        return _spa_r_scores(r, [p])[0].margin
+        return scores(r, [p])[0].margin
 
     g0 = excess(0.0)
     if g0 <= 0:

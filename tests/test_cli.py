@@ -43,6 +43,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_lapack_eigensolves(monkeypatch) -> dict:
+    """Record the matrix of every LAPACK eigensolve, however it is reached,
+    as Hermitian (eigvalsh, eigh) or general (eigvals, eig)."""
+    calls = {"hermitian": [], "general": []}
+    for kind, names in (("hermitian", ("eigvalsh", "eigh")), ("general", ("eigvals", "eig"))):
+        for name in names:
+            def solve(m, *args, _solve=getattr(np.linalg, name), _calls=calls[kind],
+                      **kwargs):
+                _calls.append(m)
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, solve)
+    return calls
+
+
 class TestAnalyze:
     def test_isotropic_detected(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "isotropic",
@@ -129,24 +144,39 @@ class TestAnalyze:
         assert err.startswith(f"error: cannot write {target}: ")
 
     @pytest.mark.parametrize("source", ["family", "state"])
-    def test_certified_report_runs_the_hermitian_eigensolver_once(self, capsys, tmp_path,
-                                                                  monkeypatch, source):
+    def test_certified_report_of_an_exactly_hermitian_r_makes_no_general_eigensolve(
+            self, capsys, tmp_path, monkeypatch, source):
+        rho = spar.isotropic(0.9)
         path = tmp_path / "state.json"
-        write_state_file(str(path), spar.isotropic(0.9))
-        calls = []
-        # the LAPACK Hermitian eigensolvers, however they are reached
-        for name in ("eigvalsh", "eigh"):
-            def solve(m, *args, _solve=getattr(np.linalg, name), **kwargs):
-                calls.append(m)
-                return _solve(m, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, solve)
+        write_state_file(str(path), rho)
+        calls = count_lapack_eigensolves(monkeypatch)
         argv = (["--family", "isotropic", "--param", "0.9"] if source == "family"
                 else ["--state", str(path)])
         code, out, _ = run(capsys, "analyze", *argv, "--p", "0.5")
         assert code == 0
         assert json.loads(out)["cp_certificate"]["certified"] is True
-        assert len(calls) == 1  # the validation's; the certificate reuses it
+        # the validation's of the state, then the certificate's of R
+        r = spar.realign(rho)
+        assert [m.shape for m in calls["hermitian"]] == [(9, 9), (9, 9)]
+        assert np.array_equal(calls["hermitian"][0], rho.matrix)
+        assert np.array_equal(calls["hermitian"][1], r.matrix)
+        assert calls["general"] == []
+
+    def test_certified_report_of_an_r_hermitian_up_to_rounding_makes_one_general_eigensolve(
+            self, capsys, tmp_path, monkeypatch):
+        rho = spar.random_schmidt_symmetric(3, 3, seed=0)
+        r = spar.realign(rho)
+        assert 0 < r.hermiticity_defect <= spar.DEFAULT.spectrum_imag
+        path = tmp_path / "state.json"
+        write_state_file(str(path), rho)
+        calls = count_lapack_eigensolves(monkeypatch)
+        code, out, _ = run(capsys, "analyze", "--state", str(path), "--p", "0.5")
+        assert code == 0
+        assert json.loads(out)["cp_certificate"]["certified"] is True
+        # Bendixson's bound passes R without an eigensolve; the certificate makes one
+        assert len(calls["hermitian"]) == 1  # the validation's
+        [m] = calls["general"]
+        assert np.array_equal(m, r.matrix)
 
     @pytest.mark.parametrize("family,param", [("isotropic", "0.3"), ("rho_t", "-0.6"),
                                               ("alpha_state", "0.3")])

@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spar import (
     DEFAULT,
+    DomainError,
     Verdict,
     alpha_state,
     apply_spa,
@@ -23,7 +26,7 @@ from spar import (
     spa_r_verdict,
     validate_density,
 )
-from spar.criteria import spa_r_scores
+from spar.criteria import _spa_r_scores, _spa_r_spectral_scores, spa_r_scores
 from spar.sweeps import family_state, sweep_rows, violation_p_max
 
 from util import family_pairs
@@ -310,6 +313,39 @@ class TestSpaRScores:
 
     def test_empty_grid_scores_nothing(self):
         assert spa_r_scores(rho_t(0.3), []) == []
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def isotropic_cells(draw):
+    """An isotropic state (d = 2..6, beta over the whole domain) and a p on [0, 1]."""
+    d = draw(st.integers(2, 6))
+    beta = draw(st.floats(-1 / (d * d - 1), 1.0))
+    return isotropic(beta, d), draw(st.floats(0.0, 1.0))
+
+
+class TestSpectralScores:
+    @settings(max_examples=200, deadline=None)
+    @given(isotropic_cells())
+    def test_closed_form_agrees_with_the_svd(self, cell):
+        rho, p = cell
+        r = realign(rho)
+        assert r.is_exactly_hermitian
+        try:
+            [svd] = _spa_r_scores(r, [p])
+        except DomainError:  # Tr R = 0 at the lower end of the domain
+            with pytest.raises(DomainError, match="is not positive"):
+                _spa_r_spectral_scores(r, [p])
+            return
+        [closed] = _spa_r_spectral_scores(r, [p])
+        assert closed.bound == svd.bound
+        # backward-stable eigensolver and SVD: each of the n values of SPA(p)
+        # is within a few eps ||SPA(p)||_2 of the exact one, so the sums of
+        # their magnitudes differ by at most a few n eps ||SPA(p)||_1
+        n = r.dim_a * r.dim_b
+        assert abs(closed.value - svd.value) <= 4 * n * EPS * svd.value
 
 
 class TestSweepRows:

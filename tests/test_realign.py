@@ -285,14 +285,15 @@ def test_caches_are_neither_constructor_arguments_nor_settable():
     # separable isotropic state with R = 2 I would read ||R||_1 = 18
     calls = [((), {}), ((r.state, r.matrix), {}), ((isotropic(0.1), 2 * np.eye(9)), {})]
     calls += [((r.state, r.matrix), {cache: None})
-              for cache in ("_moments", "_power", "_singular_values")]
+              for cache in ("_moments", "_power", "_singular_values", "hermiticity_defect")]
     for args, kwargs in calls:
         with pytest.raises(TypeError, match="built only by realign"):
             RealignedMatrix(*args, **kwargs)
     r.moments(4)
     arrays = {"matrix": r.matrix, "singular_values": r.singular_values,
               "eigenvalues": r.eigenvalues}
-    values = {"state": r.state, **arrays, "_moments": [], "spa_trace": 1.0}
+    values = {"state": r.state, **arrays, "_moments": [], "spa_trace": 1.0,
+              "hermiticity_defect": 0.0}
     for name, value in values.items():
         # a frozen dataclass refuses with FrozenInstanceError, an AttributeError
         with pytest.raises(AttributeError):
@@ -302,6 +303,27 @@ def test_caches_are_neither_constructor_arguments_nor_settable():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert list(r.moments(4)) == [power_trace(r.matrix, k).real for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("rho, exact", [
+    (isotropic(0.3), True), (isotropic(0.9, 6), True), (rho_t(-0.3), False),
+    (alpha_state(0.5), False), (random_schmidt_symmetric(3, 3, seed=0), False),
+], ids=repr)
+def test_an_exactly_hermitian_r_is_diagonalized_by_the_hermitian_eigensolver(rho, exact):
+    r = realign(rho)
+    m = r.matrix
+    assert r.hermiticity_defect == pytest.approx(np.linalg.norm(m - m.conj().T), rel=1e-14, abs=0)
+    assert r.is_exactly_hermitian == exact == np.array_equal(m, m.conj().T)
+    # the Schmidt-symmetric draw is Hermitian only up to rounding
+    assert exact or r.hermiticity_defect > 0
+    want = np.linalg.eigvalsh(m) if exact else np.linalg.eigvals(m)
+    assert np.array_equal(r.eigenvalues, want)
+    assert r.eigenvalues.dtype == (np.float64 if exact else np.complex128)
+
+
+def test_a_non_square_r_is_never_hermitian():
+    r = realign(validate_density(np.eye(6) / 6, (2, 3)))
+    assert r.hermiticity_defect == np.inf and not r.is_exactly_hermitian
 
 
 def test_a_forged_trace_cannot_certify_a_refused_state():

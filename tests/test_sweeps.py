@@ -26,6 +26,7 @@ from spar import (
     spa_r_verdict,
     validate_density,
 )
+import spar.linalg
 from spar import sweeps
 from spar.criteria import spa_r_scores
 from spar.states import RHO_T_MAX
@@ -127,6 +128,52 @@ def test_table1_edge_takes_at_most_16_evaluations(monkeypatch, alpha):
     violation_p_max(alpha_state(alpha))
     assert 3 <= len(calls) <= 16  # bisection takes 27
     assert all(len(ps) == 1 for ps in calls)
+
+
+def counting_linalg(monkeypatch, *names):
+    """Record the argument of every call of each named ``spar.linalg`` function."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recorded(m, _solve=getattr(spar.linalg, name), _calls=calls[name]):
+            _calls.append(m)
+            return _solve(m)
+
+        monkeypatch.setattr(spar.linalg, name, recorded)
+    return calls
+
+
+SOLVERS = ("singular_values", "hermitian_eigenvalues", "general_eigenvalues")
+
+
+@pytest.mark.parametrize("rho", [isotropic(0.5), isotropic(0.9, 6), isotropic(0.1, 5)], ids=repr)
+def test_exactly_hermitian_r_is_searched_from_one_hermitian_eigensolve(monkeypatch, rho):
+    r = realign(rho)
+    calls = counting_linalg(monkeypatch, *SOLVERS)
+    edge = violation_p_max(r)
+    assert calls["singular_values"] == calls["general_eigenvalues"] == []
+    [m] = calls["hermitian_eigenvalues"]
+    assert m is r.matrix
+    monkeypatch.undo()
+    assert edge == bisected_edge(rho, 1e-7)
+
+
+def schmidt_symmetric_detected(seed):
+    """Half a Schmidt-symmetric draw and half |Phi+><Phi+|: detected, and its R is
+    Hermitian only up to rounding."""
+    m = 0.5 * random_schmidt_symmetric(3, 3, seed=seed).matrix + 0.5 * isotropic(1.0).matrix
+    return validate_density(m, (3, 3))
+
+
+@pytest.mark.parametrize("rho", [rho_t(-0.6), rho_t(0.5), schmidt_symmetric_detected(0)],
+                         ids=repr)
+def test_any_other_r_keeps_its_svd_probes(monkeypatch, rho):
+    r = realign(rho)
+    assert 0 < r.hermiticity_defect  # about 1e-17 for the Schmidt-symmetric state
+    probes = counting_scores(monkeypatch)
+    calls = counting_linalg(monkeypatch, *SOLVERS)
+    violation_p_max(r)
+    assert len(calls["singular_values"]) == len(probes) > 2
+    assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
 
 
 def fake_excess(monkeypatch, norm):
