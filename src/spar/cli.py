@@ -148,7 +148,7 @@ def analysis_record(rho: DensityMatrix, p: float, source: dict) -> dict:
             "l": threshold.l,
             "k": threshold.k,
             "lower_bound": threshold.lower_bound,
-            "trace_r": threshold.trace_r,
+            "trace_r": threshold.realigned.spa_trace,
             "psd": threshold.psd,
             "coefficients": list(threshold.coefficients),
         },

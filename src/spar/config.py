@@ -10,8 +10,8 @@ __all__ = ["DEFAULT", "Tolerances"]
 @dataclass(frozen=True)
 class Tolerances:
     """Default tolerances, one per guard: ``validation`` for state construction
-    (Hermiticity, unit trace, PSD); ``precondition`` for the Hermiticity of an
-    input to ``linalg.hermitian_eigenvalues``; ``verdict``, the one margin of
+    (Hermiticity, unit trace, PSD), also the one "Hermitian within" slack,
+    which ``linalg.hermitian_eigenvalues`` shares; ``verdict``, the one margin of
     every verdict on a strict entanglement inequality (ties resolve to
     inconclusive); ``coefficient``, the share of its recursion scale within
     which a coefficient counts as zero in the Descartes sign test;
@@ -21,7 +21,6 @@ class Tolerances:
     """
 
     validation: float = 1e-10
-    precondition: float = 1e-8
     verdict: float = 1e-9
     coefficient: float = 1e-9
     spectrum_imag: float = 1e-7

@@ -87,17 +87,13 @@ def _spa_r_spectral_scores(r: RealignedMatrix, weights: list[float]) -> list[Sco
     The caller decides ``r.is_exactly_hermitian``: for an R that is Hermitian
     only within a tolerance the norm of its Hermitian part may miss the SVD's
     by more than the verdict margin. Weights are not checked; Tr R is read
-    through the domain gate before the eigensolve.
+    through the domain gate, by ``spa._map_coefficients``, before the eigensolve.
     """
-    trace_r = r.spa_trace
+    coefs = spa._map_coefficients(r, weights)
     lam = r.eigenvalues.tolist()
-    n = r.dim_a * r.dim_b
-    scores = []
-    for w in weights:
-        a, b = w / n, (1.0 - w) / trace_r  # the coefficients of spa._mixture
-        norm = math.fsum([abs(a + b * x) for x in lam])
-        scores.append(Score(norm, spa_r_upper_bound(trace_r, w)))
-    return scores
+    trace_r = r.spa_trace
+    return [Score(math.fsum([abs(a + b * x) for x in lam]), spa_r_upper_bound(trace_r, w))
+            for w, (a, b) in zip(weights, coefs)]
 
 
 def spa_r_verdict(rho: StateLike, p: float) -> Verdict:

@@ -62,13 +62,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in ascending order.
 
-    Refuses a matrix as :func:`as_matrix` does, and one that is not Hermitian
-    (beyond ``DEFAULT.precondition``) with ``ValueError``. One production
-    path calls it: ``RealignedMatrix.eigenvalues`` of an R that equals R^H
-    exactly, which the CP certificate and the boundary search read.
+    Refuses a matrix as :func:`as_matrix` does, and with ``ValueError`` one whose
+    largest entrywise defect exceeds ``DEFAULT.validation``, as ``validate_density``
+    does. One production path calls it: ``RealignedMatrix.eigenvalues`` of an R
+    that equals R^H exactly, which the CP certificate and the boundary search read.
     """
     a = as_matrix(m)
-    defect, tol = hermiticity_defect(a), DEFAULT.precondition
+    defect, tol = hermiticity_defect(a), DEFAULT.validation
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
     return np.linalg.eigvalsh(a)

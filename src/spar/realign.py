@@ -12,7 +12,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +39,10 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class Score(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Score:
     """One one-sided test: a ``value`` against the ``bound`` that every
-    separable state obeys. The verdict is derived, never stored."""
+    separable state obeys. The verdict is derived, never stored; a record, not a tuple."""
 
     value: float
     bound: float

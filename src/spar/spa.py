@@ -10,7 +10,8 @@ moments of R(rho): a variance-type lower bound on the minimum eigenvalue,
 from the first two moments alone, yields the offset k and the threshold l,
 and a Descartes sign test on the characteristic-polynomial coefficients
 (built from all d^2 moments via the Newton recursion) decides whether R(rho)
-is already PSD, in which case l = 0.
+is already PSD, in which case l = 0. :class:`SpaAnalysis` keeps the shared
+analysis it was read from, whose ``dim_a`` and ``spa_trace`` are d and Tr R.
 
 The real-spectrum precondition runs an eigensolve only when it must. By
 Bendixson's theorem every eigenvalue of R has its imaginary part within the
@@ -138,11 +139,10 @@ class SpaAnalysis:
     ``k = max(0, -lower_bound)``, ``l`` the smallest p certified to make the
     SPA output positive, ``psd`` the Descartes verdict on R(rho) and
     ``coefficients`` its characteristic-polynomial coefficients a_1..a_{d^2}.
-    ``realigned`` is the analysis the data was read from.
+    ``realigned`` is the analysis the data was read from; d is its ``dim_a``
+    and Tr R its ``spa_trace``, which are not copied here.
     """
 
-    d: int
-    trace_r: float
     lower_bound: float
     k: float
     l: float
@@ -215,13 +215,12 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     """
     r = as_realigned(rho)
     lower, k = eigenvalue_offset(r)
-    trace_r = r.spa_trace
     d = r.dim_a
     coeffs = newton_coefficients(r.moments(d * d))
     psd = descartes_psd_test(coeffs)
-    l = 0.0 if psd else threshold_value(k, trace_r, d)
+    l = 0.0 if psd else threshold_value(k, r.spa_trace, d)
     return SpaAnalysis(
-        d=d, trace_r=trace_r, lower_bound=lower, k=k, l=l, psd=psd,
+        lower_bound=lower, k=k, l=l, psd=psd,
         coefficients=coeffs.values[1:].copy(), realigned=r,
     )
 
@@ -246,9 +245,9 @@ def apply_spa(rho: StateLike, p: float) -> np.ndarray:
 
     Two steps: p checked as the one-point grid ``[p]`` with
     :func:`require_weights`, so a sequence p is refused, then the matrix built
-    by :func:`_mixture`, the package's one copy of the SPA arithmetic, which
-    reads Tr R through the domain gate ``RealignedMatrix.spa_trace``. A
-    p-grid (a sweep's, checked once; a boundary search's probes, on [0, 1] by
+    by :func:`_mixture` from :func:`_map_coefficients`, the package's one copy
+    of the SPA arithmetic, which reads Tr R through the domain gate. A p-grid
+    (a sweep's, checked once; a boundary search's probes, on [0, 1] by
     construction) is one :func:`_mixture` call, whose slice i equals
     ``apply_spa(rho, ps[i])`` exactly. The output always has unit trace.
     Unlike :func:`spa_threshold` this does not gate on a real realigned
@@ -258,17 +257,21 @@ def apply_spa(rho: StateLike, p: float) -> np.ndarray:
     return _mixture(as_realigned(rho), weights)[0]
 
 
-def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
-    """The stack of SPA matrices (w/n) I + ((1-w)/Tr[R]) R, one per weight w,
-    for weights already checked by :func:`require_weights`; nothing here
-    checks them. Tr R is ``r.spa_trace``, so the domain gate runs here once
-    per analysis."""
+def _map_coefficients(r: RealignedMatrix, weights: list[float]) -> list[tuple[float, float]]:
+    """The SPA map's coefficients (w/n, (1-w)/Tr[R]), one pair per weight w, for
+    weights already checked by :func:`require_weights`; nothing here checks
+    them. Tr R is ``r.spa_trace``, so the domain gate runs here once per analysis."""
     trace_r = r.spa_trace
     n = r.dim_a * r.dim_b
-    # the mixing weights as Python floats, with the arithmetic of a single p
-    coef = np.array([(w / n, (1.0 - w) / trace_r) for w in weights], dtype=np.complex128)
-    coef = coef.reshape(-1, 2, 1, 1)
-    return coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
+    # Python floats, with the arithmetic of a single p at every weight
+    return [(w / n, (1.0 - w) / trace_r) for w in weights]
+
+
+def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
+    """The stack of SPA matrices (w/n) I + ((1-w)/Tr[R]) R, one per weight w,
+    with the coefficients of :func:`_map_coefficients`."""
+    coef = np.array(_map_coefficients(r, weights), dtype=np.complex128).reshape(-1, 2, 1, 1)
+    return coef[:, 0] * np.eye(r.dim_a * r.dim_b, dtype=np.complex128) + coef[:, 1] * r.matrix
 
 
 def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertificate:
@@ -279,17 +282,17 @@ def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertifica
     already run. gamma1 is fixed to 0 (the smallest valid choice; the minimum
     eigenvalue of a state can itself be 0, making ratios undefined). gamma2 is
     the ratio of maximum eigenvalues. The SPA output's is
-    p/n + ((1-p)/Tr[R]) max Re lambda(R), an affine image of eig(R) read from
-    the shared analysis, so no SPA matrix is built; the state's comes from its
-    validated spectrum. An uncertified result is a valid outcome, not an
-    error. Checks ``[p]`` as :func:`apply_spa` does, and nothing else.
+    p/n + ((1-p)/Tr[R]) max Re lambda(R), with :func:`_map_coefficients`, an
+    affine image of the shared analysis's eig(R), so no SPA matrix is built;
+    the state's comes from its validated spectrum. An uncertified result is a
+    valid outcome, not an error. Checks only ``[p]``, as :func:`apply_spa` does.
     """
     [p] = require_weights([p])
     if p < threshold.l:
         return CpCertificate(False, None, None)
     r = threshold.realigned
-    lam_r = float(np.max(r.eigenvalues.real))
-    lam_spa = p / (r.dim_a * r.dim_b) + (1.0 - p) / threshold.trace_r * lam_r
+    [(a, b)] = _map_coefficients(r, [p])
+    lam_spa = a + b * float(np.max(r.eigenvalues.real))
     return CpCertificate(True, 0.0, lam_spa / float(r.state.spectrum[-1]))
 
 

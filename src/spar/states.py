@@ -109,7 +109,7 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = float(np.trace(h).real)  # the diagonal of h is exactly real
     if abs(tr - 1.0) > tol:
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    # what linalg.hermitian_eigenvalues checks has passed above, to a tighter tolerance
+    # what linalg.hermitian_eigenvalues checks has passed above, at the same slack
     spectrum = np.linalg.eigvalsh(h)
     lam_min = float(spectrum[0])
     if lam_min < -tol:

@@ -1,11 +1,13 @@
 """The public surface: the names ``spar`` exports and the functions the
-benchmark's tracer wraps by name; three guards over the whole tree: every
-tolerance is read somewhere, no record stores a verdict, and every file
-parses with the oldest grammar that pyproject.toml supports; and one over
+benchmark's tracer wraps by name; four guards over the whole tree: every
+tolerance is read somewhere, every record is a frozen dataclass and stores
+no verdict, and every file parses with the oldest grammar that
+pyproject.toml supports; the fields of two records; and one over
 the test configuration: a failing Hypothesis test does not stop the run."""
 
 import ast
 import dataclasses
+import enum
 import importlib
 import importlib.util
 import inspect
@@ -132,19 +134,45 @@ def mentions(hint, target) -> bool:
     return hint is target or any(mentions(arg, target) for arg in typing.get_args(hint))
 
 
-def test_no_record_stores_a_verdict():
-    # a verdict is derived from its Score's value and bound, never kept beside them
-    found = []
+def record_classes():
+    """Every class defined under ``src/spar`` but its enums and exceptions, by qualified name."""
     for module_name in MODULES:
         module = importlib.import_module(f"spar.{module_name}")
         for name, cls in vars(module).items():
-            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
-                continue
-            if dataclasses.is_dataclass(cls) or hasattr(cls, "_fields"):  # NamedTuple
-                hints = typing.get_type_hints(cls)
-                found += [f"{module_name}.{name}.{field}" for field, hint in hints.items()
-                          if mentions(hint, spar.Verdict)]
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and not issubclass(cls, (enum.Enum, Exception))):
+                yield f"{module_name}.{name}", cls
+
+
+def test_every_record_is_a_frozen_dataclass():
+    # a tuple record unpacks without error into the wrong names
+    records = dict(record_classes())
+    assert "realign.Score" in records and "spa.SpaAnalysis" in records
+    assert [name for name, cls in records.items()
+            if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)] == []
+
+
+def test_no_record_stores_a_verdict():
+    # a verdict is derived from its Score's value and bound, never kept beside them
+    found = [f"{name}.{field}" for name, cls in record_classes()
+             for field, hint in typing.get_type_hints(cls).items() if mentions(hint, spar.Verdict)]
     assert found == []
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_tolerances_are_one_per_guard():
+    # validation is the one "Hermitian within" slack, for states and hermitian_eigenvalues alike
+    assert field_names(spar.Tolerances) == [
+        "validation", "verdict", "coefficient", "spectrum_imag", "trace_positive"]
+
+
+def test_spa_analysis_copies_nothing_of_its_realigned_matrix():
+    # d and Tr R are read from the analysis itself: realigned.dim_a and realigned.spa_trace
+    assert field_names(spar.SpaAnalysis) == [
+        "lower_bound", "k", "l", "psd", "coefficients", "realigned"]
 
 
 PYTHON_FILES = sorted(p for folder in ("src", "scripts", "tests", "benchmarks")

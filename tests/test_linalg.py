@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import StateValidationError, linalg, validate_density
+from spar import DEFAULT, StateValidationError, linalg, validate_density
 from spar.realign import realign_matrix
 from spar.states import read_state_file, rho_t
 
@@ -89,6 +89,21 @@ def test_hermitian_eigenvalues_rejects_bad_input():
         linalg.hermitian_eigenvalues(np.ones((2, 3)))
     with pytest.raises(ValueError):
         linalg.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("defect,accepted", [(2e-10, False), (5e-11, True)])
+def test_hermitian_eigenvalues_shares_the_state_slack(defect, accepted):
+    # DEFAULT.validation: validate_density refuses the same entrywise defect
+    m = np.array([[0.5, defect], [0.0, 0.5]], dtype=complex)
+    assert (linalg.hermiticity_defect(m) > DEFAULT.validation) == (not accepted)
+    if accepted:
+        assert np.allclose(linalg.hermitian_eigenvalues(m), [0.5, 0.5])
+        validate_density(m, (2, 1))
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_eigenvalues(m)
+        with pytest.raises(StateValidationError, match="hermitian"):
+            validate_density(m, (2, 1))
 
 
 def test_general_eigenvalues_examples():

@@ -377,6 +377,21 @@ def test_criteria_accept_the_realigned_matrix():
         assert realignment_moment(r, 3) == realignment_moment(rho, 3)
 
 
+def test_a_score_is_a_record_not_a_tuple():
+    # unpacked as a pair it would bind the bound where the value belongs
+    score = Score(1.0, 2.0)
+    with pytest.raises(TypeError):
+        _, value = score
+    with pytest.raises(TypeError):
+        score[0]
+    with pytest.raises(TypeError):
+        tuple(score)
+    assert score != (1.0, 2.0)
+    assert repr(score) == "Score(value=1.0, bound=2.0)"
+    assert score == Score(1.0, 2.0) and hash(score) == hash(Score(1.0, 2.0))
+    assert score != Score(2.0, 1.0)
+
+
 @given(st.floats(), st.floats())
 @example(1.0 + DEFAULT.verdict, 1.0)  # a tie is inconclusive
 @example(0.5 + DEFAULT.verdict, 0.5)

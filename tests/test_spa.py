@@ -317,7 +317,7 @@ class TestDomainGate:
     def test_the_trace_is_the_analysis_trace(self):
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
             r = realign(rho)
-            assert r.spa_trace == r.moment(1) == spa_threshold(r).trace_r
+            assert spa_threshold(r).realigned.spa_trace == r.spa_trace == r.moment(1)
             # Tr R has two names: spa_trace behind the SPA's gate, moment(1) among the moments
             assert not hasattr(r, "trace")
 
@@ -445,7 +445,7 @@ class TestApplySpa:
         lam_r_min = float(np.min(general_eigenvalues(realign(rho).matrix).real))
         for p in (th.l, (th.l + 1) / 2, 1.0):
             lam_min = float(np.min(general_eigenvalues(apply_spa(rho, p)).real))
-            floor = p / th.d**2 + (1 - p) * lam_r_min / th.trace_r
+            floor = p / th.realigned.dim_a**2 + (1 - p) * lam_r_min / th.realigned.spa_trace
             assert lam_min >= floor - 1e-8
 
     @pytest.mark.parametrize(
@@ -453,7 +453,7 @@ class TestApplySpa:
     )
     def test_spa_output_is_psd_by_sign_test_for_p_above_l(self, rho):
         th = spa_threshold(rho)
-        n = th.d ** 2
+        n = th.realigned.dim_a ** 2
         for p in (th.l, (th.l + 1) / 2, 1.0):
             m = apply_spa(rho, p)
             moments = [power_trace(m, k).real for k in range(1, n + 1)]
@@ -526,7 +526,7 @@ class TestCertifyCompletelyPositive:
             lam_r = float(np.max(solve(r.matrix).real))
             lam_rho = float(np.max(hermitian_eigenvalues(rho.matrix)))
             gamma2 = certify_completely_positive(th, p).gamma2
-            assert gamma2 == (p / rho.dim + (1.0 - p) / th.trace_r * lam_r) / lam_rho
+            assert gamma2 == (p / rho.dim + (1.0 - p) / th.realigned.spa_trace * lam_r) / lam_rho
             # the eigensolve of the SPA matrix that gamma2 once came from
             lam_spa = float(np.max(general_eigenvalues(apply_spa(rho, p)).real))
             assert gamma2 == pytest.approx(lam_spa / lam_rho, rel=1e-13, abs=0)
