@@ -8,7 +8,7 @@ anything else is inconclusive.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,30 +70,58 @@ def _spa_r_scores(r: RealignedMatrix, weights: list[float]) -> list[Score]:
 
     The scorer behind :func:`spa_r_scores` for weights already checked; like
     ``spa._mixture``, which runs the domain gate, it does not check them, so
-    a sweep checks its grid once and a boundary search, whose probes lie on
-    [0, 1] by construction, checks none.
+    a sweep checks its grid once.
     """
     norms = linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1).tolist()
     trace_r = r.spa_trace
     return [Score(norm, spa_r_upper_bound(trace_r, p)) for p, norm in zip(weights, norms)]
 
 
-def _spa_r_spectral_scores(r: RealignedMatrix, weights: list[float]) -> list[Score]:
-    """:func:`_spa_r_scores` for an exactly Hermitian R, in closed form from
-    eig(R): SPA(w) = (w/n) I + ((1-w)/Tr R) R is then Hermitian, so its norm
-    is sum_i |w/n + ((1-w)/Tr R) lambda_i|, O(n) floats per weight with no SPA
-    matrix and no SVD; each bound is the same double as there.
+def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
+    """The boundary search's probe: the :class:`Score` of :func:`spa_r_scores`
+    at one weight p already checked, with everything that does not depend on
+    p prepared once.
 
-    The caller decides ``r.is_exactly_hermitian``: for an R that is Hermitian
-    only within a tolerance the norm of its Hermitian part may miss the SVD's
-    by more than the verdict margin. Weights are not checked; Tr R is read
-    through the domain gate, by ``spa._map_coefficients``, before the eigensolve.
+    Tr R is read through the domain gate first. For an exactly Hermitian R
+    (``r.is_exactly_hermitian``), SPA(p) = a I + b R is Hermitian, so its
+    norm is sum_i |a + b lambda_i| over eig(R), O(n) floats per probe with no
+    SPA matrix and no SVD; it agrees with the SVD's up to rounding. For an R
+    Hermitian only within a tolerance the norm of its Hermitian part may miss
+    the SVD's by more than the verdict margin, so any other R is scored by
+    one SVD per probe of one n x n buffer, refilled in place as
+    ``spa._mixture`` builds its slice: b R, then a added on the diagonal.
+    Each of its norms is the double of ``_spa_r_scores(r, [p])``. (a, b) come
+    from ``spa._map_coefficients``, and the bound from :func:`spa_r_upper_bound`.
     """
-    coefs = spa._map_coefficients(r, weights)
-    lam = r.eigenvalues.tolist()
     trace_r = r.spa_trace
-    return [Score(math.fsum([abs(a + b * x) for x in lam]), spa_r_upper_bound(trace_r, w))
-            for w, (a, b) in zip(weights, coefs)]
+    if r.is_exactly_hermitian:
+        lam = r.eigenvalues.tolist()
+
+        def norm(a: float, b: float) -> float:
+            return math.fsum([abs(a + b * x) for x in lam])
+    else:
+        n = r.dim_a * r.dim_b
+        buffer = np.empty((n, n), dtype=np.complex128)
+        diagonal = buffer.reshape(n * n)[:: n + 1]
+
+        def norm(a: float, b: float) -> float:
+            np.multiply(r.matrix, b, out=buffer)
+            np.add(diagonal, a, out=diagonal)
+            return float(linalg.singular_values(buffer).sum())
+
+    def probe(p: float) -> Score:
+        [(a, b)] = spa._map_coefficients(r, [p])
+        return Score(norm(a, b), spa_r_upper_bound(trace_r, p))
+
+    return probe
+
+
+def _spa_r_score_at_one(r: RealignedMatrix) -> Score:
+    """The :class:`Score` of :func:`spa_r_scores` at p = 1 in closed form:
+    SPA(1) = I/n, whose trace norm is 1, against the bound 1. Its verdict is
+    inconclusive for every state; an SVD's norm misses the 1 by a few n eps.
+    Reads Tr R through the domain gate."""
+    return Score(1.0, spa_r_upper_bound(r.spa_trace, 1.0))
 
 
 def spa_r_verdict(rho: StateLike, p: float) -> Verdict:

@@ -246,10 +246,9 @@ def apply_spa(rho: StateLike, p: float) -> np.ndarray:
     Two steps: p checked as the one-point grid ``[p]`` with
     :func:`require_weights`, so a sequence p is refused, then the matrix built
     by :func:`_mixture` from :func:`_map_coefficients`, the package's one copy
-    of the SPA arithmetic, which reads Tr R through the domain gate. A p-grid
-    (a sweep's, checked once; a boundary search's probes, on [0, 1] by
-    construction) is one :func:`_mixture` call, whose slice i equals
-    ``apply_spa(rho, ps[i])`` exactly. The output always has unit trace.
+    of the SPA arithmetic, which reads Tr R through the domain gate. A
+    sweep's p-grid, checked once, is one :func:`_mixture` call, whose slice i
+    equals ``apply_spa(rho, ps[i])`` exactly. The output always has unit trace.
     Unlike :func:`spa_threshold` this does not gate on a real realigned
     spectrum, since the mixture and its trace norm are well defined without it.
     """
@@ -269,9 +268,13 @@ def _map_coefficients(r: RealignedMatrix, weights: list[float]) -> list[tuple[fl
 
 def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
     """The stack of SPA matrices (w/n) I + ((1-w)/Tr[R]) R, one per weight w,
-    with the coefficients of :func:`_map_coefficients`."""
-    coef = np.array(_map_coefficients(r, weights), dtype=np.complex128).reshape(-1, 2, 1, 1)
-    return coef[:, 0] * np.eye(r.dim_a * r.dim_b, dtype=np.complex128) + coef[:, 1] * r.matrix
+    with the coefficients of :func:`_map_coefficients`: each slice is b R with
+    a added on its diagonal, so every entry is the double b x or a + b x."""
+    n = r.dim_a * r.dim_b
+    a, b = np.array(_map_coefficients(r, weights), dtype=float).reshape(-1, 2).T
+    stack = b[:, None, None] * r.matrix
+    stack.reshape(-1, n * n)[:, :: n + 1] += a[:, None]
+    return stack
 
 
 def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertificate:

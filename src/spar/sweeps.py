@@ -33,8 +33,9 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import spa
 from .criteria import (
+    _spa_r_probe,
+    _spa_r_score_at_one,
     _spa_r_scores,
-    _spa_r_spectral_scores,
     q1_realignment_moments,
     q2_rmoment,
 )
@@ -161,7 +162,9 @@ def _zero(x0: float, y0: float, x1: float, y1: float) -> float:
     return x0 + y0 * (x1 - x0) / (y0 - y1) if y0 != y1 else math.nan
 
 
-def _flip_cell(excess: Callable[[float], float], h: float, g0: float, g1: float) -> int:
+def _flip_cell(
+    excess: Callable[[float], float], h: float, g0: float, g1: float, chord_first: bool
+) -> int:
     """Index k of a grid cell [k h, (k+1) h] whose left end is violated
     (``excess > 0``) and whose right end is not, given g0 = excess(0) > 0 and
     g1 = excess(1) <= 0.
@@ -170,13 +173,14 @@ def _flip_cell(excess: Callable[[float], float], h: float, g0: float, g1: float)
     not) shrinks with every probe. For a convex excess the chord from a to b
     crosses zero at an upper bound of the edge, and the secant through the
     last two violated points crosses zero at a lower bound. The first probe
-    is the grid point below the chord root, which ends the search when the
-    excess is linear. Later probes take the grid point below the secant
-    root, or below the chord root once the two roots are at most a cell
-    apart; a probe at or beyond an end of the bracket moves inside it.
-    Roots that are not finite or not ordered a <= lower <= upper <= b
-    (values that are not convex) give a bisection step, as does every probe
-    after the first :data:`_SECANT_STEPS`.
+    is the grid point below the chord root when ``chord_first``, which ends
+    the search when the excess is linear, and the secant seed h otherwise,
+    whose excess gives the first secant. Later probes take the grid point
+    below the secant root, or below the chord root once the two roots are at
+    most a cell apart; a probe at or beyond an end of the bracket moves
+    inside it. Roots that are not finite or not ordered a <= lower <= upper
+    <= b (values that are not convex) give a bisection step, as does every
+    probe after the first :data:`_SECANT_STEPS`.
     """
     a, ga = 0, g0
     b, gb = round(1 / h), g1
@@ -188,8 +192,8 @@ def _flip_cell(excess: Callable[[float], float], h: float, g0: float, g1: float)
         lower = a * h if prev is None else _zero(prev[0] * h, prev[1], a * h, ga)
         if step < _SECANT_STEPS and a * h <= lower <= upper <= b * h:
             k_lower, k_upper = math.floor(lower / h), math.floor(upper / h)
-            k = k_upper if step == 0 or k_upper <= k_lower + 1 else k_lower
-            k = min(max(k, a + 1), b - 1)
+            chord = (step == 0 and chord_first) or k_upper <= k_lower + 1
+            k = min(max(k_upper if chord else k_lower, a + 1), b - 1)
         else:
             k = (a + b) // 2
         gk = excess(k * h)
@@ -205,34 +209,45 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
     The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
     the :attr:`Score.margin` of the SPA-R score at p, is positive exactly
-    where the verdict is ENTANGLED. It is convex in p and negative at p = 1,
-    so the violated set is an interval [0, p*). Let h = 2**-j be the largest power
-    of two not above ``tol``. The result is the midpoint of the grid cell
-    [k h, (k+1) h] whose left end is violated and whose right end is not:
-    the value that bisection of [0, 1] with ``tol`` (:func:`bisect_boundary`)
-    returns, bit for bit, on the verdict of the scorer used here, whenever
-    that verdict flips once on the grid. Convex brackets find that cell in a
-    few evaluations (see :func:`_flip_cell`). The scorer is the closed form
-    over eig(R) (one Hermitian eigensolve, then O(n) floats per probe) when R
-    is exactly Hermitian, as for every isotropic state, and the SPA matrix's
-    SVD otherwise; the two norms agree up to rounding. ``tol`` must be finite
-    and at least the double spacing at 1, 2**-52.
+    where the verdict is ENTANGLED. It is convex in p, and at p = 1, where
+    SPA(1) = I/n has norm 1 against the bound 1, it is -``DEFAULT.verdict``
+    in closed form, with no probe. So the violated set is an interval
+    [0, p*). Let h = 2**-j be the largest power of two not above ``tol``.
+    The result is the midpoint of the grid cell [k h, (k+1) h] whose left
+    end is violated and whose right end is not: the value that bisection of
+    [0, 1] with ``tol`` (:func:`bisect_boundary`) returns, bit for bit, on
+    the verdict of the probe used here, whenever that verdict flips once on
+    the grid. Convex brackets find that cell in a few probes (see
+    :func:`_flip_cell`). The first probe follows Tr R. The SPA output has
+    unit trace, so its norm is at least 1, and exactly 1 near p = 1, where
+    it is positive semidefinite: g(p) >= (1 - p)(1 - 1/Tr R) -
+    ``DEFAULT.verdict``, with equality near 1. For Tr R > 1 the edge thus
+    lies within ``DEFAULT.verdict`` / (1 - 1/Tr R) of 1, and the first probe
+    is the grid point below the chord root. For Tr R <= 1, g is at most
+    -``DEFAULT.verdict`` near 1, and the chord from (0, g0) to (1, g(1))
+    crosses zero within about ``DEFAULT.verdict`` / g0 of 1, where a probe
+    would cut the bracket by a cell or so; the first probe is the secant
+    seed h instead.
+
+    The probe (``criteria._spa_r_probe``, prepared once per search) is the
+    closed form over eig(R) (one Hermitian eigensolve, then O(n) floats per
+    probe) when R is exactly Hermitian, as for every isotropic state, and
+    the SPA matrix's SVD otherwise; the two norms agree up to rounding.
+    ``tol`` must be finite and at least the double spacing at 1, 2**-52.
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
-    scores = _spa_r_spectral_scores if r.is_exactly_hermitian else _spa_r_scores
+    probe = _spa_r_probe(r)  # runs the domain gate once
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
-        return scores(r, [p])[0].margin
+        return probe(p).margin
 
     g0 = excess(0.0)
     if g0 <= 0:
         return None
-    g1 = excess(1.0)
-    if g1 > 0:
-        raise ValueError("predicate does not change between 0.0 and 1.0")
-    k = _flip_cell(excess, h, g0, g1)
+    g1 = _spa_r_score_at_one(r).margin
+    k = _flip_cell(excess, h, g0, g1, chord_first=r.spa_trace > 1.0)
     return 0.5 * (k * h + (k + 1) * h)
 
 

@@ -17,7 +17,9 @@ from spar import (
     isotropic,
     q1_realignment_moments,
     q2_rmoment,
+    random_density,
     random_schmidt_symmetric,
+    random_separable,
     realign,
     realignment_criterion,
     rho_a,
@@ -26,7 +28,7 @@ from spar import (
     spa_r_verdict,
     validate_density,
 )
-from spar.criteria import _spa_r_scores, _spa_r_spectral_scores, spa_r_scores
+from spar.criteria import _spa_r_probe, _spa_r_score_at_one, _spa_r_scores, spa_r_scores
 from spar.sweeps import family_state, sweep_rows, violation_p_max
 
 from util import family_pairs
@@ -326,7 +328,12 @@ def isotropic_cells(draw):
     return isotropic(beta, d), draw(st.floats(0.0, 1.0))
 
 
-class TestSpectralScores:
+def ginibre_state(d=3, seed=3):
+    """A Ginibre draw: its R is far from Hermitian and has a complex spectrum."""
+    return validate_density(random_density(d * d, seed=seed), (d, d))
+
+
+class TestProbe:
     @settings(max_examples=200, deadline=None)
     @given(isotropic_cells())
     def test_closed_form_agrees_with_the_svd(self, cell):
@@ -337,15 +344,39 @@ class TestSpectralScores:
             [svd] = _spa_r_scores(r, [p])
         except DomainError:  # Tr R = 0 at the lower end of the domain
             with pytest.raises(DomainError, match="is not positive"):
-                _spa_r_spectral_scores(r, [p])
+                _spa_r_probe(r)
             return
-        [closed] = _spa_r_spectral_scores(r, [p])
+        closed = _spa_r_probe(r)(p)
         assert closed.bound == svd.bound
         # backward-stable eigensolver and SVD: each of the n values of SPA(p)
         # is within a few eps ||SPA(p)||_2 of the exact one, so the sums of
         # their magnitudes differ by at most a few n eps ||SPA(p)||_1
         n = r.dim_a * r.dim_b
         assert abs(closed.value - svd.value) <= 4 * n * EPS * svd.value
+
+    @pytest.mark.parametrize("rho", [
+        rho_t(-0.6), rho_t(0.5), rho_a(0.8), alpha_state(0.3), ginibre_state(),
+        random_schmidt_symmetric(3, 3, seed=5),
+    ], ids=repr)
+    def test_svd_probe_gives_the_double_of_the_scorer(self, rho):
+        # the buffer refilled in place holds the slice _mixture builds
+        r = realign(rho)
+        assert not r.is_exactly_hermitian  # the Schmidt-symmetric draw by about 1e-17
+        probe = _spa_r_probe(r)
+        for p in np.linspace(0.0, 1.0, 257).tolist():
+            assert probe(p) == _spa_r_scores(r, [p])[0]
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_score_at_one_is_the_svds_within_n_eps(self, d):
+        n = d * d
+        states = [isotropic(0.5, d), isotropic(0.05, d), random_separable(d, d, 3, seed=d),
+                  random_schmidt_symmetric(d, 3, seed=d), ginibre_state(d, seed=1)]
+        for r in map(realign, states):
+            closed = _spa_r_score_at_one(r)
+            [svd] = _spa_r_scores(r, [1.0])
+            assert closed.bound == svd.bound == 1.0
+            assert closed.verdict == svd.verdict == Verdict.INCONCLUSIVE
+            assert abs(closed.value - svd.value) <= n * EPS
 
 
 class TestSweepRows:

@@ -404,7 +404,7 @@ class TestApplySpa:
             apply_spa(rho_t(0.3), 1.5)
 
     def test_weight_sequence_gives_the_stack_of_single_weights(self):
-        # the p-grid of a sweep or a boundary search is one _mixture call
+        # the p-grid of a sweep is one _mixture call
         ps = [-0.0, 0.0, 0.25, 0.7, 1.0]
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
             stack = spar.spa._mixture(realign(rho), ps)
@@ -412,6 +412,26 @@ class TestApplySpa:
             for p, spa in zip(ps, stack):
                 assert np.array_equal(spa, apply_spa(rho, p))
         assert spar.spa._mixture(realign(rho_t(0.3)), []).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("rho", [
+        rho_t(-0.6), rho_a(0.8), isotropic(0.4, 4), alpha_state(0.3),
+        validate_density(random_density(9, seed=3), (3, 3)),
+    ], ids=repr)
+    def test_stack_is_the_identity_mixture_entry_for_entry(self, rho):
+        # b R with a added on the diagonal: the doubles of a I + b R, with no
+        # identity matrix and no complex coefficients
+        r = realign(rho)
+        ps = [-0.0, 0.0, 1e-12, 0.25, 1 / 3, 0.7, 1 - 2**-24, 1.0]
+        n = r.dim_a * r.dim_b
+        coef = np.array(spar.spa._map_coefficients(r, ps), dtype=np.complex128).reshape(-1, 2, 1, 1)
+        reference = coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
+        stack = spar.spa._mixture(r, ps)
+        assert stack.dtype == np.complex128
+        assert np.array_equal(stack, reference)
+        # a zero's sign may differ; no singular value does
+        assert np.array_equal(np.linalg.svd(stack, compute_uv=False),
+                              np.linalg.svd(reference, compute_uv=False))
+        assert spar.spa._mixture(r, []).shape == (0, n, n)
 
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
         # the check a grid passes once before it goes to _mixture

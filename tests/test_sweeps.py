@@ -92,6 +92,30 @@ def test_edge_equals_bisection_on_workload_states(rho, tol):
     assert violation_p_max(rho, tol) == bisected_edge(rho, tol)
 
 
+def bell_mixture(weight, d, seed):
+    """weight |Phi+><Phi+| plus (1 - weight) a Ginibre draw: R is not Hermitian,
+    and Tr R runs from that of the draw up to d."""
+    m = weight * isotropic(1.0, d).matrix + (1 - weight) * random_density(d * d, seed=seed)
+    return validate_density(m, (d, d))
+
+
+BELL_MIXTURES = st.builds(bell_mixture, st.floats(0.0, 1.0), st.integers(2, 4),
+                          st.integers(0, 2**16))
+TRACE_SIDES = {
+    "below_one": BELL_MIXTURES.filter(lambda rho: 0 < realign(rho).moment(1) < 1),
+    "above_one": BELL_MIXTURES.filter(lambda rho: realign(rho).moment(1) > 1),
+}
+
+
+@pytest.mark.parametrize("side", TRACE_SIDES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([1e-3, 1e-7]))
+def test_edge_equals_bisection_on_either_side_of_unit_trace(side, data, tol):
+    # the first probe follows Tr R; the cell does not
+    rho = data.draw(TRACE_SIDES[side])
+    assert violation_p_max(rho, tol) == bisected_edge(rho, tol)
+
+
 @pytest.mark.parametrize("rho", [
     rho_t(0.0), rho_t(0.1), isotropic(0.2), isotropic(0.1, 5), alpha_state(0.0),
     depolarized(random_schmidt_symmetric(3, 3, seed=3), 0.3),
@@ -108,26 +132,22 @@ def test_states_on_the_bound_get_no_violated_cell_and_no_edge(pure_products):
     assert all(violation_p_max(rho) is None for rho in pure_products)
 
 
-def counting_scores(monkeypatch):
-    """Count the calls of the SPA scorer made by the sweeps module, each
-    recorded as its list of weights."""
+def counting_probes(monkeypatch):
+    """Record the weight of every probe that the sweeps module's boundary search makes."""
     calls = []
-    score = sweeps._spa_r_scores
+    prepare = sweeps._spa_r_probe
 
-    def scores(r, weights):
-        calls.append(list(weights))
-        return score(r, weights)
+    def prepared(r):
+        probe = prepare(r)
 
-    monkeypatch.setattr(sweeps, "_spa_r_scores", scores)
+        def recorded(p):
+            calls.append(p)
+            return probe(p)
+
+        return recorded
+
+    monkeypatch.setattr(sweeps, "_spa_r_probe", prepared)
     return calls
-
-
-@pytest.mark.parametrize("alpha", TABLE1_ALPHAS)
-def test_table1_edge_takes_at_most_16_evaluations(monkeypatch, alpha):
-    calls = counting_scores(monkeypatch)
-    violation_p_max(alpha_state(alpha))
-    assert 3 <= len(calls) <= 16  # bisection takes 27
-    assert all(len(ps) == 1 for ps in calls)
 
 
 def counting_linalg(monkeypatch, *names):
@@ -143,6 +163,30 @@ def counting_linalg(monkeypatch, *names):
 
 
 SOLVERS = ("singular_values", "hermitian_eigenvalues", "general_eigenvalues")
+
+
+@pytest.mark.parametrize("alpha", TABLE1_ALPHAS)
+def test_table1_edge_takes_at_most_8_svd_probes(monkeypatch, alpha):
+    probes = counting_probes(monkeypatch)
+    calls = counting_linalg(monkeypatch, "singular_values")
+    violation_p_max(alpha_state(alpha))
+    assert 3 <= len(probes) <= 8  # bisection takes 27
+    # one SVD of one SPA matrix per probe, none at p = 1
+    assert len(calls["singular_values"]) == len(probes)
+    assert all(m.shape == (9, 9) for m in calls["singular_values"])
+    assert 1.0 not in probes
+
+
+@pytest.mark.parametrize("rho", [rho_t(0.5), rho_a(0.8), isotropic(0.5), isotropic(0.9, 6)],
+                         ids=repr)
+def test_trace_above_one_with_the_edge_in_the_last_cell_takes_two_probes(monkeypatch, rho):
+    # Tr R > 1: the excess near p = 1 is (1 - p)(1 - 1/Tr R) - DEFAULT.verdict,
+    # so the chord root lands in the last cell
+    h = 2.0**-24  # the grid step of tol 1e-7
+    assert realign(rho).spa_trace > 1
+    probes = counting_probes(monkeypatch)
+    assert violation_p_max(rho) == 1 - h / 2
+    assert probes == [0.0, 1 - h]
 
 
 @pytest.mark.parametrize("rho", [isotropic(0.5), isotropic(0.9, 6), isotropic(0.1, 5)], ids=repr)
@@ -169,26 +213,28 @@ def schmidt_symmetric_detected(seed):
 def test_any_other_r_keeps_its_svd_probes(monkeypatch, rho):
     r = realign(rho)
     assert 0 < r.hermiticity_defect  # about 1e-17 for the Schmidt-symmetric state
-    probes = counting_scores(monkeypatch)
+    probes = counting_probes(monkeypatch)
     calls = counting_linalg(monkeypatch, *SOLVERS)
     violation_p_max(r)
-    assert len(calls["singular_values"]) == len(probes) > 2
+    # p = 0 and at least one interior point; p = 1 takes no probe
+    assert len(calls["singular_values"]) == len(probes) >= 2
     assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
 
 
 def fake_excess(monkeypatch, norm):
-    """Replace the SPA scores by norm(p) against the bound 0.0, and record the probed p.
+    """Replace the probe's score by norm(p) against the bound 0.0, and record the probed p.
 
     The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
-    matching predicate for bisect_boundary.
+    matching predicate for bisect_boundary. Each norm(1) here is below 1, so
+    the predicate agrees at p = 1 with the closed form the search takes there.
     """
     probes = []
 
-    def scores(r, weights):
-        probes.extend(weights)
-        return [Score(norm(p), 0.0) for p in weights]
+    def probe(p):
+        probes.append(p)
+        return Score(norm(p), 0.0)
 
-    monkeypatch.setattr(sweeps, "_spa_r_scores", scores)
+    monkeypatch.setattr(sweeps, "_spa_r_probe", lambda r: probe)
     return probes, lambda p: norm(p) > 0.0 + DEFAULT.verdict
 
 
@@ -196,7 +242,7 @@ def test_non_finite_root_takes_a_bisection_step(monkeypatch):
     # an infinite excess at p = 0 makes the first chord root NaN
     probes, violated = fake_excess(monkeypatch, lambda p: math.inf if p == 0 else 0.3 - p)
     edge = violation_p_max(alpha_state(0.5))
-    assert probes[:3] == [0.0, 1.0, 0.5]
+    assert probes[:2] == [0.0, 0.5]
     assert edge == bisect_boundary(violated, 0.0, 1.0, 1e-7)
 
 
@@ -212,12 +258,13 @@ def test_excess_that_is_not_convex_still_gives_the_bisection_cell(monkeypatch, s
 
     probes, violated = fake_excess(monkeypatch, norm)
     assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
-    assert len(probes) <= 2 + sweeps._SECANT_STEPS + 52
+    assert len(probes) <= 1 + sweeps._SECANT_STEPS + 52
 
 
 def test_capped_search_probes_the_bisection_points(monkeypatch):
-    # with no secant steps allowed the search is plain bisection on the grid
-    calls = counting_scores(monkeypatch)
+    # with no secant steps allowed the search is plain bisection on the grid,
+    # but for p = 1, which takes no probe
+    calls = counting_probes(monkeypatch)
     monkeypatch.setattr(sweeps, "_SECANT_STEPS", 0)
     rho = alpha_state(0.5)
     edge = violation_p_max(rho)
@@ -229,7 +276,8 @@ def test_capped_search_probes_the_bisection_points(monkeypatch):
         return spa_r_verdict(r, p) == Verdict.ENTANGLED
 
     assert edge == bisect_boundary(violated, 0.0, 1.0, 1e-7)
-    assert [ps[0] for ps in calls] == bisected
+    assert bisected[1] == 1.0
+    assert calls == bisected[:1] + bisected[2:]
 
 
 BAD_TOLERANCES = [0.0, -1e-7, math.nan, math.inf]
