@@ -16,9 +16,13 @@ nothing quoted, and a cell that would need quoting raises.
 
 The detection edge in p needs no interval assumption: the excess
 ||spa(rho; p)||_1 - (p + (1-p)/Tr R) is convex in p and vanishes at p = 1, so
-the violated set is an interval [0, p*). :func:`violation_p_max` brackets p*
-from both sides by convexity and returns the midpoint of the cell of the
-dyadic grid that :func:`bisect_boundary` on [0, 1] would return.
+the violated set is an interval [0, p*). :func:`violation_p_max` reads Tr R
+first: SPA(p) has unit trace, so its norm is at least 1 and the excess at
+least (1 - p)(1 - 1/Tr R) less the margin, which for Tr R > 1 shows a run of
+grid points violated without a probe, the whole grid but the end at tol
+1e-7 once Tr R >= 1.0171. It then brackets p* from both sides by convexity
+and returns the midpoint of the cell of the dyadic grid that
+:func:`bisect_boundary` on [0, 1] would return.
 :func:`bisect_boundary` stays for searches in other variables, where it
 relies on the predicate flipping once between its end points.
 """
@@ -32,6 +36,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import spa
+from .config import DEFAULT
 from .criteria import (
     _spa_r_probe,
     _spa_r_score_at_one,
@@ -163,34 +168,39 @@ def _zero(x0: float, y0: float, x1: float, y1: float) -> float:
 
 
 def _flip_cell(
-    excess: Callable[[float], float], h: float, g0: float, g1: float, chord_first: bool
+    excess: Callable[[float], float], h: float, a: int, ga: float, gb: float, chord_first: bool
 ) -> int:
     """Index k of a grid cell [k h, (k+1) h] whose left end is violated
-    (``excess > 0``) and whose right end is not, given g0 = excess(0) > 0 and
-    g1 = excess(1) <= 0.
+    (``excess > 0``) and whose right end is not, within the bracket [a h, 1]:
+    a h is violated, ga > 0 is its excess or a lower bound of it, and
+    gb = excess(1) <= 0.
 
     Only grid points are probed and the bracket [a h, b h] (a violated, b
     not) shrinks with every probe. For a convex excess the chord from a to b
     crosses zero at an upper bound of the edge, and the secant through the
     last two violated points crosses zero at a lower bound. The first probe
     is the grid point below the chord root when ``chord_first``, which ends
-    the search when the excess is linear, and the secant seed h otherwise,
-    whose excess gives the first secant. Later probes take the grid point
-    below the secant root, or below the chord root once the two roots are at
-    most a cell apart; a probe at or beyond an end of the bracket moves
-    inside it. Roots that are not finite or not ordered a <= lower <= upper
-    <= b (values that are not convex) give a bisection step, as does every
-    probe after the first :data:`_SECANT_STEPS`.
+    the search when the excess is linear, and the secant seed a + 1
+    otherwise, whose excess gives the first secant. Later probes take the
+    grid point below the secant root, or below the chord root once the two
+    roots are at most a cell apart; a probe at or beyond an end of the
+    bracket moves inside it. Where the excess is linear up to rounding the
+    two roots coincide and come out in either order, so lower may exceed
+    upper by up to a cell. Roots that are not finite or not so ordered
+    (a <= lower <= upper + h, upper <= b: values that are not convex) give
+    a bisection step, as does every probe after the first
+    :data:`_SECANT_STEPS`. A ga that only bounds the excess from below makes
+    the first roots guides rather than bounds; the bracket, and so the cell,
+    still moves on probes alone.
     """
-    a, ga = 0, g0
-    b, gb = round(1 / h), g1
+    b = round(1 / h)
     prev = None  # (index, excess) of the violated point before a
     for step in itertools.count():
         if b == a + 1:
             return a
         upper = _zero(a * h, ga, b * h, gb)
         lower = a * h if prev is None else _zero(prev[0] * h, prev[1], a * h, ga)
-        if step < _SECANT_STEPS and a * h <= lower <= upper <= b * h:
+        if step < _SECANT_STEPS and a * h <= lower <= upper + h and upper <= b * h:
             k_lower, k_upper = math.floor(lower / h), math.floor(upper / h)
             chord = (step == 0 and chord_first) or k_upper <= k_lower + 1
             k = min(max(k_upper if chord else k_lower, a + 1), b - 1)
@@ -201,6 +211,43 @@ def _flip_cell(
             prev, a, ga = (a, ga), k, gk
         else:
             b, gb = k, gk
+
+
+def _rounding_slack(n: int) -> float:
+    """s(n) = 16 n**2 eps: twice what rounding may take off the computed
+    trace norm of an n x n SPA matrix of a state with Tr R >= 1.
+
+    The exact norm is at least |Tr SPA(p)| = 1. Realignment permutes the
+    entries of rho, so ||R||_2 <= ||R||_F = ||rho||_F <= Tr rho = 1, and
+    ||SPA(p)||_2 <= p/n + (1-p)/Tr R <= 1. Forming a I + b R rounds each
+    entry by at most eps relative; a backward-stable SVD (or Hermitian
+    eigensolve of R, for the closed form a + b lambda_i) moves each of the n
+    values by a small multiple of n eps ||SPA(p)||_2 <= n eps; summing them
+    adds n eps relative, and the Tr R that b divides by is the trace's
+    rounded sum. So the computed norm is at least 1 - O(n**2 eps), and s(n)/2
+    = 8 n**2 eps leaves a factor of about 50 over the largest shortfall
+    measured on the three norm paths for d = 2..6, 0.16 n**2 eps (a tier-1
+    property test checks 1 - s(n)/2). The other half of s(n) covers the few
+    eps that the bound p + (1-p)/Tr R, the margin and their comparison round
+    by.
+    """
+    return 16 * n * n * sys.float_info.epsilon
+
+
+def _trace_settled(trace_r: float, h: float, n: int) -> int:
+    """For Tr R > 1, the largest grid index a < 1/h that the trace bound
+    alone shows violated, (1 - a h)(1 - 1/Tr R) > ``DEFAULT.verdict`` + s(n);
+    -1 when no grid point is.
+
+    Every computed excess of an n x n SPA matrix, its bound's rounding
+    included, exceeds (1 - p)(1 - 1/Tr R) - ``DEFAULT.verdict`` - s(n) (see
+    :func:`_rounding_slack`), so each probe at p <= a h would be ENTANGLED.
+    """
+    # the largest a with (top - a) h rate > slack; a double Tr R > 1 has
+    # 1/Tr R <= 1 - 2**-52, and h >= 2**-52, so q is finite
+    rate = 1.0 - 1.0 / trace_r
+    q = (DEFAULT.verdict + _rounding_slack(n)) / (h * rate)
+    return max(round(1 / h) - 1 - math.floor(q), -1)
 
 
 def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
@@ -218,36 +265,57 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     [0, 1] with ``tol`` (:func:`bisect_boundary`) returns, bit for bit, on
     the verdict of the probe used here, whenever that verdict flips once on
     the grid. Convex brackets find that cell in a few probes (see
-    :func:`_flip_cell`). The first probe follows Tr R. The SPA output has
-    unit trace, so its norm is at least 1, and exactly 1 near p = 1, where
-    it is positive semidefinite: g(p) >= (1 - p)(1 - 1/Tr R) -
-    ``DEFAULT.verdict``, with equality near 1. For Tr R > 1 the edge thus
-    lies within ``DEFAULT.verdict`` / (1 - 1/Tr R) of 1, and the first probe
-    is the grid point below the chord root. For Tr R <= 1, g is at most
+    :func:`_flip_cell`).
+
+    Tr R comes first, through the domain gate. SPA(p) has unit trace, so
+    ||SPA(p)||_1 >= 1 for every p, and g(p) >= (1 - p)(1 - 1/Tr R) -
+    ``DEFAULT.verdict``, with equality where SPA(p) is positive
+    semidefinite (near p = 1 when R is Hermitian). For Tr R > 1 (the
+    fidelity witness Tr R = d <Phi+|rho|Phi+> > 1) this bound, less the
+    rounding slack of :func:`_rounding_slack`, shows every grid point up to
+    an index a violated without a probe (:func:`_trace_settled`). When a is
+    the last interior grid point, the edge is in the last cell and the
+    search returns its midpoint 1 - h/2 with no probe, no eigensolve, no SVD
+    and no Hermiticity measurement; at tol 1e-7 that holds for every
+    Tr R >= 1.0171. Otherwise the bracket
+    opens at [a h, 1], the bound at a h standing in for the excess there,
+    and the first probe is the grid point below the chord root. For
+    Tr R <= 1, or a Tr R so close to 1 that no grid point is settled, the
+    search probes p = 0 first; for Tr R <= 1, g is at most
     -``DEFAULT.verdict`` near 1, and the chord from (0, g0) to (1, g(1))
     crosses zero within about ``DEFAULT.verdict`` / g0 of 1, where a probe
-    would cut the bracket by a cell or so; the first probe is the secant
+    would cut the bracket by a cell or so, so the next probe is the secant
     seed h instead.
 
-    The probe (``criteria._spa_r_probe``, prepared once per search) is the
-    closed form over eig(R) (one Hermitian eigensolve, then O(n) floats per
-    probe) when R is exactly Hermitian, as for every isotropic state, and
-    the SPA matrix's SVD otherwise; the two norms agree up to rounding.
-    ``tol`` must be finite and at least the double spacing at 1, 2**-52.
+    The probe (``criteria._spa_r_probe``, prepared once per search that
+    probes) is the closed form over eig(R) (one Hermitian eigensolve, then
+    O(n) floats per probe) when R is exactly Hermitian, as for every
+    isotropic state, and the SPA matrix's SVD otherwise; the two norms
+    agree up to rounding. ``tol`` must be finite and at least the double
+    spacing at 1, 2**-52.
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
-    probe = _spa_r_probe(r)  # runs the domain gate once
+    trace_r = r.spa_trace  # the domain gate, once
+    a = -1
+    if trace_r > 1.0:
+        a = _trace_settled(trace_r, h, r.dim_a * r.dim_b)
+        if a == round(1 / h) - 1:
+            return 0.5 * (a * h + (a + 1) * h)
+    probe = _spa_r_probe(r)
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
         return probe(p).margin
 
-    g0 = excess(0.0)
-    if g0 <= 0:
-        return None
+    if a < 0:
+        a, ga = 0, excess(0.0)
+        if ga <= 0:
+            return None
+    else:
+        ga = (1.0 - a * h) * (1.0 - 1.0 / trace_r) - DEFAULT.verdict
     g1 = _spa_r_score_at_one(r).margin
-    k = _flip_cell(excess, h, g0, g1, chord_first=r.spa_trace > 1.0)
+    k = _flip_cell(excess, h, a, ga, g1, chord_first=trace_r > 1.0)
     return 0.5 * (k * h + (k + 1) * h)
 
 

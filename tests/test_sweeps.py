@@ -179,17 +179,29 @@ def test_table1_edge_takes_at_most_8_svd_probes(monkeypatch, alpha):
 
 @pytest.mark.parametrize("rho", [rho_t(0.5), rho_a(0.8), isotropic(0.5), isotropic(0.9, 6)],
                          ids=repr)
-def test_trace_above_one_with_the_edge_in_the_last_cell_takes_two_probes(monkeypatch, rho):
-    # Tr R > 1: the excess near p = 1 is (1 - p)(1 - 1/Tr R) - DEFAULT.verdict,
-    # so the chord root lands in the last cell
+def test_trace_above_one_with_the_edge_in_the_last_cell_takes_no_probe_and_calls_no_solver(
+        monkeypatch, rho):
+    # Tr R >= 1.0171: the trace bound (1 - p)(1 - 1/Tr R) - DEFAULT.verdict
+    # alone shows the last interior grid point violated
     h = 2.0**-24  # the grid step of tol 1e-7
-    assert realign(rho).spa_trace > 1
+    r = realign(rho)
+    assert r.spa_trace > 1
     probes = counting_probes(monkeypatch)
-    assert violation_p_max(rho) == 1 - h / 2
-    assert probes == [0.0, 1 - h]
+    calls = counting_linalg(monkeypatch, *SOLVERS)
+    assert violation_p_max(r) == 1 - h / 2
+    assert probes == []
+    assert calls == {name: [] for name in SOLVERS}
+    assert "hermiticity_defect" not in vars(r)  # R - R^H is not even measured
 
 
-@pytest.mark.parametrize("rho", [isotropic(0.5), isotropic(0.9, 6), isotropic(0.1, 5)], ids=repr)
+def isotropic_with_trace(trace_r, d):
+    """The isotropic state whose Tr R is ``trace_r``: Tr R = d beta + (1 - beta)/d."""
+    return isotropic((trace_r - 1 / d) / (d - 1 / d), d)
+
+
+# Tr R in (1, 1.017): the trace bound opens the bracket below the last cell
+@pytest.mark.parametrize("rho", [isotropic_with_trace(1.005, 3), isotropic_with_trace(1.01, 6),
+                                 isotropic(0.1, 5)], ids=repr)
 def test_exactly_hermitian_r_is_searched_from_one_hermitian_eigensolve(monkeypatch, rho):
     r = realign(rho)
     calls = counting_linalg(monkeypatch, *SOLVERS)
@@ -201,24 +213,159 @@ def test_exactly_hermitian_r_is_searched_from_one_hermitian_eigensolve(monkeypat
     assert edge == bisected_edge(rho, 1e-7)
 
 
-def schmidt_symmetric_detected(seed):
-    """Half a Schmidt-symmetric draw and half |Phi+><Phi+|: detected, and its R is
-    Hermitian only up to rounding."""
-    m = 0.5 * random_schmidt_symmetric(3, 3, seed=seed).matrix + 0.5 * isotropic(1.0).matrix
-    return validate_density(m, (3, 3))
+def rotated_bell_mixture(seed):
+    """0.7 |Psi-><Psi-| + 0.3 |Phi+><Phi+| turned by U (x) conj(U), U a random
+    unitary: detected at p = 0 with Tr R = 0.6, and its R is Hermitian only up
+    to rounding (exactly, before the turn)."""
+    psi_minus = np.array([0, 1, -1, 0]) / math.sqrt(2)
+    m = 0.7 * np.outer(psi_minus, psi_minus) + 0.3 * isotropic(1.0, 2).matrix
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    w = np.kron(u, u.conj())
+    return validate_density(w @ m @ w.conj().T, (2, 2))
 
 
-@pytest.mark.parametrize("rho", [rho_t(-0.6), rho_t(0.5), schmidt_symmetric_detected(0)],
+# Tr R <= 1: the trace bound settles nothing, so p = 0 is probed
+@pytest.mark.parametrize("rho", [rho_t(-0.6), bell_mixture(0.2, 3, 0), rotated_bell_mixture(0)],
                          ids=repr)
 def test_any_other_r_keeps_its_svd_probes(monkeypatch, rho):
     r = realign(rho)
-    assert 0 < r.hermiticity_defect  # about 1e-17 for the Schmidt-symmetric state
+    assert r.spa_trace <= 1
+    assert 0 < r.hermiticity_defect  # about 4e-17 for the rotated Bell mixture
     probes = counting_probes(monkeypatch)
     calls = counting_linalg(monkeypatch, *SOLVERS)
     violation_p_max(r)
     # p = 0 and at least one interior point; p = 1 takes no probe
     assert len(calls["singular_values"]) == len(probes) >= 2
     assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
+
+
+def schmidt_symmetric_mixture(weight, d, terms, seed):
+    """weight |Phi+><Phi+| plus (1 - weight) a Schmidt-symmetric draw: still
+    Schmidt-symmetric, so Tr R = ||R||_1, and R is PSD up to rounding."""
+    m = weight * isotropic(1.0, d).matrix
+    m += (1 - weight) * random_schmidt_symmetric(d, terms, seed=seed).matrix
+    return validate_density(m, (d, d))
+
+
+def trace_bound_settles(trace_r, p, n):
+    """The trace bound alone shows p violated: (1 - p)(1 - 1/Tr R) > margin + s(n)."""
+    return (1 - p) * (1 - 1 / trace_r) > DEFAULT.verdict + sweeps._rounding_slack(n)
+
+
+TRACE_AT_LEAST_ONE = st.one_of(
+    st.builds(bell_mixture, st.floats(0.0, 1.0), st.integers(2, 6), st.integers(0, 2**16)),
+    st.builds(schmidt_symmetric_mixture, st.floats(0.0, 1.0), st.integers(2, 6),
+              st.integers(1, 4), st.integers(0, 2**16)),
+    st.integers(2, 6).flatmap(
+        lambda d: st.floats(1.0, float(d)).map(lambda t: isotropic_with_trace(t, d))),
+).filter(lambda rho: realign(rho).moment(1) >= 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TRACE_AT_LEAST_ONE, st.floats(0.0, 1.0))
+def test_computed_norms_keep_the_trace_bound_within_the_slack(rho, p):
+    # ||SPA(p)||_1 >= |Tr SPA(p)| = 1; each computed norm is short of 1 by at
+    # most s(n)/2, on the SVD probe buffer (R not exactly Hermitian), the
+    # closed form over eig(R) (isotropic) and the stacked SVD of spa_r_scores
+    r = realign(rho)
+    n = r.dim_a * r.dim_b
+    trace_r = r.spa_trace
+    # and at the largest p the trace bound settles, where it is tightest
+    ps = [p]
+    if trace_r > 1:
+        tight = 1 - (DEFAULT.verdict + sweeps._rounding_slack(n)) / (1 - 1 / trace_r)
+        while tight > 0 and not trace_bound_settles(trace_r, tight, n):
+            tight = math.nextafter(tight, 0.0)
+        ps += [tight] if tight > 0 else []
+    probe = sweeps._spa_r_probe(r)
+    for q in ps:
+        for score in (probe(q), spa_r_scores(r, [q])[0]):
+            assert score.value >= 1 - sweeps._rounding_slack(n) / 2
+            if trace_bound_settles(trace_r, q, n):
+                assert score.verdict == Verdict.ENTANGLED
+
+
+def last_cell_trace(h, n):
+    """The Tr R above which the trace bound settles the last cell of step h:
+    h (1 - 1/Tr R) > margin + s(n)."""
+    return 1 / (1 - (DEFAULT.verdict + sweeps._rounding_slack(n)) / h)
+
+
+# isotropic states with (Tr R - 1) a thousandth below and above that of the
+# last-cell threshold of tol 1e-3 (h = 2**-10) and of tol 1e-7 (h = 2**-24);
+# at tol 1e-9 (h = 2**-30) the trace bound never settles the last cell
+THRESHOLD_CASES = {f"{tol}-{side}-d{d}": (tol, side, isotropic_with_trace(
+    1 + (last_cell_trace(h, d * d) - 1) * side, d))
+    for tol, h in ((1e-3, 2.0**-10), (1e-7, 2.0**-24))
+    for d in range(2, 7) for side in (0.999, 1.001)}
+
+
+def probe_bisected_edge(rho, tol):
+    """The detection edge by plain bisection of [0, 1] on the verdict of the
+    boundary search's own probe; None when undetected at p = 0."""
+    probe = sweeps._spa_r_probe(realign(rho))
+
+    def violated(p):
+        return probe(p).verdict == Verdict.ENTANGLED
+
+    return bisect_boundary(violated, 0.0, 1.0, tol) if violated(0.0) else None
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_last_cell_threshold_settles_the_edge_only_above_it(monkeypatch, case):
+    tol, side, rho = THRESHOLD_CASES[case]
+    probes = counting_probes(monkeypatch)
+    violation_p_max(rho, tol)
+    assert (probes == []) == (side > 1)
+    monkeypatch.undo()
+    for t in (1e-3, 1e-7, 1e-9):
+        assert violation_p_max(rho, t) == probe_bisected_edge(rho, t)
+
+
+# Tr R - 1 = 1.0e-6 and d = 2: at h = 2**-30 the excess moves by about 1e-15 a
+# cell, and one grid point next to the edge is violated by the closed form over
+# eig(R) and not by the stacked SVD; the search returns the closed form's cell
+UNIT_ROUNDING_CELL = pytest.mark.xfail(
+    strict=True, reason="closed form and SVD verdicts differ at one grid point")
+
+
+@pytest.mark.parametrize("case, tol", [
+    pytest.param(case, tol, marks=UNIT_ROUNDING_CELL)
+    if (case.startswith("0.001-") and case.endswith("-d2") and tol == 1e-9) else (case, tol)
+    for case in THRESHOLD_CASES for tol in (1e-3, 1e-7, 1e-9)])
+def test_edge_at_the_last_cell_threshold_equals_bisection(case, tol):
+    rho = THRESHOLD_CASES[case][2]
+    assert violation_p_max(rho, tol) == bisected_edge(rho, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("trace_r", [1.001, 1.005, 1.01, 1.02])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_trace_just_above_one_takes_at_most_two_probes(monkeypatch, d, trace_r, tol):
+    # the bracket opens at the trace bound; from p = 0 these took 2 to 6
+    # probes at tol 1e-7 and 3 to 7 at tol 1e-9
+    rho = isotropic_with_trace(trace_r, d)
+    probes = counting_probes(monkeypatch)
+    edge = violation_p_max(rho, tol)
+    assert len(probes) <= 2
+    monkeypatch.undo()
+    assert edge == bisected_edge(rho, tol)
+
+
+# the probes, and the SVD probes among them, of all EDGE_STATES searches at tol 1e-7
+# (156 and 129 before the trace bound settled or opened the search)
+EDGE_PROBE_BUDGET = 114
+EDGE_SVD_BUDGET = 109
+
+
+def test_edge_states_stay_within_the_probe_budget(monkeypatch):
+    probes = counting_probes(monkeypatch)
+    calls = counting_linalg(monkeypatch, "singular_values")
+    for rho in EDGE_STATES:
+        violation_p_max(rho)
+    assert len(probes) <= EDGE_PROBE_BUDGET
+    assert len(calls["singular_values"]) <= EDGE_SVD_BUDGET
 
 
 def fake_excess(monkeypatch, norm):
