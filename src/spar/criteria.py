@@ -7,7 +7,6 @@ anything else is inconclusive.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -82,36 +81,24 @@ def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
     at one weight p already checked, with everything that does not depend on
     p prepared once.
 
-    Tr R is read through the domain gate first. For an exactly Hermitian R
-    (``r.is_exactly_hermitian``), SPA(p) = a I + b R is Hermitian, so its
-    norm is sum_i |a + b lambda_i| over eig(R), O(n) floats per probe with no
-    SPA matrix and no SVD; it agrees with the SVD's up to rounding. For an R
-    Hermitian only within a tolerance the norm of its Hermitian part may miss
-    the SVD's by more than the verdict margin, so any other R is scored by
-    one SVD per probe of one n x n buffer, refilled in place as
-    ``spa._mixture`` builds its slice: b R, then a added on the diagonal.
-    Each of its norms is the double of ``_spa_r_scores(r, [p])``. (a, b) come
-    from ``spa._map_coefficients``, and the bound from :func:`spa_r_upper_bound`.
+    Tr R is read through the domain gate first. Each probe is one SVD of one
+    n x n buffer, refilled in place as ``spa._mixture`` builds its slice: b R,
+    then a added on the diagonal. So each norm is the double of
+    ``_spa_r_scores(r, [p])``, and each verdict that of :func:`spa_r_verdict`.
+    (a, b) come from ``spa._map_coefficients``, and the bound from
+    :func:`spa_r_upper_bound`.
     """
     trace_r = r.spa_trace
-    if r.is_exactly_hermitian:
-        lam = r.eigenvalues.tolist()
-
-        def norm(a: float, b: float) -> float:
-            return math.fsum([abs(a + b * x) for x in lam])
-    else:
-        n = r.dim_a * r.dim_b
-        buffer = np.empty((n, n), dtype=np.complex128)
-        diagonal = buffer.reshape(n * n)[:: n + 1]
-
-        def norm(a: float, b: float) -> float:
-            np.multiply(r.matrix, b, out=buffer)
-            np.add(diagonal, a, out=diagonal)
-            return float(linalg.singular_values(buffer).sum())
+    n = r.dim_a * r.dim_b
+    buffer = np.empty((n, n), dtype=np.complex128)
+    diagonal = buffer.reshape(n * n)[:: n + 1]
 
     def probe(p: float) -> Score:
         [(a, b)] = spa._map_coefficients(r, [p])
-        return Score(norm(a, b), spa_r_upper_bound(trace_r, p))
+        np.multiply(r.matrix, b, out=buffer)
+        np.add(diagonal, a, out=diagonal)
+        norm = float(linalg.singular_values(buffer).sum())
+        return Score(norm, spa_r_upper_bound(trace_r, p))
 
     return probe
 

@@ -65,7 +65,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     Refuses a matrix as :func:`as_matrix` does, and with ``ValueError`` one whose
     largest entrywise defect exceeds ``DEFAULT.validation``, as ``validate_density``
     does. One production path calls it: ``RealignedMatrix.eigenvalues`` of an R
-    that equals R^H exactly, which the CP certificate and the boundary search read.
+    that equals R^H exactly, which only the CP certificate reads (``spar analyze``
+    of such a state); no boundary search calls it.
     """
     a = as_matrix(m)
     defect, tol = hermiticity_defect(a), DEFAULT.validation

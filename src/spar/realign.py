@@ -153,30 +153,26 @@ class RealignedMatrix:
         """||R - R^H||_F, measured once per analysis; inf for a non-square R.
 
         Two tests read it: the SPA's real-spectrum check (Bendixson's bound,
-        ``spa.require_real_spectrum``) and :attr:`is_exactly_hermitian`.
+        ``spa.require_real_spectrum``) and :attr:`eigenvalues`, which takes
+        the Hermitian eigensolver where it is 0.0.
         """
         if not self.is_square:
             return math.inf
         d = self.matrix - self.matrix.conj().T
         return math.sqrt(np.vdot(d, d).real)
 
-    @property
-    def is_exactly_hermitian(self) -> bool:
-        """R == R^H entry for entry (:attr:`hermiticity_defect` is 0.0), as
-        for every isotropic state. Then the spectral closed forms give the
-        norms of the very matrix an SVD sees, up to rounding. (A difference
-        whose entries all lie below 1e-154 squares to 0.0 as well; it moves
-        no norm of a unit-trace state by more than rounding.)"""
-        return self.hermiticity_defect == 0.0
-
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """eig(R), computed once: for an exactly Hermitian R the real spectrum
-        in ascending order from one Hermitian eigensolve, for any other R the
-        complex eigenvalues of a general eigensolve. The real-spectrum check
-        of a non-Hermitian R, the CP certificate and the boundary search of
-        an exactly Hermitian R read it."""
-        if self.is_exactly_hermitian:
+        """eig(R), computed once. For an R that equals R^H entry for entry
+        (:attr:`hermiticity_defect` is 0.0, as for every isotropic state) the
+        real spectrum in ascending order from one Hermitian eigensolve; for
+        any other R the complex eigenvalues of a general eigensolve. (A
+        difference whose entries all lie below 1e-154 squares to 0.0 as well;
+        it moves no eigenvalue of a unit-trace state by more than rounding.)
+        The real-spectrum check of a non-Hermitian R and the CP certificate
+        read it, so the Hermitian eigensolve serves the CP certificate alone;
+        no boundary search reads eig(R)."""
+        if self.hermiticity_defect == 0.0:
             return read_only(linalg.hermitian_eigenvalues(self.matrix))
         return read_only(linalg.general_eigenvalues(self.matrix))
 

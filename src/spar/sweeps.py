@@ -220,14 +220,14 @@ def _rounding_slack(n: int) -> float:
     The exact norm is at least |Tr SPA(p)| = 1. Realignment permutes the
     entries of rho, so ||R||_2 <= ||R||_F = ||rho||_F <= Tr rho = 1, and
     ||SPA(p)||_2 <= p/n + (1-p)/Tr R <= 1. Forming a I + b R rounds each
-    entry by at most eps relative; a backward-stable SVD (or Hermitian
-    eigensolve of R, for the closed form a + b lambda_i) moves each of the n
+    entry by at most eps relative; a backward-stable SVD moves each of the n
     values by a small multiple of n eps ||SPA(p)||_2 <= n eps; summing them
     adds n eps relative, and the Tr R that b divides by is the trace's
     rounded sum. So the computed norm is at least 1 - O(n**2 eps), and s(n)/2
-    = 8 n**2 eps leaves a factor of about 50 over the largest shortfall
-    measured on the three norm paths for d = 2..6, 0.16 n**2 eps (a tier-1
-    property test checks 1 - s(n)/2). The other half of s(n) covers the few
+    = 8 n**2 eps leaves a factor of 64 over the largest shortfall measured
+    for d = 2..6, 0.125 n**2 eps (a tier-1 property test checks 1 - s(n)/2 on
+    both norm paths: the probe's buffer and the stacked SVD of
+    ``spa_r_scores``). The other half of s(n) covers the few
     eps that the bound p + (1-p)/Tr R, the margin and their comparison round
     by.
     """
@@ -263,8 +263,8 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     The result is the midpoint of the grid cell [k h, (k+1) h] whose left
     end is violated and whose right end is not: the value that bisection of
     [0, 1] with ``tol`` (:func:`bisect_boundary`) returns, bit for bit, on
-    the verdict of the probe used here, whenever that verdict flips once on
-    the grid. Convex brackets find that cell in a few probes (see
+    ``criteria.spa_r_verdict``, whenever that verdict flips once on the grid.
+    Convex brackets find that cell in a few probes (see
     :func:`_flip_cell`).
 
     Tr R comes first, through the domain gate. SPA(p) has unit trace, so
@@ -275,11 +275,10 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     rounding slack of :func:`_rounding_slack`, shows every grid point up to
     an index a violated without a probe (:func:`_trace_settled`). When a is
     the last interior grid point, the edge is in the last cell and the
-    search returns its midpoint 1 - h/2 with no probe, no eigensolve, no SVD
-    and no Hermiticity measurement; at tol 1e-7 that holds for every
-    Tr R >= 1.0171. Otherwise the bracket
-    opens at [a h, 1], the bound at a h standing in for the excess there,
-    and the first probe is the grid point below the chord root. For
+    search returns its midpoint 1 - h/2 with no probe; at tol 1e-7 that
+    holds for every Tr R >= 1.0171. Otherwise the bracket opens at
+    [a h, 1], the bound at a h standing in for the excess there, and the
+    first probe is the grid point below the chord root. For
     Tr R <= 1, or a Tr R so close to 1 that no grid point is settled, the
     search probes p = 0 first; for Tr R <= 1, g is at most
     -``DEFAULT.verdict`` near 1, and the chord from (0, g0) to (1, g(1))
@@ -287,12 +286,10 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     would cut the bracket by a cell or so, so the next probe is the secant
     seed h instead.
 
-    The probe (``criteria._spa_r_probe``, prepared once per search that
-    probes) is the closed form over eig(R) (one Hermitian eigensolve, then
-    O(n) floats per probe) when R is exactly Hermitian, as for every
-    isotropic state, and the SPA matrix's SVD otherwise; the two norms
-    agree up to rounding. ``tol`` must be finite and at least the double
-    spacing at 1, 2**-52.
+    Each probe (``criteria._spa_r_probe``, prepared once per search that
+    probes) is one SVD of the SPA matrix, whose norm is the double that
+    ``criteria.spa_r_verdict`` reads. ``tol`` must be finite and at least the
+    double spacing at 1, 2**-52.
     """
     h = _grid_step(tol)
     r = as_realigned(rho)

@@ -1,9 +1,10 @@
 """The public surface: the names ``spar`` exports and the functions the
-benchmark's tracer wraps by name; four guards over the whole tree: every
+benchmark's tracer wraps by name; five guards over the whole tree: every
 tolerance is read somewhere, every record is a frozen dataclass and stores
-no verdict, and every file parses with the oldest grammar that
-pyproject.toml supports; the fields of two records; and one over
-the test configuration: a failing Hypothesis test does not stop the run."""
+no verdict, only ``spar.linalg`` decomposes a matrix, and every file parses
+with the oldest grammar that pyproject.toml supports; the fields of two
+records; and one over the test configuration: a failing Hypothesis test does
+not stop the run."""
 
 import ast
 import dataclasses
@@ -127,6 +128,40 @@ def test_every_tolerance_is_read():
     # a tolerance no code reads guards nothing: it must go, not linger
     fields = {f.name for f in dataclasses.fields(spar.Tolerances)}
     assert fields - read_tolerances() == set()
+
+
+# the numpy.linalg functions that factor a matrix; norm is not one of them
+DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky", "solve", "inv"}
+
+
+def numpy_linalg_names(path):
+    """(top-level definition, name) for every ``np.linalg.<name>`` or
+    ``numpy.linalg.<name>`` that the module at ``path`` reads, and for every
+    name it imports from ``numpy.linalg``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in {"np", "numpy"}):
+                yield owner, node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                yield from ((owner, alias.name) for alias in node.names)
+
+
+def test_only_linalg_decomposes_a_matrix():
+    # benchmarks/tracer.py counts eigensolves and SVDs at the functions of
+    # spar.linalg, so a decomposition taken anywhere else, a fast path's
+    # included, would hide from it; validate_density's eigvalsh of each state
+    # is the one documented exception
+    modules = {path.stem: path for path in (ROOT / "src" / "spar").glob("*.py")}
+    found = sorted((stem, owner, name) for stem, path in modules.items() if stem != "linalg"
+                   for owner, name in numpy_linalg_names(path) if name in DECOMPOSITIONS)
+    assert found == [("states", "validate_density", "eigvalsh")]
+    # the walk sees the decompositions where they belong
+    assert {name for _, name in numpy_linalg_names(modules["linalg"])} == {
+        "eigvalsh", "eigvals", "svd"}
 
 
 def mentions(hint, target) -> bool:

@@ -260,11 +260,16 @@ UNDECODABLE = {
     "overflow": ('{"dims": [1, 1], "matrix": [[1' + "0" * 400 + ', 0]]}').encode(),
     "not_utf8": '{"dims": [1, 1], "matrix": [[1, 0]], "note": "\u00e9"}'.encode("latin-1"),
     "deep": ('{"dims": [1, 1], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+    # complex(True, False) would read these as 1+0j and 0.5+0j
+    "boolean": b'{"dims": [1, 1], "matrix": [[true, false]]}',
+    "boolean_imag": b'{"dims": [1, 1], "matrix": [[0.5, false]]}',
 }
 UNDECODABLE_MESSAGES = {
     "overflow": "matrix entry too large for a double: int too large to convert to float",
     "not_utf8": "not valid JSON: 'utf-8' codec can't decode byte 0xe9",
     "deep": "not valid JSON: maximum recursion depth exceeded",
+    "boolean": "matrix entries must be numbers, not true or false",
+    "boolean_imag": "matrix entries must be numbers, not true or false",
 }
 
 

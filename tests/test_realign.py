@@ -313,7 +313,7 @@ def test_an_exactly_hermitian_r_is_diagonalized_by_the_hermitian_eigensolver(rho
     r = realign(rho)
     m = r.matrix
     assert r.hermiticity_defect == pytest.approx(np.linalg.norm(m - m.conj().T), rel=1e-14, abs=0)
-    assert r.is_exactly_hermitian == exact == np.array_equal(m, m.conj().T)
+    assert (r.hermiticity_defect == 0.0) == exact == np.array_equal(m, m.conj().T)
     # the Schmidt-symmetric draw is Hermitian only up to rounding
     assert exact or r.hermiticity_defect > 0
     want = np.linalg.eigvalsh(m) if exact else np.linalg.eigvals(m)
@@ -323,7 +323,7 @@ def test_an_exactly_hermitian_r_is_diagonalized_by_the_hermitian_eigensolver(rho
 
 def test_a_non_square_r_is_never_hermitian():
     r = realign(validate_density(np.eye(6) / 6, (2, 3)))
-    assert r.hermiticity_defect == np.inf and not r.is_exactly_hermitian
+    assert r.hermiticity_defect == np.inf
 
 
 def test_a_forged_trace_cannot_certify_a_refused_state():

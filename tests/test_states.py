@@ -352,6 +352,23 @@ class TestStateFiles:
             read_state_file(path)
         assert str(err.value) == "dims: state file needs 'dims' and 'matrix' fields"
 
+    @pytest.mark.parametrize("text, refused", [
+        ('{"dims": [1, 1], "matrix": [[1, false]]}', True),
+        ('{"dims": [1, 1], "matrix": [[true, 0]], "note": "u"}', True),
+        # a true outside the matrix, and letters of true and false elsewhere
+        ('{"dims": [1, 1], "matrix": [[1, 0]], "note": true}', False),
+        ('{"dims": [1, 1], "matrix": [[1, 0]], "label": "\\u0075"}', False),
+    ])
+    def test_refuses_a_boolean_matrix_entry_and_nothing_else(self, tmp_path, text, refused):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        if not refused:
+            assert read_state_file(path).matrix.tolist() == [[1.0]]
+            return
+        with pytest.raises(StateValidationError) as err:
+            read_state_file(path)
+        assert str(err.value) == "finite: matrix entries must be numbers, not true or false"
+
     def test_rejects_invalid_state(self, tmp_path):
         path = tmp_path / "bad_state.json"
         path.write_text('{"dims": [2, 2], "matrix": ' +

@@ -199,16 +199,18 @@ def isotropic_with_trace(trace_r, d):
     return isotropic((trace_r - 1 / d) / (d - 1 / d), d)
 
 
-# Tr R in (1, 1.017): the trace bound opens the bracket below the last cell
+# Tr R in (1, 1.017), where the trace bound opens the bracket below the last
+# cell, and Tr R <= 1, where p = 0 is probed
 @pytest.mark.parametrize("rho", [isotropic_with_trace(1.005, 3), isotropic_with_trace(1.01, 6),
-                                 isotropic(0.1, 5)], ids=repr)
-def test_exactly_hermitian_r_is_searched_from_one_hermitian_eigensolve(monkeypatch, rho):
+                                 isotropic(0.1, 5), isotropic_with_trace(1.0, 2)], ids=repr)
+def test_exactly_hermitian_r_is_searched_by_svd_probes_alone(monkeypatch, rho):
     r = realign(rho)
+    probes = counting_probes(monkeypatch)
     calls = counting_linalg(monkeypatch, *SOLVERS)
     edge = violation_p_max(r)
-    assert calls["singular_values"] == calls["general_eigenvalues"] == []
-    [m] = calls["hermitian_eigenvalues"]
-    assert m is r.matrix
+    assert len(calls["singular_values"]) == len(probes) >= 1
+    assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
+    assert "hermiticity_defect" not in vars(r)  # R - R^H is not even measured
     monkeypatch.undo()
     assert edge == bisected_edge(rho, 1e-7)
 
@@ -266,8 +268,7 @@ TRACE_AT_LEAST_ONE = st.one_of(
 @given(TRACE_AT_LEAST_ONE, st.floats(0.0, 1.0))
 def test_computed_norms_keep_the_trace_bound_within_the_slack(rho, p):
     # ||SPA(p)||_1 >= |Tr SPA(p)| = 1; each computed norm is short of 1 by at
-    # most s(n)/2, on the SVD probe buffer (R not exactly Hermitian), the
-    # closed form over eig(R) (isotropic) and the stacked SVD of spa_r_scores
+    # most s(n)/2, on the SVD probe buffer and the stacked SVD of spa_r_scores
     r = realign(rho)
     n = r.dim_a * r.dim_b
     trace_r = r.spa_trace
@@ -301,17 +302,6 @@ THRESHOLD_CASES = {f"{tol}-{side}-d{d}": (tol, side, isotropic_with_trace(
     for d in range(2, 7) for side in (0.999, 1.001)}
 
 
-def probe_bisected_edge(rho, tol):
-    """The detection edge by plain bisection of [0, 1] on the verdict of the
-    boundary search's own probe; None when undetected at p = 0."""
-    probe = sweeps._spa_r_probe(realign(rho))
-
-    def violated(p):
-        return probe(p).verdict == Verdict.ENTANGLED
-
-    return bisect_boundary(violated, 0.0, 1.0, tol) if violated(0.0) else None
-
-
 @pytest.mark.parametrize("case", THRESHOLD_CASES)
 def test_last_cell_threshold_settles_the_edge_only_above_it(monkeypatch, case):
     tol, side, rho = THRESHOLD_CASES[case]
@@ -320,20 +310,14 @@ def test_last_cell_threshold_settles_the_edge_only_above_it(monkeypatch, case):
     assert (probes == []) == (side > 1)
     monkeypatch.undo()
     for t in (1e-3, 1e-7, 1e-9):
-        assert violation_p_max(rho, t) == probe_bisected_edge(rho, t)
+        assert violation_p_max(rho, t) == bisected_edge(rho, t)
 
 
-# Tr R - 1 = 1.0e-6 and d = 2: at h = 2**-30 the excess moves by about 1e-15 a
-# cell, and one grid point next to the edge is violated by the closed form over
-# eig(R) and not by the stacked SVD; the search returns the closed form's cell
-UNIT_ROUNDING_CELL = pytest.mark.xfail(
-    strict=True, reason="closed form and SVD verdicts differ at one grid point")
-
-
+# at tol 1e-9 the excess of the d = 2 cases at tol 1e-3's threshold (Tr R - 1
+# about 1.0e-6) moves by about 1e-15 a cell: they equal bisection only while
+# each probe's norm is the double of the stacked SVD's
 @pytest.mark.parametrize("case, tol", [
-    pytest.param(case, tol, marks=UNIT_ROUNDING_CELL)
-    if (case.startswith("0.001-") and case.endswith("-d2") and tol == 1e-9) else (case, tol)
-    for case in THRESHOLD_CASES for tol in (1e-3, 1e-7, 1e-9)])
+    (case, tol) for case in THRESHOLD_CASES for tol in (1e-3, 1e-7, 1e-9)])
 def test_edge_at_the_last_cell_threshold_equals_bisection(case, tol):
     rho = THRESHOLD_CASES[case][2]
     assert violation_p_max(rho, tol) == bisected_edge(rho, tol)
@@ -353,19 +337,18 @@ def test_trace_just_above_one_takes_at_most_two_probes(monkeypatch, d, trace_r, 
     assert edge == bisected_edge(rho, tol)
 
 
-# the probes, and the SVD probes among them, of all EDGE_STATES searches at tol 1e-7
-# (156 and 129 before the trace bound settled or opened the search)
+# the probes of all EDGE_STATES searches at tol 1e-7, each one SVD (156 probes
+# before the trace bound settled or opened the search)
 EDGE_PROBE_BUDGET = 114
-EDGE_SVD_BUDGET = 109
 
 
 def test_edge_states_stay_within_the_probe_budget(monkeypatch):
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, "singular_values")
+    calls = counting_linalg(monkeypatch, *SOLVERS)
     for rho in EDGE_STATES:
         violation_p_max(rho)
-    assert len(probes) <= EDGE_PROBE_BUDGET
-    assert len(calls["singular_values"]) <= EDGE_SVD_BUDGET
+    assert len(calls["singular_values"]) == len(probes) <= EDGE_PROBE_BUDGET
+    assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
 
 
 def fake_excess(monkeypatch, norm):
