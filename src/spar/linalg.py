@@ -64,9 +64,9 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     Refuses a matrix as :func:`as_matrix` does, and with ``ValueError`` one whose
     largest entrywise defect exceeds ``DEFAULT.validation``, as ``validate_density``
-    does. One production path calls it: ``RealignedMatrix.eigenvalues`` of an R
-    that equals R^H exactly, which only the CP certificate reads (``spar analyze``
-    of such a state); no boundary search calls it.
+    does. No production path calls it (``validate_density`` takes its own
+    ``eigvalsh`` of the Hermitian part): it stays as a name the benchmark's
+    tracer counts and as the tests' oracle for a state's spectrum.
     """
     a = as_matrix(m)
     defect, tol = hermiticity_defect(a), DEFAULT.validation
@@ -82,8 +82,7 @@ def general_eigenvalues(m) -> np.ndarray:
     ``LinAlgError`` if the iteration fails to converge, which signals a
     pathological input. One production path calls it:
     ``RealignedMatrix.eigenvalues``, eig(R) computed at most once per state,
-    for every R that is not exactly Hermitian (an exactly Hermitian R goes
-    to :func:`hermitian_eigenvalues`). ``spa.require_real_spectrum`` reads
+    for every R, Hermitian or not. ``spa.require_real_spectrum`` reads
     it only when R is not Hermitian within ``DEFAULT.spectrum_imag`` (for a
     Hermitian R, Bendixson's theorem settles the check without it), and
     ``spa.certify_completely_positive`` takes ``gamma2`` from its largest

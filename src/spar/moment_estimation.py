@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import DomainError
 from .realign import StateLike, as_realigned
 from .spa import apply_spa
-from .states import is_integer
+from .states import is_integer, require_dimension
 
 __all__ = [
     "CaseTag",
@@ -130,7 +130,8 @@ def m1_case_bounds(inp: EstimationInput) -> MomentInterval:
 
 
 def swap_operator(d: int) -> np.ndarray:
-    """The SWAP operator on two d-dimensional factors: SWAP |i>|j> = |j>|i>."""
+    """The SWAP operator on two d-dimensional factors: SWAP |i>|j> = |j>|i>, d >= 1."""
+    d = require_dimension("d", d)
     m = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):

@@ -9,7 +9,6 @@ trace norm of the realigned matrix exceeding 1 certifies entanglement.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,9 +70,9 @@ def _permute(a: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class RealignedMatrix:
-    """The shared analysis of one state: its realignment R plus Tr[R],
-    ||R - R^H||_F, the singular values, the eigenvalues and the moments, each
-    computed at most once. Every per-state function accepts it in place of the state, and
+    """The shared analysis of one state: its realignment R plus Tr[R], the
+    singular values, the eigenvalues and the moments, each computed at most
+    once. Every per-state function accepts it in place of the state, and
     every number a verdict or certificate prints is read from it.
 
     Built only by :func:`realign`, so R is always the realignment of
@@ -149,31 +148,11 @@ class RealignedMatrix:
         return sigma[1:]
 
     @cached_property
-    def hermiticity_defect(self) -> float:
-        """||R - R^H||_F, measured once per analysis; inf for a non-square R.
-
-        Two tests read it: the SPA's real-spectrum check (Bendixson's bound,
-        ``spa.require_real_spectrum``) and :attr:`eigenvalues`, which takes
-        the Hermitian eigensolver where it is 0.0.
-        """
-        if not self.is_square:
-            return math.inf
-        d = self.matrix - self.matrix.conj().T
-        return math.sqrt(np.vdot(d, d).real)
-
-    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """eig(R), computed once. For an R that equals R^H entry for entry
-        (:attr:`hermiticity_defect` is 0.0, as for every isotropic state) the
-        real spectrum in ascending order from one Hermitian eigensolve; for
-        any other R the complex eigenvalues of a general eigensolve. (A
-        difference whose entries all lie below 1e-154 squares to 0.0 as well;
-        it moves no eigenvalue of a unit-trace state by more than rounding.)
-        The real-spectrum check of a non-Hermitian R and the CP certificate
-        read it, so the Hermitian eigensolve serves the CP certificate alone;
+        """eig(R), the complex eigenvalues of one general eigensolve, computed
+        once. Two readers: the real-spectrum check of an R that is not
+        Hermitian within ``DEFAULT.spectrum_imag`` and the CP certificate;
         no boundary search reads eig(R)."""
-        if self.hermiticity_defect == 0.0:
-            return read_only(linalg.hermitian_eigenvalues(self.matrix))
         return read_only(linalg.general_eigenvalues(self.matrix))
 
     @property

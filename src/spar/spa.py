@@ -20,9 +20,8 @@ A Hermitian R (Schmidt-symmetric and isotropic states, for instance) passes
 on that bound alone; any other R has its eigenvalues computed and checked.
 Those eigenvalues, cached on the shared analysis, also give the CP
 certificate's gamma2, since the SPA output's spectrum is an affine image of
-eig(R). For a Hermitian R the certificate computes them: one Hermitian
-eigensolve when R equals R^H exactly (every isotropic state), a general one
-otherwise.
+eig(R). For a Hermitian R the certificate computes them, with the same
+general eigensolve as for any other R.
 """
 
 from __future__ import annotations
@@ -166,18 +165,18 @@ class CpCertificate:
 
 
 def require_real_spectrum(r: RealignedMatrix) -> None:
-    """Check that the eigenvalues of R have imaginary parts within
+    """Check that the eigenvalues of the square R have imaginary parts within
     ``DEFAULT.spectrum_imag``.
 
-    When ||R - R^H||_F (``r.hermiticity_defect``, cached on the analysis) is
-    within that tolerance, Bendixson's theorem bounds every |Im lambda| by
-    half of it and no eigensolve runs; otherwise the check reads
-    ``r.eigenvalues``.
+    The package's one test of R's Hermiticity: when ||R - R^H||_F, measured
+    here on each call, is within that tolerance, Bendixson's theorem bounds
+    every |Im lambda| by half of it and no eigensolve runs; otherwise the
+    check reads ``r.eigenvalues``.
     """
-    if r.hermiticity_defect <= DEFAULT.spectrum_imag:
+    skew = r.matrix - r.matrix.conj().T
+    if math.sqrt(np.vdot(skew, skew).real) <= DEFAULT.spectrum_imag:
         return
-    eigs = r.eigenvalues
-    worst = float(np.max(np.abs(eigs.imag))) if eigs.size else 0.0
+    worst = float(np.max(np.abs(r.eigenvalues.imag)))
     if worst > DEFAULT.spectrum_imag:
         raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
 

@@ -76,6 +76,14 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def require_dimension(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer (:func:`is_integer`) of at least
+    ``least``; otherwise ``ValueError`` naming the argument ``name``."""
+    if not (is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 def require_dims(dims, size: int) -> tuple[int, int]:
     """A tuple or list of two positive integers (no bool, no float) of product ``size``."""
     if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
@@ -167,7 +175,8 @@ def rho_a(a: float) -> DensityMatrix:
 
 
 def bell_state(d: int) -> np.ndarray:
-    """Maximally entangled ket (1/sqrt(d)) sum_i |ii> as a 1-D array."""
+    """Maximally entangled ket (1/sqrt(d)) sum_i |ii> as a 1-D array, d >= 1."""
+    d = require_dimension("d", d)
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1 / math.sqrt(d)
     return v
@@ -175,8 +184,7 @@ def bell_state(d: int) -> np.ndarray:
 
 def isotropic(beta: float, d: int = 3) -> DensityMatrix:
     """Isotropic state beta |phi+><phi+| + (1-beta)/d^2 I on d x d, d >= 2."""
-    if d < 2:
-        raise ValueError(f"isotropic requires d >= 2, got {d}")
+    d = require_dimension("d", d, 2)
     lo = -1.0 / (d * d - 1)
     if not (lo - 1e-12 <= beta <= 1 + 1e-12):
         raise ValueError(f"isotropic requires {lo:.6f} <= beta <= 1, got {beta}")
@@ -209,7 +217,8 @@ def alpha_state(alpha: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def random_density(dim: int, seed) -> np.ndarray:
-    """Ginibre-induced random density matrix of the given dimension."""
+    """Ginibre-induced random density matrix of the given dimension, dim >= 1."""
+    dim = require_dimension("dim", dim)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
@@ -224,8 +233,8 @@ def _random_pure_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_separable(dim_a: int, dim_b: int, terms: int, seed) -> DensityMatrix:
     """Random separable state: a Dirichlet-weighted mixture of pure products."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    dim_a, dim_b = require_dimension("dim_a", dim_a), require_dimension("dim_b", dim_b)
+    terms = require_dimension("terms", terms)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
     m = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=np.complex128)
@@ -242,8 +251,7 @@ def random_schmidt_symmetric(d: int, terms: int, seed) -> DensityMatrix:
     rank-one projectors, hence PSD: the trace norm of the realignment equals
     its trace.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    d, terms = require_dimension("d", d), require_dimension("terms", terms)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
     m = np.zeros((d * d, d * d), dtype=np.complex128)

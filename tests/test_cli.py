@@ -143,38 +143,27 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
-    @pytest.mark.parametrize("source", ["family", "state"])
-    def test_certified_report_of_an_exactly_hermitian_r_makes_no_general_eigensolve(
-            self, capsys, tmp_path, monkeypatch, source):
-        rho = spar.isotropic(0.9)
-        path = tmp_path / "state.json"
-        write_state_file(str(path), rho)
-        calls = count_lapack_eigensolves(monkeypatch)
-        argv = (["--family", "isotropic", "--param", "0.9"] if source == "family"
-                else ["--state", str(path)])
-        code, out, _ = run(capsys, "analyze", *argv, "--p", "0.5")
-        assert code == 0
-        assert json.loads(out)["cp_certificate"]["certified"] is True
-        # the validation's of the state, then the certificate's of R
+    @pytest.mark.parametrize("rho, skew", [
+        (spar.isotropic(0.9), "exact"),
+        (spar.random_schmidt_symmetric(3, 3, seed=0), "rounding"),
+        (spar.rho_t(0.3), "none"),
+    ], ids=["exactly-hermitian", "hermitian-up-to-rounding", "not-hermitian"])
+    def test_certified_report_makes_one_general_eigensolve_of_r(self, capsys, tmp_path,
+                                                                monkeypatch, rho, skew):
         r = spar.realign(rho)
-        assert [m.shape for m in calls["hermitian"]] == [(9, 9), (9, 9)]
-        assert np.array_equal(calls["hermitian"][0], rho.matrix)
-        assert np.array_equal(calls["hermitian"][1], r.matrix)
-        assert calls["general"] == []
-
-    def test_certified_report_of_an_r_hermitian_up_to_rounding_makes_one_general_eigensolve(
-            self, capsys, tmp_path, monkeypatch):
-        rho = spar.random_schmidt_symmetric(3, 3, seed=0)
-        r = spar.realign(rho)
-        assert 0 < r.hermiticity_defect <= spar.DEFAULT.spectrum_imag
+        defect = np.linalg.norm(r.matrix - r.matrix.conj().T)
+        assert {"exact": defect == 0, "rounding": 0 < defect <= spar.DEFAULT.spectrum_imag,
+                "none": defect > spar.DEFAULT.spectrum_imag}[skew]
         path = tmp_path / "state.json"
         write_state_file(str(path), rho)
         calls = count_lapack_eigensolves(monkeypatch)
         code, out, _ = run(capsys, "analyze", "--state", str(path), "--p", "0.5")
         assert code == 0
         assert json.loads(out)["cp_certificate"]["certified"] is True
-        # Bendixson's bound passes R without an eigensolve; the certificate makes one
-        assert len(calls["hermitian"]) == 1  # the validation's
+        # the validation's of the state, then one of R, however Hermitian R is:
+        # the real-spectrum check's, or else the certificate's
+        [h] = calls["hermitian"]
+        assert np.array_equal(h, rho.matrix)
         [m] = calls["general"]
         assert np.array_equal(m, r.matrix)
 
@@ -390,10 +379,14 @@ class TestSweep:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
-    def test_malformed_range_exits_1(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--family", "rho_t",
-                         "--param-range", "0.1:0.2", "--p-range", "0:1:2")
-        assert code == 1
+    @pytest.mark.parametrize("ranges, message", [
+        (("--param-range", "0.1:0.2", "--p-range", "0:1:2"),
+         "range must be lo:hi:n, got '0.1:0.2'"),
+        (("--param-range", "0.1:0.2:2", "--p-range", "0:1:0"), "range needs at least one step"),
+    ], ids=["two-fields", "no-step"])
+    def test_malformed_range_exits_1(self, capsys, ranges, message):
+        code, out, err = run(capsys, "sweep", "--family", "rho_t", *ranges)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_dump_states_builds_each_state_once(self, capsys, tmp_path, monkeypatch):
         params = [0.1 + 0.2 * i for i in range(5)]
@@ -560,19 +553,27 @@ class TestEstimateM1:
         assert err.endswith("error: unrecognized arguments: --perm x.json\n")
 
 
-@pytest.mark.parametrize("option, argv", [
-    ("--p", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "nan"]),
-    ("--param", ["analyze", "--family", "isotropic", "--param", "inf", "--p", "0"]),
-    ("--k", ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "inf"]),
-    ("--s", ["estimate-m1", "--s", "nan", "--d", "2", "--k", "0"]),
-    ("--param", ["estimate-m1", "--family", "isotropic", "--param", "nan", "--p", "0"]),
-    ("--p", ["estimate-m1", "--family", "rho_t", "--param", "0.0", "--p", "inf"]),
-], ids=["p-nan", "param-inf", "k-inf", "s-nan", "m1-param-nan", "m1-p-inf"])
-def test_unsound_or_non_finite_number_exits_1(capsys, option, argv):
+@pytest.mark.parametrize("option, argv, message", [
+    ("--p", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "nan"],
+     "must be finite, got 'nan'"),
+    ("--param", ["analyze", "--family", "isotropic", "--param", "inf", "--p", "0"],
+     "must be finite, got 'inf'"),
+    ("--k", ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "inf"],
+     "must be finite, got 'inf'"),
+    ("--s", ["estimate-m1", "--s", "nan", "--d", "2", "--k", "0"],
+     "must be finite, got 'nan'"),
+    ("--param", ["estimate-m1", "--family", "isotropic", "--param", "nan", "--p", "0"],
+     "must be finite, got 'nan'"),
+    ("--p", ["estimate-m1", "--family", "rho_t", "--param", "0.0", "--p", "inf"],
+     "must be finite, got 'inf'"),
+    ("--p", ["analyze", "--family", "rho_t", "--param", "0.0", "--p", "abc"],
+     "invalid float value: 'abc'"),
+], ids=["p-nan", "param-inf", "k-inf", "s-nan", "m1-param-nan", "m1-p-inf", "p-abc"])
+def test_unsound_or_non_finite_number_exits_1(capsys, option, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert f"argument {option}: must be " in err
+    assert err.endswith(f": error: argument {option}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "estimate-m1"])

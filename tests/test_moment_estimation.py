@@ -8,6 +8,7 @@ from spar import (
     alpha_state,
     DomainError,
     EstimationInput,
+    MomentInterval,
     isotropic,
     m1_case_bounds,
     m1_interval_quadratic,
@@ -56,6 +57,12 @@ class TestQuadraticInterval:
             widths.append(iv.upper - iv.lower)
         assert widths[0] == pytest.approx(0.2)
         assert all(w1 >= w2 - 1e-15 for w1, w2 in zip(widths, widths[1:]))
+
+
+def test_an_interval_whose_lower_end_exceeds_its_upper_is_refused():
+    MomentInterval(0.2, 0.2 - 1e-13, CaseTag.CASE1)  # within the 1e-12 rounding slack
+    with pytest.raises(ValueError, match=r"^empty interval \[0\.3, 0\.2\]$"):
+        MomentInterval(0.3, 0.2, CaseTag.CASE1)
 
 
 class TestEstimationInput:

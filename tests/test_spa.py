@@ -76,6 +76,11 @@ class TestLambdaMinLowerBound:
         with pytest.raises(DomainError):
             lambda_min_lower_bound(0.0, -1.0, 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_fewer_than_one_number(self, n):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            lambda_min_lower_bound(1.0, 1.0, n)
+
     def test_is_a_lower_bound_on_random_hermitian(self):
         for seed in range(100):
             h = random_hermitian(rng_for(seed), 5)
@@ -539,11 +544,8 @@ class TestCertifyCompletelyPositive:
             assert np.array_equal(rho.spectrum, hermitian_eigenvalues(rho.matrix))
             th = spa_threshold(rho)
             p = 1.0 if th.l > 0.9 else 0.9
-            # an exactly Hermitian R (isotropic) is diagonalized by the Hermitian solver
-            r = realign(rho)
-            exact = np.array_equal(r.matrix, r.matrix.conj().T)
-            solve = hermitian_eigenvalues if exact else general_eigenvalues
-            lam_r = float(np.max(solve(r.matrix).real))
+            # every R, an exactly Hermitian one (isotropic) too, by the general solver
+            lam_r = float(np.max(general_eigenvalues(realign(rho).matrix).real))
             lam_rho = float(np.max(hermitian_eigenvalues(rho.matrix)))
             gamma2 = certify_completely_positive(th, p).gamma2
             assert gamma2 == (p / rho.dim + (1.0 - p) / th.realigned.spa_trace * lam_r) / lam_rho

@@ -29,6 +29,7 @@ from spar import (
 import spar.linalg
 from spar.cli import main
 from spar.linalg import hermitian_eigenvalues
+from spar.moment_estimation import swap_operator
 from spar.realign import Verdict
 
 
@@ -259,7 +260,7 @@ class TestFamilies:
 
     @pytest.mark.parametrize("d", [1, 0])
     def test_isotropic_refuses_a_dimension_below_two(self, d):
-        with pytest.raises(ValueError, match=f"^isotropic requires d >= 2, got {d}$"):
+        with pytest.raises(ValueError, match=f"^d must be an integer >= 2, got {d}$"):
             isotropic(0.5, d)
 
     def test_isotropic_grid_valid(self):
@@ -305,6 +306,29 @@ class TestRandomEnsembles:
     def test_terms_must_be_positive(self):
         with pytest.raises(ValueError):
             random_separable(2, 2, terms=0, seed=1)
+
+
+# each public constructor with a dimension argument: (call with that argument
+# set to x, its name, its least value)
+DIMENSION_ARGUMENTS = {
+    "isotropic": (lambda x: isotropic(0.3, x), "d", 2),
+    "bell_state": (bell_state, "d", 1),
+    "random_density": (lambda x: random_density(x, 1), "dim", 1),
+    "random_separable.dim_a": (lambda x: random_separable(x, 2, 2, 1), "dim_a", 1),
+    "random_separable.dim_b": (lambda x: random_separable(2, x, 2, 1), "dim_b", 1),
+    "random_separable.terms": (lambda x: random_separable(2, 2, x, 1), "terms", 1),
+    "random_schmidt_symmetric.d": (lambda x: random_schmidt_symmetric(x, 2, 1), "d", 1),
+    "random_schmidt_symmetric.terms": (lambda x: random_schmidt_symmetric(2, x, 1), "terms", 1),
+    "swap_operator": (swap_operator, "d", 1),
+}
+
+
+@pytest.mark.parametrize("x", [2.5, 3.0, True, 0], ids=repr)
+@pytest.mark.parametrize("case", sorted(DIMENSION_ARGUMENTS))
+def test_a_dimension_that_is_not_an_integer_or_too_small_is_refused_by_name(case, x):
+    build, name, least = DIMENSION_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got {x}$"):
+        build(x)
 
 
 class TestStateFiles:

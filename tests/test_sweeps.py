@@ -27,6 +27,7 @@ from spar import (
     validate_density,
 )
 import spar.linalg
+import spar.spa
 from spar import sweeps
 from spar.criteria import spa_r_scores
 from spar.states import RHO_T_MAX
@@ -150,15 +151,15 @@ def counting_probes(monkeypatch):
     return calls
 
 
-def counting_linalg(monkeypatch, *names):
-    """Record the argument of every call of each named ``spar.linalg`` function."""
+def counting_calls(monkeypatch, module, *names):
+    """Record the argument of every call of each named one-argument function of ``module``."""
     calls = {name: [] for name in names}
     for name in names:
-        def recorded(m, _solve=getattr(spar.linalg, name), _calls=calls[name]):
+        def recorded(m, _solve=getattr(module, name), _calls=calls[name]):
             _calls.append(m)
             return _solve(m)
 
-        monkeypatch.setattr(spar.linalg, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -168,7 +169,7 @@ SOLVERS = ("singular_values", "hermitian_eigenvalues", "general_eigenvalues")
 @pytest.mark.parametrize("alpha", TABLE1_ALPHAS)
 def test_table1_edge_takes_at_most_8_svd_probes(monkeypatch, alpha):
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, "singular_values")
+    calls = counting_calls(monkeypatch, spar.linalg, "singular_values")
     violation_p_max(alpha_state(alpha))
     assert 3 <= len(probes) <= 8  # bisection takes 27
     # one SVD of one SPA matrix per probe, none at p = 1
@@ -187,11 +188,12 @@ def test_trace_above_one_with_the_edge_in_the_last_cell_takes_no_probe_and_calls
     r = realign(rho)
     assert r.spa_trace > 1
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, *SOLVERS)
+    calls = counting_calls(monkeypatch, spar.linalg, *SOLVERS)
+    checks = counting_calls(monkeypatch, spar.spa, "require_real_spectrum")
     assert violation_p_max(r) == 1 - h / 2
     assert probes == []
     assert calls == {name: [] for name in SOLVERS}
-    assert "hermiticity_defect" not in vars(r)  # R - R^H is not even measured
+    assert checks == {"require_real_spectrum": []}  # R - R^H is not even measured
 
 
 def isotropic_with_trace(trace_r, d):
@@ -206,11 +208,12 @@ def isotropic_with_trace(trace_r, d):
 def test_exactly_hermitian_r_is_searched_by_svd_probes_alone(monkeypatch, rho):
     r = realign(rho)
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, *SOLVERS)
+    calls = counting_calls(monkeypatch, spar.linalg, *SOLVERS)
+    checks = counting_calls(monkeypatch, spar.spa, "require_real_spectrum")
     edge = violation_p_max(r)
     assert len(calls["singular_values"]) == len(probes) >= 1
     assert calls["hermitian_eigenvalues"] == calls["general_eigenvalues"] == []
-    assert "hermiticity_defect" not in vars(r)  # R - R^H is not even measured
+    assert checks == {"require_real_spectrum": []}  # R - R^H is not even measured
     monkeypatch.undo()
     assert edge == bisected_edge(rho, 1e-7)
 
@@ -233,9 +236,10 @@ def rotated_bell_mixture(seed):
 def test_any_other_r_keeps_its_svd_probes(monkeypatch, rho):
     r = realign(rho)
     assert r.spa_trace <= 1
-    assert 0 < r.hermiticity_defect  # about 4e-17 for the rotated Bell mixture
+    # about 4e-17 for the rotated Bell mixture
+    assert 0 < np.linalg.norm(r.matrix - r.matrix.conj().T)
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, *SOLVERS)
+    calls = counting_calls(monkeypatch, spar.linalg, *SOLVERS)
     violation_p_max(r)
     # p = 0 and at least one interior point; p = 1 takes no probe
     assert len(calls["singular_values"]) == len(probes) >= 2
@@ -344,7 +348,7 @@ EDGE_PROBE_BUDGET = 114
 
 def test_edge_states_stay_within_the_probe_budget(monkeypatch):
     probes = counting_probes(monkeypatch)
-    calls = counting_linalg(monkeypatch, *SOLVERS)
+    calls = counting_calls(monkeypatch, spar.linalg, *SOLVERS)
     for rho in EDGE_STATES:
         violation_p_max(rho)
     assert len(calls["singular_values"]) == len(probes) <= EDGE_PROBE_BUDGET
@@ -424,6 +428,18 @@ def test_violation_p_max_rejects_a_tolerance_that_cannot_end(tol):
 def test_bisect_boundary_rejects_a_tolerance_that_cannot_end(tol):
     with time_limit(10), pytest.raises(ValueError, match="tol must be finite and > 0"):
         bisect_boundary(lambda p: p < 0.3, 0.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bisect_boundary_refuses_a_predicate_that_does_not_change(value):
+    with pytest.raises(ValueError, match=r"^predicate does not change between 0\.0 and 1\.0$"):
+        bisect_boundary(lambda p: value, 0.0, 1.0)
+
+
+def test_family_state_refuses_an_unknown_family():
+    message = "unknown family 'nope'; choose from ['alpha_state', 'isotropic', 'rho_a', 'rho_t']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweeps.family_state("nope", 0.5)
 
 
 def test_tolerance_below_double_spacing_raises():
