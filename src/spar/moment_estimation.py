@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import DomainError
 from .realign import StateLike, as_realigned
 from .spa import apply_spa
-from .states import is_integer, require_dimension
+from .states import require_dimension
 
 __all__ = [
     "CaseTag",
@@ -68,10 +68,7 @@ class EstimationInput:
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.k)):
             raise ValueError(f"s and k must be finite, got s={self.s}, k={self.k}")
-        if not is_integer(self.d):
-            raise ValueError(f"d must be an integer, got {self.d}")
-        if self.d < 2:
-            raise ValueError("d must be at least 2")
+        require_dimension("d", self.d, 2)
         if self.k < 0:
             raise ValueError("k must be nonnegative")
 
@@ -143,7 +140,11 @@ def simulate_s(rho: StateLike, p: float) -> float:
     """Numerically evaluate s = Tr[spa(rho; p) P] for P = SWAP/d.
 
     Tr[R SWAP] is real for a Hermitian state (conj(R) = SWAP R SWAP), so this is its real part.
+    SWAP pairs row (i, j) with column (j, i), so the trace is the sum over the
+    diagonal of those n entries, each times 1/d; no SWAP matrix is built.
     """
     r = as_realigned(rho)
     spa = apply_spa(r, p)
-    return float(np.trace(spa @ (swap_operator(r.dim_a) / r.dim_a)).real)
+    d = r.dim_a
+    rows = np.arange(d * d)
+    return float((spa[rows, (rows % d) * d + rows // d] * (1.0 / d)).sum().real)

@@ -3,6 +3,11 @@ test ensembles, and the on-disk state format.
 
 Basis convention: the computational product basis |i>|j> ordered
 lexicographically, so a dA x dB state lives on indices i*dB + j.
+
+A state file is one JSON object, ``{"dims": [dA, dB], "matrix": ...}``. The
+writer gives ``matrix`` as hex of the row-major little-endian complex128
+bytes, exact and quick to decode; the reader also takes a list of
+``[re, im]`` number pairs, for files written by hand.
 """
 
 from __future__ import annotations
@@ -103,8 +108,11 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     (:func:`require_dims`), Hermiticity, unit trace and positive semidefiniteness
     within ``DEFAULT.validation``, each failure a :class:`StateValidationError`.
     The state keeps the Hermitian part (M + M^dag)/2, which the trace and PSD
-    checks read, so its realigned moments are real by construction; exactly
-    Hermitian input keeps its bits (subnormal entries aside).
+    checks read, so its realigned moments are real by construction. Exactly
+    Hermitian input keeps its bits, signed zeros included, but for odd
+    subnormal entries and a zero imaginary part on the diagonal (read as +0).
+    So a state's own matrix validates to the same bits, and a state file reads
+    back the state written to it, unless that matrix holds an odd subnormal.
     """
     tol = DEFAULT.validation
     a = linalg.as_matrix(m)
@@ -112,8 +120,11 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     defect = linalg.hermiticity_defect(a)
     if defect > tol:
         raise StateValidationError("hermitian", f"|M - M^dag| = {defect:.3e} exceeds {tol:.1e}")
-    # the state's own copy: the Hermitian part, halved first so no sum overflows
-    h = a * 0.5
+    # the state's own copy: the Hermitian part, halved first so no sum overflows,
+    # and halved as doubles: a * 0.5 multiplies by 0.5 + 0j, which sets the sign of a zero
+    h = np.array(a, order="C")
+    halves = h.view(np.float64)
+    halves *= 0.5
     h += h.conj().T
     tr = float(np.trace(h).real)  # the diagonal of h is exactly real
     if abs(tr - 1.0) > tol:
@@ -267,21 +278,28 @@ def random_schmidt_symmetric(d: int, terms: int, seed) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def write_state_file(path, rho: DensityMatrix) -> None:
-    """Write ``{"dims": [dA, dB], "matrix": [[re, im], ...]}`` as one line of JSON.
+    """Write ``{"dims": [dA, dB], "matrix": "<hex>"}`` as one line of JSON.
 
-    Entries are row-major; floats are written as their shortest round-trip
-    repr, so a read back reproduces the doubles exactly.
+    ``matrix`` is the row-major matrix as little-endian complex128 bytes in
+    hex, 32 digits per entry (the real part's 8 bytes, then the imaginary
+    part's), so a read back reproduces the doubles bit for bit and decodes
+    no decimal number.
     """
-    flat = rho.matrix.reshape(-1)
-    pairs = np.column_stack((flat.real, flat.imag)).tolist()
-    payload = {"dims": [rho.dim_a, rho.dim_b], "matrix": pairs}
+    payload = {"dims": [rho.dim_a, rho.dim_b],
+               "matrix": rho.matrix.astype("<c16", copy=False).tobytes().hex()}
     with open(path, "w", encoding="utf-8") as fh:
         # one encode, one write: json.dump would write in many small chunks
         fh.write(json.dumps(payload) + "\n")
 
 
 def read_state_file(path) -> DensityMatrix:
-    """Read and validate a state file written by :func:`write_state_file`."""
+    """Read and validate a state file written by :func:`write_state_file`.
+
+    ``matrix`` is either the writer's hex string or, for files written by
+    hand, a row-major list of ``[re, im]`` number pairs. Either way the
+    entries form a square matrix that :func:`validate_density` checks
+    against ``dims``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -292,19 +310,37 @@ def read_state_file(path) -> DensityMatrix:
             raise StateValidationError("finite", f"not valid JSON: {exc}") from exc
     if not (isinstance(payload, dict) and "dims" in payload and "matrix" in payload):
         raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
+    entries = payload["matrix"]
+    flat = _hex_entries(entries) if isinstance(entries, str) else _pair_entries(entries, text)
+    n = math.isqrt(flat.size)
+    if n * n != flat.size:
+        raise StateValidationError("shape", f"matrix length {flat.size} is not a perfect square")
+    return validate_density(flat.reshape(n, n), payload["dims"])
+
+
+def _hex_entries(digits: str) -> np.ndarray:
+    """The complex128 entries of the writer's hex string, bytes as written."""
     try:
-        flat = np.array([complex(re, im) for re, im in payload["matrix"]], dtype=np.complex128)
+        raw = bytes.fromhex(digits)
+    except ValueError as exc:  # a character that is not a hex digit, or an odd count
+        raise StateValidationError("finite", f"matrix is not a hex string: {exc}") from exc
+    if len(raw) % 16:
+        raise StateValidationError(
+            "shape", f"matrix hex holds {len(raw)} bytes, not a whole number of 16-byte entries")
+    return np.frombuffer(raw, dtype="<c16")
+
+
+def _pair_entries(pairs, text: str) -> np.ndarray:
+    """The complex128 entries of a list of ``[re, im]`` number pairs, read from ``text``."""
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateValidationError("finite", f"matrix entries must be [re, im] pairs: {exc}") from exc
     except OverflowError as exc:
         raise StateValidationError("finite", f"matrix entry too large for a double: {exc}") from exc
     # complex(True, False) is 1+0j. Every JSON true or false holds a "u" or an
-    # "l", which no number or field name of a written state file does, so the
-    # C-level pass over the entries' types (a tenth of a read) runs only then
-    if ("u" in text or "l" in text) and bool in set(
-            map(type, itertools.chain.from_iterable(payload["matrix"]))):
+    # "l", which no number or field name of a pair-format state file does, so
+    # the C-level pass over the entries' types (a tenth of a read) runs only then
+    if ("u" in text or "l" in text) and bool in set(map(type, itertools.chain.from_iterable(pairs))):
         raise StateValidationError("finite", "matrix entries must be numbers, not true or false")
-    n = math.isqrt(flat.size)
-    if n * n != flat.size:
-        raise StateValidationError("shape", f"matrix length {flat.size} is not a perfect square")
-    return validate_density(flat.reshape(n, n), payload["dims"])
+    return flat

@@ -24,7 +24,7 @@ from spar import (
 from spar.cli import main
 
 import cli_digests
-from util import count_spa_checks, near_psd_state, sweep_reference
+from util import HEX_REFUSALS, count_spa_checks, near_psd_state, sweep_reference
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SRC = Path(spar.__file__).resolve().parents[1]
@@ -278,6 +278,18 @@ def test_state_file_with_a_non_finite_entry_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--state", str(path), "--p", "0.3")
     message = "finite: matrix contains non-finite entries"
     assert (code, out, err) == (2, "", f"error: invalid state: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate-m1"])
+@pytest.mark.parametrize("case", sorted(HEX_REFUSALS))
+def test_state_file_with_a_bad_hex_matrix_exits_2(capsys, tmp_path, case, command):
+    text, check, message = HEX_REFUSALS[case]
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--state", str(path), "--p", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid state: {check}: {message}")
+    assert "Traceback" not in err
 
 
 class TestSweep:

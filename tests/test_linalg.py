@@ -55,7 +55,7 @@ def test_every_function_refuses_a_matrix_with_one_check_and_message(case):
 
 @pytest.mark.parametrize("case", sorted(name for name, row in BAD_MATRICES.items() if row[4]))
 def test_a_state_file_fails_the_same_check(tmp_path, case):
-    # the layout is a flat list of [re, im] pairs, reshaped square: an ndim=1
+    # the pair layout is a flat list of [re, im] pairs, reshaped square: an ndim=1
     # or ragged matrix shows there as a pair count that is not a square or a
     # pair that is not two numbers, with the reader's own message; an
     # infinite entry is the same fault with the same message

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,11 +75,11 @@ class TestEstimationInput:
 
     @pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 2.0, np.float64(3.0), True])
     def test_refuses_a_dimension_that_is_not_an_integer(self, d):
-        with pytest.raises(ValueError, match="^d must be an integer"):
+        with pytest.raises(ValueError, match=f"^d must be an integer >= 2, got {re.escape(str(d))}$"):
             EstimationInput(s=0.1, d=d, k=0.1)
 
     def test_keeps_the_refusals_of_a_small_d_and_a_negative_k(self):
-        with pytest.raises(ValueError, match="^d must be at least 2$"):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2, got 1$"):
             EstimationInput(s=0.1, d=1, k=0.1)
         with pytest.raises(ValueError, match="^k must be nonnegative$"):
             EstimationInput(s=0.1, d=2, k=-0.1)

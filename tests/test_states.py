@@ -2,14 +2,19 @@ import builtins
 import dataclasses
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spar import (
     RHO_T_MAX,
     DensityMatrix,
+    EstimationInput,
     StateValidationError,
     alpha_state,
     bell_state,
@@ -31,6 +36,18 @@ from spar.cli import main
 from spar.linalg import hermitian_eigenvalues
 from spar.moment_estimation import swap_operator
 from spar.realign import Verdict
+
+from util import HEX_REFUSALS, hex_entries
+
+# random_separable(2, 3, 3, seed=8) as [re, im] pairs, each float its
+# shortest repr, and as the hex that write_state_file gives it
+DATA = Path(__file__).parent / "data"
+PAIR_FILE, HEX_FILE = DATA / "separable23_pairs.json", DATA / "separable23_hex.json"
+# doubles that a lossy encoding would change: signed zeros, subnormals and
+# the least normal double
+EDGE_DOUBLES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, -1.23e-320, 7.5e-310, 2.2250738585072014e-308, -1e-300])
+ZEROS = st.sampled_from([0.0, -0.0])
 
 
 def raw_rho_t(t):
@@ -73,6 +90,14 @@ class TestValidateDensity:
         assert np.array_equal(rho.matrix, np.eye(4) / 4)
         score = realignment_criterion(rho)
         assert (score.verdict, score.value) == (Verdict.INCONCLUSIVE, 0.5)
+
+    def test_keeps_the_signed_zeros_of_exactly_hermitian_input(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1], m[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+        m[2, 3], m[3, 2] = complex(0.0, -0.0), complex(0.0, 0.0)
+        rho = validate_density(m, (2, 2))
+        assert rho.matrix.tobytes() == m.tobytes()
+        assert validate_density(rho.matrix, (2, 2)).matrix.tobytes() == m.tobytes()
 
     def test_rejects_non_square(self):
         with pytest.raises(StateValidationError) as err:
@@ -320,6 +345,7 @@ DIMENSION_ARGUMENTS = {
     "random_schmidt_symmetric.d": (lambda x: random_schmidt_symmetric(x, 2, 1), "d", 1),
     "random_schmidt_symmetric.terms": (lambda x: random_schmidt_symmetric(2, x, 1), "terms", 1),
     "swap_operator": (swap_operator, "d", 1),
+    "EstimationInput.d": (lambda x: EstimationInput(s=0.1, d=x, k=0.1), "d", 2),
 }
 
 
@@ -331,6 +357,24 @@ def test_a_dimension_that_is_not_an_integer_or_too_small_is_refused_by_name(case
         build(x)
 
 
+@st.composite
+def edge_entry_states(draw):
+    """A state of dims up to 6 x 6, built exactly Hermitian, some of whose
+    entries are signed zeros or subnormals."""
+    dim_a, dim_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = dim_a * dim_b
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    diagonal = draw(st.lists(st.tuples(st.integers(0, n - 1), EDGE_DOUBLES), max_size=3))
+    weights[[i for i, _ in diagonal if i]] = [x for i, x in diagonal if i]  # keep weights[0]
+    m = np.diag(weights / weights.sum()).astype(complex)
+    placed = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     EDGE_DOUBLES, EDGE_DOUBLES), max_size=12))
+    for i, j, re, im in placed:
+        if i != j:  # a zero's sign in the transposed entry is drawn on its own
+            m[i, j], m[j, i] = complex(re, im), complex(re, draw(ZEROS) if im == 0 else -im)
+    return validate_density(m, (dim_a, dim_b))
+
+
 class TestStateFiles:
     def test_round_trip_exact(self, tmp_path):
         rho = random_separable(3, 3, terms=5, seed=77)
@@ -339,6 +383,40 @@ class TestStateFiles:
         loaded = read_state_file(path)
         assert (loaded.dim_a, loaded.dim_b) == (3, 3)
         assert np.array_equal(loaded.matrix, rho.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_exact_in_either_layout(self, data):
+        rho = data.draw(edge_entry_states())
+        pairs = [[z.real, z.imag] for z in rho.matrix.reshape(-1).tolist()]
+        with tempfile.TemporaryDirectory() as tmp:
+            written, by_hand = Path(tmp, "written.json"), Path(tmp, "pairs.json")
+            write_state_file(written, rho)
+            by_hand.write_text(json.dumps({"dims": [rho.dim_a, rho.dim_b], "matrix": pairs}))
+            payload = json.loads(written.read_text())
+            assert payload["matrix"] == hex_entries(rho.matrix.reshape(-1))
+            for path in (written, by_hand):
+                loaded = read_state_file(path)
+                assert (loaded.dim_a, loaded.dim_b) == (rho.dim_a, rho.dim_b)
+                assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_a_pair_file_reads_to_the_bits_of_its_hex_twin(self, tmp_path):
+        by_pairs, by_hex = read_state_file(PAIR_FILE), read_state_file(HEX_FILE)
+        assert (by_pairs.dim_a, by_pairs.dim_b) == (by_hex.dim_a, by_hex.dim_b) == (2, 3)
+        assert by_pairs.matrix.tobytes() == by_hex.matrix.tobytes()
+        assert by_hex.matrix.tobytes() == random_separable(2, 3, 3, seed=8).matrix.tobytes()
+        write_state_file(tmp_path / "rewritten.json", by_pairs)
+        assert (tmp_path / "rewritten.json").read_bytes() == HEX_FILE.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(HEX_REFUSALS))
+    def test_refuses_a_bad_hex_matrix_with_its_check(self, tmp_path, case):
+        text, check, message = HEX_REFUSALS[case]
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(StateValidationError) as err:
+            read_state_file(path)
+        assert err.value.check == check
+        assert str(err.value).startswith(f"{check}: {message}")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rho = rho_t(0.3)

@@ -175,3 +175,28 @@ def near_psd_state(d: int, eps: float, seed: int):
     h /= np.linalg.norm(h)
     m = 0.5 * ss + 0.5 * np.eye(d * d) / (d * d) - eps * np.kron(h, h.conj())
     return validate_density(m / np.trace(m).real, (d, d))
+
+
+def hex_entries(values) -> str:
+    """``values`` as the hex of little-endian complex128 bytes, the layout of
+    a written state file's ``matrix``."""
+    return np.asarray(values, dtype=complex).astype("<c16").tobytes().hex()
+
+
+# state files whose hex matrix read_state_file refuses: (file text, check,
+# the start of the message)
+HEX_REFUSALS = {
+    "not_hex": ('{"dims": [1, 1], "matrix": "0g"}', "finite", "matrix is not a hex string: "),
+    "odd_digits": ('{"dims": [1, 1], "matrix": "' + hex_entries([1.0])[:-1] + '"}',
+                   "finite", "matrix is not a hex string: "),
+    "partial_entry": ('{"dims": [1, 1], "matrix": "' + hex_entries([1.0])[:24] + '"}', "shape",
+                      "matrix hex holds 12 bytes, not a whole number of 16-byte entries"),
+    "not_square": ('{"dims": [1, 3], "matrix": "' + hex_entries([1.0, 0.0, 0.0]) + '"}',
+                   "shape", "matrix length 3 is not a perfect square"),
+    "nan": ('{"dims": [1, 1], "matrix": "' + hex_entries([complex(1.0, math.nan)]) + '"}',
+            "finite", "matrix contains non-finite entries"),
+    "inf": ('{"dims": [1, 1], "matrix": "' + hex_entries([math.inf]) + '"}',
+            "finite", "matrix contains non-finite entries"),
+    "wrong_dims": ('{"dims": [2, 3], "matrix": "' + hex_entries(np.eye(4).ravel() / 4) + '"}',
+                   "dims", "matrix size 4 != dimA*dimB = 6"),
+}
