@@ -135,21 +135,9 @@ class ErrorReport:
 
 
 def error_suite(rho: StateLike, p: float) -> ErrorReport:
-    """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds;
-    checks as :func:`apply_spa`: p, then the domain gate."""
-    r = as_realigned(rho)
-    error_norm = linalg.trace_norm(apply_spa(r, p) - r.matrix)
-    return _error_report(r, error_norm, float(p))  # p passed apply_spa's check
-
-
-def _error_report(r: RealignedMatrix, error_norm: float, p: float) -> ErrorReport:
-    """:func:`error_suite` from the error norm ||spa - R||_1 already computed."""
-    trace_r = r.spa_trace
-    return ErrorReport(
-        score=Score(error_norm, (1.0 - p) * (1.0 - trace_r) / trace_r),
-        bound_general=p + (1.0 - p - trace_r) / trace_r * r.trace_norm,
-        bound_valid=p <= 1.0 - trace_r + DEFAULT.verdict,
-    )
+    """Approximation error ||spa(rho; p) - R(rho)||_1 and its separable bounds:
+    the ``error`` of :func:`criterion_report`, with its checks."""
+    return criterion_report(rho, p).error
 
 
 def q1_realignment_moments(rho: StateLike) -> float:
@@ -212,12 +200,17 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     sigma = r.singular_values_with(mixture, mixture - r.matrix,
                                    *([r.state.matrix] if with_q2 else []))
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
+    trace_r = r.spa_trace
     return CriterionReport(
         p=p,
-        trace_r=r.spa_trace,
+        trace_r=trace_r,
         realignment=realignment_criterion(r),
-        spa_r=Score(spa_norm, spa_r_upper_bound(r.spa_trace, p)),
-        error=_error_report(r, error_norm, p),
+        spa_r=Score(spa_norm, spa_r_upper_bound(trace_r, p)),
+        error=ErrorReport(
+            score=Score(error_norm, (1.0 - p) * (1.0 - trace_r) / trace_r),
+            bound_general=p + (1.0 - p - trace_r) / trace_r * r.trace_norm,
+            bound_valid=p <= 1.0 - trace_r + DEFAULT.verdict,
+        ),
         q1=q1_realignment_moments(r),
         q2=_q2_score(r, sigma[2]) if with_q2 else None,
     )

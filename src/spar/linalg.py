@@ -82,9 +82,8 @@ def general_eigenvalues(m) -> np.ndarray:
     ``LinAlgError`` if the iteration fails to converge, which signals a
     pathological input. One production path calls it:
     ``RealignedMatrix.eigenvalues``, eig(R) computed at most once per state,
-    for every R, Hermitian or not. ``spa.require_real_spectrum`` reads
-    it only when R is not Hermitian within ``DEFAULT.spectrum_imag`` (for a
-    Hermitian R, Bendixson's theorem settles the check without it), and
+    for every R, Hermitian or not. ``spa.eigenvalue_offset`` checks its
+    imaginary parts against ``DEFAULT.spectrum_imag``, and
     ``spa.certify_completely_positive`` takes ``gamma2`` from its largest
     real part. The PSD verdict itself comes from the moments, not from
     these eigenvalues; the tests also use this function as the oracle for

@@ -150,9 +150,8 @@ class RealignedMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """eig(R), the complex eigenvalues of one general eigensolve, computed
-        once. Two readers: the real-spectrum check of an R that is not
-        Hermitian within ``DEFAULT.spectrum_imag`` and the CP certificate;
-        no boundary search reads eig(R)."""
+        once. Two readers: the real-spectrum check of ``spa.eigenvalue_offset``,
+        for every R, and the CP certificate; no boundary search reads eig(R)."""
         return read_only(linalg.general_eigenvalues(self.matrix))
 
     @property

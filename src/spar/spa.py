@@ -13,15 +13,10 @@ and a Descartes sign test on the characteristic-polynomial coefficients
 is already PSD, in which case l = 0. :class:`SpaAnalysis` keeps the shared
 analysis it was read from, whose ``dim_a`` and ``spa_trace`` are d and Tr R.
 
-The real-spectrum precondition runs an eigensolve only when it must. By
-Bendixson's theorem every eigenvalue of R has its imaginary part within the
-spectrum of the Hermitian (R - R^H)/2i, so |Im lambda| <= ||R - R^H||_F / 2.
-A Hermitian R (Schmidt-symmetric and isotropic states, for instance) passes
-on that bound alone; any other R has its eigenvalues computed and checked.
-Those eigenvalues, cached on the shared analysis, also give the CP
-certificate's gamma2, since the SPA output's spectrum is an affine image of
-eig(R). For a Hermitian R the certificate computes them, with the same
-general eigensolve as for any other R.
+The real-spectrum precondition reads eig(R), one general eigensolve for every
+R, Hermitian or not, cached on the shared analysis. Those eigenvalues also
+give the CP certificate's gamma2, since the SPA output's spectrum is an affine
+image of eig(R).
 """
 
 from __future__ import annotations
@@ -164,35 +159,22 @@ class CpCertificate:
     gamma2: float | None
 
 
-def require_real_spectrum(r: RealignedMatrix) -> None:
-    """Check that the eigenvalues of the square R have imaginary parts within
-    ``DEFAULT.spectrum_imag``.
-
-    The package's one test of R's Hermiticity: when ||R - R^H||_F, measured
-    here on each call, is within that tolerance, Bendixson's theorem bounds
-    every |Im lambda| by half of it and no eigensolve runs; otherwise the
-    check reads ``r.eigenvalues``.
-    """
-    skew = r.matrix - r.matrix.conj().T
-    if math.sqrt(np.vdot(skew, skew).real) <= DEFAULT.spectrum_imag:
-        return
-    worst = float(np.max(np.abs(r.eigenvalues.imag)))
-    if worst > DEFAULT.spectrum_imag:
-        raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
-
-
 def eigenvalue_offset(rho: StateLike) -> tuple[float, float]:
     """The moment lower bound on the minimum eigenvalue of R(rho) and the
     offset k = max(0, -bound), from m_1 and m_2 alone.
 
     Checks the domain gate ``RealignedMatrix.spa_trace`` (equal dimensions,
-    then a positive realigned trace), then a real realigned spectrum. Unlike
+    then a positive realigned trace), then a real realigned spectrum: the
+    largest |Im lambda| of ``r.eigenvalues``, one general eigensolve of R, must
+    lie within ``DEFAULT.spectrum_imag``, else :class:`DomainError`. Unlike
     :func:`spa_threshold`, this builds neither the higher moments nor the
     characteristic-polynomial coefficients.
     """
     r = as_realigned(rho)
     trace_r = r.spa_trace
-    require_real_spectrum(r)
+    worst = float(np.max(np.abs(r.eigenvalues.imag)))
+    if worst > DEFAULT.spectrum_imag:
+        raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
     # the cached Python floats, not numpy scalars: l and k are written out
     # once per sweep row, and a numpy scalar formats more slowly
     lower = lambda_min_lower_bound(trace_r, r.moment(2), r.dim_a * r.dim_a)
@@ -205,9 +187,8 @@ def spa_threshold(rho: StateLike) -> SpaAnalysis:
     Requires equal subsystem dimensions with positive realigned trace and
     real realigned spectrum (see :func:`eigenvalue_offset`, which gives k).
     The PSD branch (l = 0) is decided by the moment-based sign test, not by
-    the eigensolver; the eigensolver runs only for the real-spectrum
-    precondition, and only when R is not Hermitian within
-    ``DEFAULT.spectrum_imag`` (see :func:`require_real_spectrum`). Where the
+    the eigensolver; the one general eigensolve of R is the real-spectrum
+    precondition's, whose eigenvalues the CP certificate reads too. Where the
     sign test finds a negative eigenvalue but k = 0, the moment bound has
     already certified lambda_min(R) >= 0, and the threshold formula gives
     l = 0 as well.

@@ -228,7 +228,12 @@ def alpha_state(alpha: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def random_density(dim: int, seed) -> np.ndarray:
-    """Ginibre-induced random density matrix of the given dimension, dim >= 1."""
+    """Ginibre-induced random density matrix of the given dimension, dim >= 1.
+
+    Unlike the other constructors here it returns an unvalidated ``ndarray``,
+    since a dimension alone does not split into subsystems: pass it through
+    :func:`validate_density` with its dims to get a state.
+    """
     dim = require_dimension("dim", dim)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -302,8 +307,7 @@ def read_state_file(path) -> DensityMatrix:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
-            payload = json.loads(text)
+            payload = json.load(fh)
         except (ValueError, RecursionError) as exc:
             # bad JSON, text that is not UTF-8, an integer past the digit
             # limit of int(), or arrays nested past the recursion limit
@@ -311,7 +315,7 @@ def read_state_file(path) -> DensityMatrix:
     if not (isinstance(payload, dict) and "dims" in payload and "matrix" in payload):
         raise StateValidationError("dims", "state file needs 'dims' and 'matrix' fields")
     entries = payload["matrix"]
-    flat = _hex_entries(entries) if isinstance(entries, str) else _pair_entries(entries, text)
+    flat = _hex_entries(entries) if isinstance(entries, str) else _pair_entries(entries)
     n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise StateValidationError("shape", f"matrix length {flat.size} is not a perfect square")
@@ -330,17 +334,15 @@ def _hex_entries(digits: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16")
 
 
-def _pair_entries(pairs, text: str) -> np.ndarray:
-    """The complex128 entries of a list of ``[re, im]`` number pairs, read from ``text``."""
+def _pair_entries(pairs) -> np.ndarray:
+    """The complex128 entries of a list of ``[re, im]`` number pairs."""
     try:
         flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateValidationError("finite", f"matrix entries must be [re, im] pairs: {exc}") from exc
     except OverflowError as exc:
         raise StateValidationError("finite", f"matrix entry too large for a double: {exc}") from exc
-    # complex(True, False) is 1+0j. Every JSON true or false holds a "u" or an
-    # "l", which no number or field name of a pair-format state file does, so
-    # the C-level pass over the entries' types (a tenth of a read) runs only then
-    if ("u" in text or "l" in text) and bool in set(map(type, itertools.chain.from_iterable(pairs))):
+    # complex(True, False) is 1+0j, so a JSON true or false is refused by type
+    if bool in set(map(type, itertools.chain.from_iterable(pairs))):
         raise StateValidationError("finite", "matrix entries must be numbers, not true or false")
     return flat

@@ -1,7 +1,8 @@
 """The public surface: the names ``spar`` exports and the functions the
-benchmark's tracer wraps by name; five guards over the whole tree: every
+benchmark's tracer wraps by name; six guards over the whole tree: every
 tolerance is read somewhere, every record is a frozen dataclass and stores
-no verdict, only ``spar.linalg`` decomposes a matrix, and every file parses
+no verdict, only ``spar.linalg`` decomposes a matrix, only ``spar.states``
+and ``spar.linalg`` take a conjugate transpose, and every file parses
 with the oldest grammar that pyproject.toml supports; the fields of two
 records; and one over the test configuration: a failing Hypothesis test does
 not stop the run."""
@@ -162,6 +163,33 @@ def test_only_linalg_decomposes_a_matrix():
     # the walk sees the decompositions where they belong
     assert {name for _, name in numpy_linalg_names(modules["linalg"])} == {
         "eigvalsh", "eigvals", "svd"}
+
+
+def conjugate_transposes(path):
+    """(top-level name, line) of each ``.conj().T`` in the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "T"
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "conj"):
+                yield owner, node.lineno
+
+
+def test_only_states_and_linalg_take_a_conjugate_transpose():
+    # eig(R) is the one test of a real realigned spectrum, so nothing else
+    # measures R - R^H; a state's Hermiticity is checked and made in states
+    # (with linalg.hermiticity_defect), and the random constructors build g g^H
+    modules = {path.stem: path for path in (ROOT / "src" / "spar").glob("*.py")}
+    found = sorted((stem, owner, line) for stem, path in modules.items()
+                   if stem not in {"states", "linalg"}
+                   for owner, line in conjugate_transposes(path))
+    assert found == []
+    # the walk sees the conjugate transposes where they belong
+    assert [owner for owner, _ in conjugate_transposes(modules["linalg"])] == [
+        "hermiticity_defect"]
 
 
 def mentions(hint, target) -> bool:

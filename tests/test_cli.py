@@ -161,7 +161,7 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["cp_certificate"]["certified"] is True
         # the validation's of the state, then one of R, however Hermitian R is:
-        # the real-spectrum check's, or else the certificate's
+        # the real-spectrum check's, which the certificate reads too
         [h] = calls["hermitian"]
         assert np.array_equal(h, rho.matrix)
         [m] = calls["general"]
@@ -517,12 +517,20 @@ class TestEstimateM1:
         path = tmp_path / "state.json"
         write_state_file(str(path), rho)
         eigensolves, newton = [], []
-        monkeypatch.setattr(spar.linalg, "general_eigenvalues", eigensolves.append)
+        solve = spar.linalg.general_eigenvalues
+
+        def general_eigenvalues(m):
+            eigensolves.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(spar.linalg, "general_eigenvalues", general_eigenvalues)
         monkeypatch.setattr(spar.spa, "newton_coefficients", newton.append)
         # at p = 1, s = 1/d^2 and x = 0 up to rounding, so every state gets its intervals
         code, out, _ = run(capsys, "estimate-m1", "--state", str(path), "--p", "1")
         assert code == 0
-        assert eigensolves == []  # R is Hermitian
+        # the real-spectrum check's one eigensolve of R, however Hermitian R is
+        [m] = eigensolves
+        assert np.array_equal(m, spar.realign(rho).matrix)
         assert newton == []  # k needs m_1 and m_2 only
         monkeypatch.undo()
         assert json.loads(out)["k"] == spa_threshold(read_state_file(path)).k

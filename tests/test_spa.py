@@ -37,7 +37,6 @@ from spar import (
 )
 from spar.linalg import general_eigenvalues, hermitian_eigenvalues, power_trace
 from spar.realign import RealignedMatrix
-from spar.spa import require_real_spectrum
 from spar.sweeps import violation_p_max
 
 from util import (
@@ -340,36 +339,56 @@ def count_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def with_skew(r, norm):
-    """A test-only forged analysis: r's state with a real antisymmetric part
-    added to R, scaled so that ||R - R^H||_F = norm. Its R is not the
-    state's, so it is built past the constructor that only realign may use."""
-    k = np.triu(np.ones(r.matrix.shape), 1)
-    k = k - k.T
+def with_imaginary_pair(r, imag):
+    """A test-only forged analysis: r's state with R replaced by a real matrix
+    whose eigenvalues are 0.1 +- i imag and 0.1, ..., 0.1 + (n - 3)/100, so its
+    largest |Im lambda| is ``imag`` up to rounding. Its R is not the state's,
+    so it is built past the constructor that only realign may use."""
+    n = r.matrix.shape[0]
+    m = np.diag(np.concatenate(([0.1, 0.1], 0.1 + np.arange(n - 2) / 100))).astype(complex)
+    m[0, 1], m[1, 0] = -imag, imag
     forged = object.__new__(RealignedMatrix)
-    vars(forged).update(state=r.state, _moments=[],
-                        matrix=r.matrix + norm / (2 * np.linalg.norm(k)) * k)
+    vars(forged).update(state=r.state, _moments=[], matrix=m)
     return forged
 
 
 class TestRealSpectrumCheck:
-    @pytest.mark.parametrize("rho", [isotropic(0.3, 6), random_schmidt_symmetric(5, 5, seed=3),
-                                     near_psd_state(4, 1e-6, seed=2)], ids=repr)
-    def test_hermitian_r_needs_no_eigensolve(self, monkeypatch, rho):
+    @pytest.mark.parametrize("rho, skew", [
+        (isotropic(0.3, 6), "exact"),
+        (random_schmidt_symmetric(5, 5, seed=3), "rounding"),
+        (near_psd_state(4, 1e-6, seed=2), "rounding"),
+        (rho_t(0.3), "none"),
+    ], ids=repr)
+    @pytest.mark.parametrize("check", [spa_threshold, eigenvalue_offset],
+                             ids=lambda f: f.__name__)
+    def test_every_r_takes_one_general_eigensolve(self, monkeypatch, rho, skew, check):
+        r = realign(rho)
+        defect = np.linalg.norm(r.matrix - r.matrix.conj().T)
+        assert {"exact": defect == 0, "rounding": 0 < defect <= spar.DEFAULT.spectrum_imag,
+                "none": defect > spar.DEFAULT.spectrum_imag}[skew]
         calls = count_eigensolves(monkeypatch)
-        threshold = spa_threshold(rho)
-        assert calls == []
-        assert eigenvalue_offset(rho) == (threshold.lower_bound, threshold.k)
-        assert calls == []
+        check(r)
+        assert len(calls) == 1 and calls[0] is r.matrix
+        # cached: a second check reads the same eigenvalues
+        threshold = spa_threshold(r)
+        assert eigenvalue_offset(r) == (threshold.lower_bound, threshold.k)
+        assert len(calls) == 1
 
-    def test_skew_part_just_above_the_bound_runs_the_eigensolver(self, monkeypatch):
+    def test_the_bound_is_on_the_imaginary_part_itself(self, monkeypatch):
         r = realign(isotropic(0.5, 3))
+        tol = spar.DEFAULT.spectrum_imag
+        worst = {}
+        for scale in (0.99, 1.01):
+            imag = np.linalg.eigvals(with_imaginary_pair(r, scale * tol).matrix).imag
+            worst[scale] = float(np.max(np.abs(imag)))
+            assert worst[scale] == pytest.approx(scale * tol, rel=1e-6)
         calls = count_eigensolves(monkeypatch)
-        require_real_spectrum(with_skew(r, 0.99 * spar.DEFAULT.spectrum_imag))
-        assert calls == []
-        skewed = with_skew(r, 1.01 * spar.DEFAULT.spectrum_imag)
-        require_real_spectrum(skewed)  # its eigenvalues are real within the tolerance
-        assert len(calls) == 1 and calls[0] is skewed.matrix
+        message = f"realigned spectrum has imaginary part {worst[1.01]:.3e}"
+        for check in (spa_threshold, eigenvalue_offset):
+            check(with_imaginary_pair(r, 0.99 * tol))
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check(with_imaginary_pair(r, 1.01 * tol))
+        assert len(calls) == 4
 
     def test_complex_spectrum_is_refused_with_the_largest_imaginary_part(self, monkeypatch):
         rho = validate_density(random_density(9, seed=3), (3, 3))
