@@ -23,7 +23,6 @@ from .realign import (
     realignment_criterion,
     realignment_moment,
 )
-from .spa import apply_spa
 
 __all__ = [
     "ErrorReport",
@@ -38,9 +37,10 @@ __all__ = [
 ]
 
 
-def spa_r_upper_bound(trace_r: float, p: float) -> float:
+def spa_r_upper_bound(trace_r: float, p: float | np.ndarray) -> float | np.ndarray:
     """Separable upper bound on the trace norm of the SPA output:
-    p + (1-p)/Tr[R], equal to (p (Tr[R] - 1) + 1)/Tr[R].
+    p + (1-p)/Tr[R], equal to (p (Tr[R] - 1) + 1)/Tr[R], of a float p or
+    elementwise of an array of them.
 
     Evaluates to exactly 1 at p = 1 or Tr[R] = 1.
     """
@@ -65,15 +65,39 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[Score]:
 
 
 def _spa_r_scores(r: RealignedMatrix, weights: list[float]) -> list[Score]:
-    """The :class:`Score` per weight, each norm a Python float from one stacked SVD.
+    """The :class:`Score` per weight, from one SVD call of the grid's SPA stack.
 
-    The scorer behind :func:`spa_r_scores` for weights already checked; like
-    ``spa._mixture``, which runs the domain gate, it does not check them, so
-    a sweep checks its grid once.
+    The scorer behind :func:`spa_r_scores` for weights already checked: the
+    norm and bound arrays of :func:`_spa_r_pass`, without its rows for R and
+    the state, which a score does not read. Like ``spa._mixture``, which runs
+    the domain gate, it does not check the weights.
     """
-    norms = linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1).tolist()
-    trace_r = r.spa_trace
-    return [Score(norm, spa_r_upper_bound(trace_r, p)) for p, norm in zip(weights, norms)]
+    norms = linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1)
+    bounds = spa_r_upper_bound(r.spa_trace, np.array(weights))
+    return list(map(Score, norms.tolist(), bounds.tolist()))
+
+
+def _spa_r_pass(
+    r: RealignedMatrix, weights: np.ndarray, with_state: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One pass over a p-grid already checked: the SPA-R norm and separable
+    bound per weight as arrays, and, ``with_state``, the singular values of
+    the state.
+
+    One stack holds the SPA matrix of every weight (``spa._mixture``), then
+    the state when asked, then R; one SVD call decomposes it, and R's row is
+    cached on the analysis (``RealignedMatrix.singular_values_with``), where
+    q1 reads it. Each value is the double that a separate SVD of its matrix
+    gives, and each bound that of :func:`spa_r_upper_bound` at its p. Runs the
+    domain gate; like ``spa._mixture``, checks no weight, so a sweep checks
+    its grid once.
+    """
+    stack = spa._mixture(r, weights, spare=2 if with_state else 1)
+    if with_state:
+        stack[-2] = r.state.matrix
+    sigma = r.singular_values_with(stack)
+    norms = sigma[: len(weights)].sum(axis=-1)
+    return norms, spa_r_upper_bound(r.spa_trace, weights), sigma[-1] if with_state else None
 
 
 def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
@@ -82,11 +106,11 @@ def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
     p prepared once.
 
     Tr R is read through the domain gate first. Each probe is one SVD of one
-    n x n buffer, refilled in place as ``spa._mixture`` builds its slice: b R,
+    n x n buffer, refilled in place as ``spa._mixture`` fills its slices: b R,
     then a added on the diagonal. So each norm is the double of
     ``_spa_r_scores(r, [p])``, and each verdict that of :func:`spa_r_verdict`.
-    (a, b) come from ``spa._map_coefficients``, and the bound from
-    :func:`spa_r_upper_bound`.
+    (a, b) come from ``spa._map_coefficients`` as Python floats, and the bound
+    from :func:`spa_r_upper_bound`.
     """
     trace_r = r.spa_trace
     n = r.dim_a * r.dim_b
@@ -94,7 +118,7 @@ def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
     diagonal = buffer.reshape(n * n)[:: n + 1]
 
     def probe(p: float) -> Score:
-        [(a, b)] = spa._map_coefficients(r, [p])
+        a, b = spa._map_coefficients(r, p)
         np.multiply(r.matrix, b, out=buffer)
         np.add(diagonal, a, out=diagonal)
         norm = float(linalg.singular_values(buffer).sum())
@@ -188,17 +212,19 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     """Run every criterion that applies to the state at the given p.
 
     The SPA matrix is built once. One stacked SVD gives the singular values
-    of R, of the SPA matrix, of SPA - R and, when q2 applies, of the state
+    of the SPA matrix, of SPA - R, when q2 applies of the state, and of R
     (``RealignedMatrix.singular_values_with``); the analysis caches R's, which
     the realignment score and q1 read. Every value is the double that a
     separate SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
     """
     r = as_realigned(rho)
-    mixture = apply_spa(r, p)
-    p = float(p)  # checked by apply_spa; the bounds take its double
+    [p] = spa.require_weights([p])
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
-    sigma = r.singular_values_with(mixture, mixture - r.matrix,
-                                   *([r.state.matrix] if with_q2 else []))
+    stack = spa._mixture(r, [p], spare=3 if with_q2 else 2)
+    np.subtract(stack[0], r.matrix, out=stack[1])
+    if with_q2:
+        stack[2] = r.state.matrix
+    sigma = r.singular_values_with(stack)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
     trace_r = r.spa_trace
     return CriterionReport(

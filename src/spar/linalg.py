@@ -24,7 +24,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "general_eigenvalues",
     "singular_values",
-    "trace_norm",
     "power_trace",
 ]
 
@@ -100,15 +99,6 @@ def singular_values(m) -> np.ndarray:
     matrix on its own.
     """
     return np.linalg.svd(_finite_complex(m, stacked=True), compute_uv=False)
-
-
-def trace_norm(m) -> float:
-    """Trace norm of one matrix, square or not: the sum of its singular values.
-
-    Refuses a matrix as :func:`as_matrix` does, squareness aside, so a stack
-    fails the "shape" check; a stack's norms are its singular values summed.
-    """
-    return float(np.sum(singular_values(_finite_complex(m, stacked=False))))
 
 
 def power_trace(m, k: int) -> complex:

@@ -38,6 +38,13 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def verdict_margin(value: float | np.ndarray, bound: float | np.ndarray) -> float | np.ndarray:
+    """``value - (bound + DEFAULT.verdict)``, the one verdict margin, of floats
+    or elementwise of arrays: positive means entangled, so ties stay
+    inconclusive, and so does NaN in either argument."""
+    return value - (bound + DEFAULT.verdict)
+
+
 @dataclass(frozen=True, slots=True)
 class Score:
     """One one-sided test: a ``value`` against the ``bound`` that every
@@ -48,9 +55,8 @@ class Score:
 
     @property
     def margin(self) -> float:
-        """``value - (bound + DEFAULT.verdict)``, the one verdict margin: ties
-        stay inconclusive, and so does NaN in either field."""
-        return self.value - (self.bound + DEFAULT.verdict)
+        """The one verdict margin, :func:`verdict_margin` of ``value`` and ``bound``."""
+        return verdict_margin(self.value, self.bound)
 
     @property
     def verdict(self) -> Verdict:
@@ -131,21 +137,27 @@ class RealignedMatrix:
         kept; each moment not yet cached costs one matmul, m_1 .. m_n cost n - 1."""
         if not self.is_square:
             raise ValueError("moments require equal subsystem dimensions")
+        moments, matrix = self._moments, self.matrix
         power = self.__dict__.get("_power")
-        while len(self._moments) < count:
-            power = self.matrix if power is None else power @ self.matrix
-            self._moments.append(float(power.trace().real))
+        for _ in range(len(moments), count):
+            power = matrix if power is None else power @ matrix
+            moments.append(float(power.trace().real))
         self.__dict__["_power"] = power
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         return read_only(linalg.singular_values(self.matrix))
 
-    def singular_values_with(self, *others: np.ndarray) -> np.ndarray:
-        """σ of each of ``others`` from one SVD stacked with R, caching R's row."""
-        sigma = read_only(linalg.singular_values(np.stack((self.matrix,) + others)))
-        self.__dict__.setdefault("singular_values", sigma[0])
-        return sigma[1:]
+    def singular_values_with(self, stack: np.ndarray) -> np.ndarray:
+        """σ of every matrix of ``stack`` but the last, from one SVD call.
+
+        The last matrix is first set to R, so a caller allocates one more than
+        it fills; R's row is cached read-only as :attr:`singular_values`.
+        """
+        stack[-1] = self.matrix
+        sigma = read_only(linalg.singular_values(stack))
+        self.__dict__.setdefault("singular_values", sigma[-1])
+        return sigma[:-1]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

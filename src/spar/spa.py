@@ -88,24 +88,18 @@ def newton_coefficients(moments) -> CharPolyCoeffs:
 
     Newton's identities: a_k = (1/k) sum_{i=1..k} (-1)^(i-1) a_{k-i} m_i,
     so a_1 = m_1, a_2 = (m_1^2 - m_2)/2, and so on. Each step forms its k
-    signed products as one array and sums them exactly rounded with
+    signed products as Python floats and sums them exactly rounded with
     :func:`math.fsum`, so a_k does not depend on the order of the terms.
     """
-    m = np.asarray(moments, dtype=float)
-    n = len(m)
     # (-1)^(i-1) m_i: flipping a sign is exact, so every product below is
     # the double (-1)^(i-1) a_{k-i} m_i
-    signed = m.copy()
-    signed[1::2] *= -1.0
-    a = np.empty(n + 1)
-    scale = np.empty(n + 1)
-    a[0] = 1.0
-    scale[0] = 1.0
-    for k in range(1, n + 1):
-        terms = a[k - 1::-1] * signed[:k]
-        a[k] = math.fsum(terms.tolist()) / k
-        scale[k] = math.fsum(np.abs(terms).tolist()) / k
-    return CharPolyCoeffs(a, scale)
+    signed = [-m if i % 2 else m for i, m in enumerate(map(float, moments))]
+    a, scale = [1.0], [1.0]
+    for k in range(1, len(signed) + 1):
+        terms = [x * m for x, m in zip(reversed(a), signed)]
+        a.append(math.fsum(terms) / k)
+        scale.append(math.fsum(map(abs, terms)) / k)
+    return CharPolyCoeffs(np.array(a), np.array(scale))
 
 
 def descartes_psd_test(coeffs: CharPolyCoeffs) -> bool:
@@ -236,24 +230,33 @@ def apply_spa(rho: StateLike, p: float) -> np.ndarray:
     return _mixture(as_realigned(rho), weights)[0]
 
 
-def _map_coefficients(r: RealignedMatrix, weights: list[float]) -> list[tuple[float, float]]:
-    """The SPA map's coefficients (w/n, (1-w)/Tr[R]), one pair per weight w, for
-    weights already checked by :func:`require_weights`; nothing here checks
-    them. Tr R is ``r.spa_trace``, so the domain gate runs here once per analysis."""
+def _map_coefficients(r: RealignedMatrix, w: float | np.ndarray) -> tuple:
+    """The SPA map's coefficients (w/n, (1-w)/Tr[R]) for a weight w already
+    checked by :func:`require_weights`; nothing here checks it. ``w`` is a
+    Python float (a probe, the CP certificate), which gives two floats, or an
+    array of weights (a grid), which gives two arrays of the same doubles.
+    Tr R is ``r.spa_trace``, so the domain gate runs here once per analysis."""
     trace_r = r.spa_trace
     n = r.dim_a * r.dim_b
-    # Python floats, with the arithmetic of a single p at every weight
-    return [(w / n, (1.0 - w) / trace_r) for w in weights]
+    return w / n, (1.0 - w) / trace_r
 
 
-def _mixture(r: RealignedMatrix, weights: list[float]) -> np.ndarray:
-    """The stack of SPA matrices (w/n) I + ((1-w)/Tr[R]) R, one per weight w,
-    with the coefficients of :func:`_map_coefficients`: each slice is b R with
-    a added on its diagonal, so every entry is the double b x or a + b x."""
-    n = r.dim_a * r.dim_b
-    a, b = np.array(_map_coefficients(r, weights), dtype=float).reshape(-1, 2).T
-    stack = b[:, None, None] * r.matrix
-    stack.reshape(-1, n * n)[:, :: n + 1] += a[:, None]
+def _mixture(
+    r: RealignedMatrix, weights: Sequence[float] | np.ndarray, spare: int = 0
+) -> np.ndarray:
+    """A new stack whose first matrices are the SPA matrices (w/n) I + ((1-w)/Tr[R]) R,
+    one per weight w, with the coefficients of :func:`_map_coefficients`, and
+    whose last ``spare`` matrices are left unset for the caller to fill.
+
+    Each SPA slice is b R with a added on its diagonal, written in place, so
+    every entry is the double b x or a + b x.
+    """
+    a, b = _map_coefficients(r, np.asarray(weights, dtype=float))
+    n, m = r.dim_a * r.dim_b, len(a)
+    stack = np.empty((m + spare, n, n), dtype=np.complex128)
+    grid = stack[:m]
+    np.multiply(b[:, None, None], r.matrix, out=grid)
+    grid.reshape(m, n * n)[:, :: n + 1] += a[:, None]
     return stack
 
 
@@ -274,7 +277,7 @@ def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertifica
     if p < threshold.l:
         return CpCertificate(False, None, None)
     r = threshold.realigned
-    [(a, b)] = _map_coefficients(r, [p])
+    a, b = _map_coefficients(r, p)
     lam_spa = a + b * float(np.max(r.eigenvalues.real))
     return CpCertificate(True, 0.0, lam_spa / float(r.state.spectrum[-1]))
 

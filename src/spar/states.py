@@ -109,10 +109,10 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     within ``DEFAULT.validation``, each failure a :class:`StateValidationError`.
     The state keeps the Hermitian part (M + M^dag)/2, which the trace and PSD
     checks read, so its realigned moments are real by construction. Exactly
-    Hermitian input keeps its bits, signed zeros included, but for odd
-    subnormal entries and a zero imaginary part on the diagonal (read as +0).
-    So a state's own matrix validates to the same bits, and a state file reads
-    back the state written to it, unless that matrix holds an odd subnormal.
+    Hermitian input keeps its bits, signed zeros and subnormals included, but
+    for a zero imaginary part on the diagonal (read as +0). So a state's own
+    matrix validates to the same bits, and a state file reads back the state
+    written to it.
     """
     tol = DEFAULT.validation
     a = linalg.as_matrix(m)
@@ -120,19 +120,22 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     defect = linalg.hermiticity_defect(a)
     if defect > tol:
         raise StateValidationError("hermitian", f"|M - M^dag| = {defect:.3e} exceeds {tol:.1e}")
-    # the state's own copy: the Hermitian part, halved first so no sum overflows,
-    # and halved as doubles: a * 0.5 multiplies by 0.5 + 0j, which sets the sign of a zero
-    h = np.array(a, order="C")
-    halves = h.view(np.float64)
-    halves *= 0.5
-    h += h.conj().T
-    tr = float(np.trace(h).real)  # the diagonal of h is exactly real
-    if abs(tr - 1.0) > tol:
+    # the state's own copy: the Hermitian part, summed first so an odd subnormal
+    # keeps its last bit, then halved as doubles: h * 0.5 would multiply by
+    # 0.5 + 0j, which sets the sign of a zero. A sum that overflows is inf, and
+    # a trace over opposite infinities NaN; the trace or the PSD check refuses both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a + a.conj().T
+        halves = h.view(np.float64)
+        halves *= 0.5
+        tr = float(np.trace(h).real)  # the diagonal of h is exactly real
+    if not abs(tr - 1.0) <= tol:  # NaN fails too
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    # what linalg.hermitian_eigenvalues checks has passed above, at the same slack
+    # what linalg.hermitian_eigenvalues checks has passed above, at the same
+    # slack; an infinite entry gives NaN eigenvalues, refused here
     spectrum = np.linalg.eigvalsh(h)
     lam_min = float(spectrum[0])
-    if lam_min < -tol:
+    if not lam_min >= -tol:
         raise StateValidationError("psd", f"minimum eigenvalue {lam_min:.3e} < -{tol:.1e}")
     rho = object.__new__(DensityMatrix)  # past the __init__ that refuses every other caller
     vars(rho).update(dim_a=dim_a, dim_b=dim_b, matrix=read_only(h), spectrum=read_only(spectrum))

@@ -1,12 +1,13 @@
 """Parameter sweeps, boundary search and the detection-window table.
 
-Grid evaluation is deterministic and parameter-major. Each parameter row
-scores its whole p-grid with one stacked SVD (one LAPACK call for all the
-SPA matrices of the row); every norm is the same double as a per-cell
-evaluation would give, so the rows are byte for byte those of a cell-by-cell
-loop. A sweep checks its p-grid once, at its first state, and runs each
-state's domain gate once; a boundary search runs the gate once and checks no
-p, since every point it probes lies on [0, 1] by construction.
+Grid evaluation is deterministic and parameter-major. Each state is scored
+in one pass: one SVD call decomposes the SPA matrices of its whole p-grid,
+R and, for two qutrits, the state, and its norms, bounds and verdicts are
+array operations; every value is the same double as a per-cell evaluation
+would give, so the rows are byte for byte those of a cell-by-cell loop. A
+sweep checks its p-grid once, at its first state, and runs each state's
+domain gate once; a boundary search runs the gate once and checks no p,
+since every point it probes lies on [0, 1] by construction.
 
 One per-state helper feeds two views of a sweep table: :func:`sweep_rows`
 (dicts) and :func:`sweep_csv` (the CSV text of ``spar sweep`` and the
@@ -35,17 +36,20 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import spa
 from .config import DEFAULT
 from .criteria import (
+    _q2_score,
+    _spa_r_pass,
     _spa_r_probe,
     _spa_r_score_at_one,
-    _spa_r_scores,
     q1_realignment_moments,
     q2_rmoment,
 )
 from .exceptions import DomainError
-from .realign import Score, StateLike, as_realigned
+from .realign import StateLike, as_realigned, verdict_margin
 from .spa import spa_threshold
 from .states import DensityMatrix, alpha_state, isotropic, rho_a, rho_t
 
@@ -318,46 +322,57 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
 def _state_blocks(
     states: Iterable[tuple[float, StateLike]], ps: list[float]
-) -> Iterator[tuple[float, tuple, list[Score]]]:
-    """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), scores)``,
-    the scores being those of :func:`spa_r_scores` over ``ps``; each state is
+) -> Iterator[tuple[float, tuple, tuple[list, list, list]]]:
+    """Each ``(param, state)`` pair as ``(param, (l, k, q1, q2), (norms,
+    bounds, violated))``: the norm, bound and 0/1 verdict of
+    :func:`spa_r_scores` at each p of ``ps``, three lists. Each state is
     scored first, before the next is drawn.
 
     ``ps`` is checked once, through ``spa.require_weights`` at the first
     state, so a p outside [0, 1] raises before that state's gate, q1, q2 and
     threshold, and a sweep of no states checks nothing. Each state is then
-    scored by :func:`_spa_r_scores`, which runs that state's domain gate.
+    scored in one pass (``criteria._spa_r_pass``), which runs its domain gate
+    and makes its one SVD call: the p-grid, the state for two qutrits, and R,
+    whose singular values q1 then reads. Norms, bounds and verdicts are array
+    operations, the verdict by ``verdict_margin``, the margin of every
+    :class:`Score`.
 
     What cannot be computed is NaN rather than aborting the sweep: when the
-    domain gate refuses the realigned trace, each score's value and bound (a
-    NaN margin, so the verdict stays inconclusive) and l and k, with no
-    threshold run; l and k alone when the spectrum is not real. q2 is None
-    outside 3x3 systems.
+    domain gate refuses the realigned trace, each norm and bound (so the
+    verdict stays 0) and l and k, with no threshold run; l and k alone when
+    the spectrum is not real. q2 is None outside 3x3 systems.
     """
     nan = float("nan")
-    weights = None  # ps as checked floats, once the first state is drawn
+    weights = None  # ps as a checked array, once the first state is drawn
     for param, rho in states:
         r = as_realigned(rho)
         if weights is None:
-            weights = spa.require_weights(ps)
-        scores, l, k = [Score(nan, nan)] * len(ps), nan, nan
+            weights = np.array(spa.require_weights(ps))
+        with_q2 = (r.dim_a, r.dim_b) == (3, 3)
+        cells = [nan] * len(ps), [nan] * len(ps), [0] * len(ps)
+        l = k = nan
+        state_sigma = None
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            scores = _spa_r_scores(r, weights)
+            norms, bounds, state_sigma = _spa_r_pass(r, weights, with_q2)
+            violated = verdict_margin(norms, bounds) > 0
+            cells = norms.tolist(), bounds.tolist(), violated.view(np.int8).tolist()
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)
-        q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
-        yield param, (l, k, q1, q2), scores
+        q2 = None
+        if with_q2:
+            # a refused state has no stacked row, so q2 takes its own SVD
+            q2 = q2_rmoment(r) if state_sigma is None else _q2_score(r, state_sigma)
+        yield param, (l, k, q1, q2), cells
 
 
 def sweep_rows(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -> Iterator[dict]:
     """The sweep table of ``(param, state)`` pairs over a p-grid as
     :data:`SWEEP_COLUMNS` dicts: the rows :func:`sweep_csv` writes."""
     ps = list(ps)
-    for param, columns, scores in _state_blocks(states, ps):
-        for p, score in zip(ps, scores):
-            violated = int(score.margin > 0)
-            yield dict(zip(SWEEP_COLUMNS, (param, p, score.value, score.bound, violated, *columns)))
+    for param, columns, cells in _state_blocks(states, ps):
+        for p, *cell in zip(ps, *cells):
+            yield dict(zip(SWEEP_COLUMNS, (param, p, *cell, *columns)))
 
 
 def sweep_csv(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) -> str:
@@ -371,12 +386,11 @@ def sweep_csv(states: Iterable[tuple[float, StateLike]], ps: Iterable[float]) ->
     ps = list(ps)
     p_cells = [_cell(p) for p in ps]
     lines = [_line(SWEEP_COLUMNS)]
-    for param, columns, scores in _state_blocks(states, ps):
+    for param, columns, (norms, bounds, violated) in _state_blocks(states, ps):
         head = _cell(param) + ","
         tail = "," + _line(columns)
-        for p, score in zip(p_cells, scores):
-            violated = "1" if score.margin > 0 else "0"
-            lines.append(f"{head}{p},{score.value!s},{score.bound!s},{violated}{tail}")
+        for p, norm, bound, v in zip(p_cells, norms, bounds, violated):
+            lines.append(f"{head}{p},{norm!s},{bound!s},{v}{tail}")
     lines.append("")
     return "\n".join(lines)
 

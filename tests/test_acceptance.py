@@ -47,6 +47,7 @@ from util import (
     random_hermitian,
     random_real_spectrum,
     rng_for,
+    trace_norm,
 )
 
 A_LOW = 1 / math.sqrt(2)
@@ -369,8 +370,6 @@ def test_c7_spa_output_unit_trace(separable_22):
 
 
 def test_c7_schmidt_symmetric_lemma_and_equivalence(schmidt_symmetric_states):
-    from spar.linalg import trace_norm
-
     assert len(schmidt_symmetric_states) == 200
     p_grid = (0.0, 0.25, 0.5, 0.75, 0.9)  # p = 1 is the exact-tie endpoint
     for rho in schmidt_symmetric_states:

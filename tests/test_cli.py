@@ -410,20 +410,20 @@ class TestSweep:
             write_state_file(str(path), sweeps.family_state("alpha_state", param))
             expected_files[f"alpha_state_{i:04d}.json"] = path.read_bytes()
         built, events = [], []
-        build, score = sweeps.family_state, sweeps._spa_r_scores
+        build, score = sweeps.family_state, sweeps._spa_r_pass
 
         def family_state(name, param):
             built.append(param)
             events.append("build")
             return build(name, param)
 
-        def spa_r_scores(*args):
+        def spa_r_pass(*args):
             events.append("score")
             return score(*args)
 
         monkeypatch.setattr(cli, "family_state", family_state)
         monkeypatch.setattr(sweeps, "family_state", family_state)
-        monkeypatch.setattr(sweeps, "_spa_r_scores", spa_r_scores)
+        monkeypatch.setattr(sweeps, "_spa_r_pass", spa_r_pass)
         dump = tmp_path / "states"
         code, out, _ = run(capsys, "sweep", "--family", "alpha_state",
                            "--param-range=0.1:0.9:5", "--p-range=0:1:3",

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import re
 
@@ -24,12 +25,15 @@ from spar import (
     rho_t,
     spa_r_upper_bound,
     spa_r_verdict,
+    spa_threshold,
     validate_density,
 )
+from spar import linalg
 from spar.criteria import _spa_r_probe, _spa_r_score_at_one, _spa_r_scores, spa_r_scores
+from spar.realign import Score
 from spar.sweeps import family_state, sweep_rows, violation_p_max
 
-from util import family_pairs
+from util import family_pairs, trace_norm
 
 
 def mm_state(d=2):
@@ -124,8 +128,6 @@ class TestErrorSuite:
         r = realign(rho)
         rep = error_suite(rho, 1.0)
         n = rho.dim_a ** 2
-        from spar.linalg import trace_norm
-
         assert rep.score.value == pytest.approx(
             trace_norm(np.eye(n) / n - r.matrix), abs=1e-12
         )
@@ -355,6 +357,33 @@ class TestProbe:
             assert abs(closed.value - svd.value) <= n * EPS
 
 
+def counting_svds(monkeypatch) -> list:
+    """Record the shape of the input of every ``linalg.singular_values`` call."""
+    calls = []
+    svd = linalg.singular_values
+
+    def singular_values(m):
+        calls.append(np.shape(m))
+        return svd(m)
+
+    monkeypatch.setattr(linalg, "singular_values", singular_values)
+    return calls
+
+
+def cell_by_cell_row(param, rho, p):
+    """One sweep row by the per-cell path, with NaN for what raises DomainError:
+    a fresh analysis for each of the score, the threshold, q1 and q2."""
+    nan = float("nan")
+    score, l, k = Score(nan, nan), nan, nan
+    with contextlib.suppress(DomainError):
+        [score] = spa_r_scores(realign(rho), [p])
+    with contextlib.suppress(DomainError):
+        threshold = spa_threshold(realign(rho))
+        l, k = threshold.l, threshold.k
+    q2 = q2_rmoment(realign(rho)) if rho.dim == 9 else None
+    return (param, p, score.value, score.bound, int(score.verdict == Verdict.ENTANGLED), l, k,
+            q1_realignment_moments(realign(rho)), q2)
+
 class TestSweepRows:
     @pytest.mark.parametrize("family,params", [
         ("rho_t", [-0.7, 0.05, 0.4]),
@@ -373,6 +402,41 @@ class TestSweepRows:
             assert row["traceNormSpaR"] == score.value == per_cell_norm(r, row["p"])
             assert row["upperBound"] == score.bound
             assert row["violated"] == int(score.verdict == Verdict.ENTANGLED)
+            # l, k, q1 and q2 of a fresh analysis, each from its own SVD
+            threshold = spa_threshold(realign(r.state))
+            assert (row["l"], row["k"]) == (threshold.l, threshold.k)
+            assert row["q1"] == q1_realignment_moments(realign(r.state))
+            assert row["q2"] == (q2_rmoment(realign(r.state)) if r.state.dim == 9 else None)
+
+    def test_refused_and_complex_states_equal_the_cell_by_cell_path(self):
+        # a family state, one the domain gate refuses (NaN cells, l and k) and
+        # a Ginibre state (complex spectrum: NaN l and k) in one sweep
+        pairs = [(0.3, alpha_state(0.3)), (-0.125, isotropic(-1 / 8)), (7, ginibre_state())]
+        rows = list(sweep_rows(pairs, P_GRID))
+        expected = [cell_by_cell_row(param, rho, p) for param, rho in pairs for p in P_GRID]
+        assert [list(map(repr, row.values())) for row in rows] == [
+            list(map(repr, row)) for row in expected]
+        nan_cells = [row["traceNormSpaR"] != row["traceNormSpaR"] for row in rows]
+        assert nan_cells == [param == -0.125 for param, _ in pairs for _ in P_GRID]
+        assert [row["l"] != row["l"] for row in rows] == [
+            param != 0.3 for param, _ in pairs for _ in P_GRID]
+
+    @pytest.mark.parametrize("family,params,n,rows", [
+        ("rho_t", [-0.7, 0.05, 0.4], 4, 1), ("isotropic", [0.0, 0.5], 9, 2),
+        ("alpha_state", [0.2, 0.8], 9, 2), ("rho_a", [0.75, 1.0], 9, 2),
+    ])
+    def test_one_svd_call_per_state(self, monkeypatch, family, params, n, rows):
+        # the p-grid, the state for two qutrits, and R: the sweep's analogue of
+        # the one stacked SVD of a certified report
+        calls = counting_svds(monkeypatch)
+        list(sweep_rows(family_pairs(family, params), P_GRID))
+        assert calls == [(len(P_GRID) + rows, n, n)] * len(params)
+
+    def test_a_refused_state_takes_the_svds_of_q1_and_q2(self, monkeypatch):
+        calls = counting_svds(monkeypatch)
+        list(sweep_rows([(0.3, alpha_state(0.3)), (-0.125, isotropic(-1 / 8))], P_GRID))
+        assert calls == [(len(P_GRID) + 2, 9, 9), (9, 9), (9, 9)]
+
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, float("nan")])
     def test_p_outside_unit_interval_raises_before_any_row(self, bad):

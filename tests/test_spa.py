@@ -47,6 +47,7 @@ from util import (
     random_hermitian,
     random_real_spectrum,
     rng_for,
+    trace_norm,
 )
 
 A_LOW = 1 / math.sqrt(2)
@@ -447,8 +448,12 @@ class TestApplySpa:
         r = realign(rho)
         ps = [-0.0, 0.0, 1e-12, 0.25, 1 / 3, 0.7, 1 - 2**-24, 1.0]
         n = r.dim_a * r.dim_b
-        coef = np.array(spar.spa._map_coefficients(r, ps), dtype=np.complex128).reshape(-1, 2, 1, 1)
-        reference = coef[:, 0] * np.eye(n, dtype=np.complex128) + coef[:, 1] * r.matrix
+        a, b = (c.astype(np.complex128)[:, None, None]
+                for c in spar.spa._map_coefficients(r, np.array(ps)))
+        reference = a * np.eye(n, dtype=np.complex128) + b * r.matrix
+        # the grid's coefficients are the doubles of each weight's scalar path
+        assert list(zip(a.real.ravel().tolist(), b.real.ravel().tolist())) == [
+            spar.spa._map_coefficients(r, p) for p in ps]
         stack = spar.spa._mixture(r, ps)
         assert stack.dtype == np.complex128
         assert np.array_equal(stack, reference)
@@ -456,6 +461,9 @@ class TestApplySpa:
         assert np.array_equal(np.linalg.svd(stack, compute_uv=False),
                               np.linalg.svd(reference, compute_uv=False))
         assert spar.spa._mixture(r, []).shape == (0, n, n)
+        # spare matrices follow the grid and leave its slices unchanged
+        assert np.array_equal(spar.spa._mixture(r, ps, spare=2)[:len(ps)], stack)
+        assert spar.spa._mixture(r, ps, spare=2).shape == (len(ps) + 2, n, n)
 
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
         # the check a grid passes once before it goes to _mixture
@@ -475,8 +483,6 @@ class TestApplySpa:
             check([0.5, False])
 
     def test_schmidt_symmetric_norm_is_one(self, schmidt_symmetric_states):
-        from spar.linalg import trace_norm
-
         for rho in schmidt_symmetric_states[:20]:
             for p in (0.0, 0.5, 1.0):
                 assert trace_norm(apply_spa(rho, p)) == pytest.approx(1.0, abs=1e-9)

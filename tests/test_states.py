@@ -193,6 +193,14 @@ def slack_state(d=6):
     return m
 
 
+def signed_zero_rho_t():
+    """rho_t(0.3) as given, with zeros of either sign in both parts of its empty row."""
+    m = raw_rho_t(0.3)
+    m[1, 0], m[0, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    m[1, 2], m[2, 1] = complex(0.0, -0.0), complex(-0.0, -0.0)
+    return m
+
+
 def hermitian_inputs():
     """Seeded Ginibre, separable and Schmidt-symmetric input at d = 2..6, and
     a hand-built input with a Hermiticity defect of 0.99e-10."""
@@ -230,13 +238,40 @@ class TestHermitianPart:
         assert main(["analyze", "--state", str(path), "--p", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["realignment"]["trace"] == 0.16666666666666666
 
-    def test_halves_before_it_adds(self):
-        # (M + M^dag)/2 would overflow here; the halves sum to 1e308
+    @pytest.mark.parametrize("m,dims", [*hermitian_inputs(), pytest.param(
+        signed_zero_rho_t(), (2, 2), id="signed_zeros")])
+    def test_normal_entries_give_the_doubles_of_halving_first(self, m, dims):
+        # summing first changes only what halving first rounds: an odd subnormal
+        halved = np.array(m, dtype=complex)
+        halved.view(np.float64)[...] *= 0.5
+        assert validate_density(m, dims).matrix.tobytes() == (halved + halved.conj().T).tobytes()
+
+    @pytest.mark.parametrize("entry", [1e-323, 3e-323, complex(0, -5e-323)])
+    def test_odd_subnormal_keeps_its_bits(self, entry, tmp_path):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = entry
+        rho = validate_density(m, (1, 2))
+        # (M + M^dag)/2 of entry and 0 is entry/2 at both places, exactly
+        assert rho.matrix[0, 1] == rho.matrix[1, 0].conjugate() == entry / 2
+        again = validate_density(rho.matrix, (1, 2))
+        assert again.matrix.tobytes() == rho.matrix.tobytes()
+        path = tmp_path / "state.json"
+        write_state_file(path, rho)
+        assert read_state_file(path).matrix.tobytes() == rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("m,check", [
+        ([[0.5, 1e308], [1e308, 0.5]], "psd"),  # the sum is inf off the diagonal
+        ([[0.5, 1e308j], [-1e308j, 0.5]], "psd"),
+        ([[1.7e308, 0], [0, 0.5]], "trace"),  # inf on the diagonal
+        ([[1e308, 0], [0, -1e308 + 1]], "trace"),  # opposite infinities: a NaN trace
+    ])
+    def test_refuses_an_entry_whose_sum_overflows(self, m, check):
+        # (M + M^dag) overflows here; it is refused, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StateValidationError) as err:
-                validate_density([[0.5, 1e308], [1e308, 0.5]], (1, 2))
-        assert err.value.check == "psd"
+                validate_density(m, (1, 2))
+        assert err.value.check == check
 
 
 class TestFamilies:

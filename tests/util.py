@@ -57,6 +57,16 @@ def count_spa_checks(monkeypatch) -> tuple[list, list]:
     return gates, weights
 
 
+def trace_norm(m) -> float:
+    """Trace norm of one matrix, square or not: the sum of its singular values.
+
+    The tests' oracle for the package's norms, which are stacked singular
+    values summed. Refuses a matrix as ``linalg.as_matrix`` does, squareness
+    aside, so a stack fails the "shape" check.
+    """
+    return float(np.sum(linalg.singular_values(linalg._finite_complex(m, stacked=False))))
+
+
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
