@@ -56,48 +56,34 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[Score]:
     The whole grid is one stack of SPA matrices and one stacked SVD; each
     norm is the same double as for that p alone. Checks as :func:`apply_spa`:
     the grid with ``spa.require_weights``, then the domain gate, then scores
-    with :func:`_spa_r_scores`. An empty grid scores nothing and checks nothing.
+    with :func:`_spa_r_pass`. An empty grid scores nothing and checks nothing.
     """
     ps = list(ps)
     if not ps:
         return []
-    return _spa_r_scores(as_realigned(rho), spa.require_weights(ps))
-
-
-def _spa_r_scores(r: RealignedMatrix, weights: list[float]) -> list[Score]:
-    """The :class:`Score` per weight, from one SVD call of the grid's SPA stack.
-
-    The scorer behind :func:`spa_r_scores` for weights already checked: the
-    norm and bound arrays of :func:`_spa_r_pass`, without its rows for R and
-    the state, which a score does not read. Like ``spa._mixture``, which runs
-    the domain gate, it does not check the weights.
-    """
-    norms = linalg.singular_values(spa._mixture(r, weights)).sum(axis=-1)
-    bounds = spa_r_upper_bound(r.spa_trace, np.array(weights))
+    norms, bounds, _ = _spa_r_pass(as_realigned(rho), spa.require_weights(ps))
     return list(map(Score, norms.tolist(), bounds.tolist()))
 
 
 def _spa_r_pass(
-    r: RealignedMatrix, weights: np.ndarray, with_state: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    r: RealignedMatrix, weights: Sequence[float] | np.ndarray, *extra: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass over a p-grid already checked: the SPA-R norm and separable
-    bound per weight as arrays, and, ``with_state``, the singular values of
-    the state.
+    bound per weight as arrays, and the singular values of each matrix of
+    ``extra`` (a sweep's two-qutrit state), one row each.
 
-    One stack holds the SPA matrix of every weight (``spa._mixture``), then
-    the state when asked, then R; one SVD call decomposes it, and R's row is
-    cached on the analysis (``RealignedMatrix.singular_values_with``), where
-    q1 reads it. Each value is the double that a separate SVD of its matrix
-    gives, and each bound that of :func:`spa_r_upper_bound` at its p. Runs the
-    domain gate; like ``spa._mixture``, checks no weight, so a sweep checks
-    its grid once.
+    One stack from ``spa._mixture`` holds the SPA matrix of every weight,
+    then ``extra``, then R; one SVD call decomposes it, and R's row is cached
+    on the analysis (``RealignedMatrix.singular_values_with``), where q1 reads
+    it. Each value is the double that a separate SVD of its matrix gives, and
+    each bound that of :func:`spa_r_upper_bound` at its p. Runs the domain
+    gate; like ``spa._mixture``, checks no weight, so a sweep checks its grid
+    once.
     """
-    stack = spa._mixture(r, weights, spare=2 if with_state else 1)
-    if with_state:
-        stack[-2] = r.state.matrix
-    sigma = r.singular_values_with(stack)
-    norms = sigma[: len(weights)].sum(axis=-1)
-    return norms, spa_r_upper_bound(r.spa_trace, weights), sigma[-1] if with_state else None
+    weights = np.asarray(weights, dtype=float)
+    sigma = r.singular_values_with(spa._mixture(r, weights, *extra))
+    m = len(weights)
+    return sigma[:m].sum(axis=-1), spa_r_upper_bound(r.spa_trace, weights), sigma[m:]
 
 
 def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
@@ -108,7 +94,7 @@ def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
     Tr R is read through the domain gate first. Each probe is one SVD of one
     n x n buffer, refilled in place as ``spa._mixture`` fills its slices: b R,
     then a added on the diagonal. So each norm is the double of
-    ``_spa_r_scores(r, [p])``, and each verdict that of :func:`spa_r_verdict`.
+    ``spa_r_scores(r, [p])``, and each verdict that of :func:`spa_r_verdict`.
     (a, b) come from ``spa._map_coefficients`` as Python floats, and the bound
     from :func:`spa_r_upper_bound`.
     """
@@ -220,10 +206,10 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     r = as_realigned(rho)
     [p] = spa.require_weights([p])
     with_q2 = (r.dim_a, r.dim_b) == (3, 3)
-    stack = spa._mixture(r, [p], spare=3 if with_q2 else 2)
-    np.subtract(stack[0], r.matrix, out=stack[1])
-    if with_q2:
-        stack[2] = r.state.matrix
+    state = (r.state.matrix,) if with_q2 else ()
+    # slot 1 holds R until SPA - R is written over it; then the state for q2
+    stack = spa._mixture(r, [p], r.matrix, *state)
+    np.subtract(stack[0], stack[1], out=stack[1])
     sigma = r.singular_values_with(stack)
     spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
     trace_r = r.spa_trace

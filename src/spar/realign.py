@@ -149,12 +149,8 @@ class RealignedMatrix:
         return read_only(linalg.singular_values(self.matrix))
 
     def singular_values_with(self, stack: np.ndarray) -> np.ndarray:
-        """σ of every matrix of ``stack`` but the last, from one SVD call.
-
-        The last matrix is first set to R, so a caller allocates one more than
-        it fills; R's row is cached read-only as :attr:`singular_values`.
-        """
-        stack[-1] = self.matrix
+        """σ of every matrix of a stack from ``spa._mixture`` but its last, R,
+        from one SVD call; R's row is cached read-only as :attr:`singular_values`."""
         sigma = read_only(linalg.singular_values(stack))
         self.__dict__.setdefault("singular_values", sigma[-1])
         return sigma[:-1]

@@ -123,16 +123,22 @@ def validate_density(m, dims: tuple[int, int]) -> DensityMatrix:
     # the state's own copy: the Hermitian part, summed first so an odd subnormal
     # keeps its last bit, then halved as doubles: h * 0.5 would multiply by
     # 0.5 + 0j, which sets the sign of a zero. A sum that overflows is inf, and
-    # a trace over opposite infinities NaN; the trace or the PSD check refuses both.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a trace over opposite infinities NaN. The sum's overflow flag is recorded,
+    # so no second scan looks for an inf.
+    overflow = []
+    with np.errstate(over="call", invalid="ignore", call=lambda kind, _: overflow.append(kind)):
         h = a + a.conj().T
         halves = h.view(np.float64)
         halves *= 0.5
         tr = float(np.trace(h).real)  # the diagonal of h is exactly real
     if not abs(tr - 1.0) <= tol:  # NaN fails too
         raise StateValidationError("trace", f"trace = {tr} is not 1 within {tol:.1e}")
-    # what linalg.hermitian_eigenvalues checks has passed above, at the same
-    # slack; an infinite entry gives NaN eigenvalues, refused here
+    if overflow:
+        # the diagonal is finite here, so an off-diagonal sum overflowed: an
+        # entry near 1e308, where a PSD matrix of unit trace has none above 1/2.
+        # Refused before the eigensolver, which does not converge on an inf.
+        raise StateValidationError("psd", "an off-diagonal entry of M + M^dag overflows")
+    # what linalg.hermitian_eigenvalues checks has passed above, at the same slack
     spectrum = np.linalg.eigvalsh(h)
     lam_min = float(spectrum[0])
     if not lam_min >= -tol:

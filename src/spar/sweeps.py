@@ -353,7 +353,8 @@ def _state_blocks(
         l = k = nan
         state_sigma = None
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            norms, bounds, state_sigma = _spa_r_pass(r, weights, with_q2)
+            state = (r.state.matrix,) if with_q2 else ()
+            norms, bounds, state_sigma = _spa_r_pass(r, weights, *state)
             violated = verdict_margin(norms, bounds) > 0
             cells = norms.tolist(), bounds.tolist(), violated.view(np.int8).tolist()
             threshold = spa_threshold(r)  # only once the gate accepted the trace
@@ -362,7 +363,7 @@ def _state_blocks(
         q2 = None
         if with_q2:
             # a refused state has no stacked row, so q2 takes its own SVD
-            q2 = q2_rmoment(r) if state_sigma is None else _q2_score(r, state_sigma)
+            q2 = q2_rmoment(r) if state_sigma is None else _q2_score(r, state_sigma[0])
         yield param, (l, k, q1, q2), cells
 
 

@@ -29,7 +29,7 @@ from spar import (
     validate_density,
 )
 from spar import linalg
-from spar.criteria import _spa_r_probe, _spa_r_score_at_one, _spa_r_scores, spa_r_scores
+from spar.criteria import _spa_r_probe, _spa_r_score_at_one, spa_r_scores
 from spar.realign import Score
 from spar.sweeps import family_state, sweep_rows, violation_p_max
 
@@ -337,7 +337,7 @@ class TestProbe:
         r = realign(rho)
         probe = _spa_r_probe(r)
         for p in np.linspace(0.0, 1.0, 257).tolist():
-            assert probe(p) == _spa_r_scores(r, [p])[0]
+            assert probe(p) == spa_r_scores(r, [p])[0]
 
     def test_probe_reads_tr_r_through_the_domain_gate(self):
         # isotropic(-1/8) has Tr R = 0 up to rounding
@@ -351,7 +351,7 @@ class TestProbe:
                   random_schmidt_symmetric(d, 3, seed=d), ginibre_state(d, seed=1)]
         for r in map(realign, states):
             closed = _spa_r_score_at_one(r)
-            [svd] = _spa_r_scores(r, [1.0])
+            [svd] = spa_r_scores(r, [1.0])
             assert closed.bound == svd.bound == 1.0
             assert closed.verdict == svd.verdict == Verdict.INCONCLUSIVE
             assert abs(closed.value - svd.value) <= n * EPS

@@ -332,14 +332,15 @@ def test_a_forged_trace_cannot_certify_a_refused_state():
 def test_singular_values_with_caches_r_once_and_returns_the_others():
     r = realign(alpha_state(0.4))
     other = np.eye(9) / 9
-    stack = np.stack((other, np.zeros((9, 9)))).astype(complex)  # the last is set to R
+    stack = np.stack((other, r.matrix)).astype(complex)  # R last, as spa._mixture lays it out
+    before = stack.copy()
     [sigma] = r.singular_values_with(stack)
-    assert np.array_equal(stack[-1], r.matrix)
+    assert np.array_equal(stack, before)
     assert np.array_equal(sigma, singular_values(other))
     cached = r.singular_values
     assert np.array_equal(cached, singular_values(r.matrix))
     assert not cached.flags.writeable
-    r.singular_values_with(np.stack((other, other)).astype(complex))
+    r.singular_values_with(np.stack((other, r.matrix)).astype(complex))
     assert r.singular_values is cached
 
 

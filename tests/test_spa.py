@@ -432,11 +432,14 @@ class TestApplySpa:
         # the p-grid of a sweep is one _mixture call
         ps = [-0.0, 0.0, 0.25, 0.7, 1.0]
         for rho in (rho_t(-0.6), isotropic(0.4, 4), alpha_state(0.3)):
-            stack = spar.spa._mixture(realign(rho), ps)
-            assert stack.shape == (len(ps),) + (rho.dim,) * 2
+            r = realign(rho)
+            stack = spar.spa._mixture(r, ps)
+            # the grid, then R
+            assert stack.shape == (len(ps) + 1,) + (rho.dim,) * 2
+            assert np.array_equal(stack[-1], r.matrix)
             for p, spa in zip(ps, stack):
                 assert np.array_equal(spa, apply_spa(rho, p))
-        assert spar.spa._mixture(realign(rho_t(0.3)), []).shape == (0, 4, 4)
+        assert spar.spa._mixture(realign(rho_t(0.3)), []).shape == (1, 4, 4)
 
     @pytest.mark.parametrize("rho", [
         rho_t(-0.6), rho_a(0.8), isotropic(0.4, 4), alpha_state(0.3),
@@ -454,16 +457,20 @@ class TestApplySpa:
         # the grid's coefficients are the doubles of each weight's scalar path
         assert list(zip(a.real.ravel().tolist(), b.real.ravel().tolist())) == [
             spar.spa._map_coefficients(r, p) for p in ps]
-        stack = spar.spa._mixture(r, ps)
+        stack = spar.spa._mixture(r, ps)[:len(ps)]
         assert stack.dtype == np.complex128
         assert np.array_equal(stack, reference)
         # a zero's sign may differ; no singular value does
         assert np.array_equal(np.linalg.svd(stack, compute_uv=False),
                               np.linalg.svd(reference, compute_uv=False))
-        assert spar.spa._mixture(r, []).shape == (0, n, n)
-        # spare matrices follow the grid and leave its slices unchanged
-        assert np.array_equal(spar.spa._mixture(r, ps, spare=2)[:len(ps)], stack)
-        assert spar.spa._mixture(r, ps, spare=2).shape == (len(ps) + 2, n, n)
+        assert np.array_equal(spar.spa._mixture(r, []), r.matrix[None])
+        # extra matrices follow the grid in order, R comes last, and the
+        # grid's slices are unchanged
+        extra = np.eye(n) / n, r.state.matrix
+        with_extra = spar.spa._mixture(r, ps, *extra)
+        assert with_extra.shape == (len(ps) + 3, n, n)
+        assert np.array_equal(with_extra[:len(ps)], stack)
+        assert np.array_equal(with_extra[len(ps):], np.stack((*extra, r.matrix)))
 
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
         # the check a grid passes once before it goes to _mixture

@@ -213,6 +213,13 @@ def hermitian_inputs():
     yield pytest.param(m, (2, 2), id="defect")
 
 
+def overflowing(n, entry):
+    """I/n with ``entry`` at (0, n - 1) and its conjugate at (n - 1, 0)."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, n - 1], m[n - 1, 0] = entry, np.conj(entry)
+    return m
+
+
 class TestHermitianPart:
     @pytest.mark.parametrize("m,dims", hermitian_inputs())
     def test_stores_the_exactly_hermitian_part(self, m, dims):
@@ -259,19 +266,31 @@ class TestHermitianPart:
         write_state_file(path, rho)
         assert read_state_file(path).matrix.tobytes() == rho.matrix.tobytes()
 
-    @pytest.mark.parametrize("m,check", [
-        ([[0.5, 1e308], [1e308, 0.5]], "psd"),  # the sum is inf off the diagonal
-        ([[0.5, 1e308j], [-1e308j, 0.5]], "psd"),
-        ([[1.7e308, 0], [0, 0.5]], "trace"),  # inf on the diagonal
-        ([[1e308, 0], [0, -1e308 + 1]], "trace"),  # opposite infinities: a NaN trace
+    @pytest.mark.parametrize("m,dims,check", [
+        ([[0.5, 1e308], [1e308, 0.5]], (1, 2), "psd"),  # the sum is inf off the diagonal
+        ([[0.5, 1e308j], [-1e308j, 0.5]], (1, 2), "psd"),
+        ([[1.7e308, 0], [0, 0.5]], (1, 2), "trace"),  # inf on the diagonal
+        ([[1e308, 0], [0, -1e308 + 1]], (1, 2), "trace"),  # opposite infinities: a NaN trace
+        # past 2 x 2 the eigensolver does not converge on an inf entry
+        (overflowing(3, 1e308), (1, 3), "psd"),
+        (overflowing(4, 1e308), (2, 2), "psd"),
+        (overflowing(4, -1e308j), (2, 2), "psd"),
+        (overflowing(9, complex(1e308, 1e308)), (3, 3), "psd"),
     ])
-    def test_refuses_an_entry_whose_sum_overflows(self, m, check):
-        # (M + M^dag) overflows here; it is refused, with no warning
+    def test_refuses_an_entry_whose_sum_overflows(self, m, dims, check, tmp_path, capsys):
+        # (M + M^dag) overflows here; it is refused, with no warning, read
+        # from a hex state file as well, and `analyze --state` exits 2
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": list(dims), "matrix": hex_entries(m)}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StateValidationError) as err:
-                validate_density(m, (1, 2))
-        assert err.value.check == check
+            for call in (lambda: validate_density(m, dims), lambda: read_state_file(path)):
+                with pytest.raises(StateValidationError) as err:
+                    call()
+                assert err.value.check == check
+            assert main(["analyze", "--state", str(path), "--p", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: invalid state: {check}: ")
 
 
 class TestFamilies:
