@@ -86,39 +86,28 @@ def _spa_r_pass(
     return sigma[:m].sum(axis=-1), spa_r_upper_bound(r.spa_trace, weights), sigma[m:]
 
 
-def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], Score]:
-    """The boundary search's probe: the :class:`Score` of :func:`spa_r_scores`
-    at one weight p already checked, with everything that does not depend on
-    p prepared once.
+def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], float]:
+    """The boundary search's probe: the norm ||SPA(p)||_1 at one weight p
+    already checked, with everything that does not depend on p prepared once,
+    Tr R through the domain gate included.
 
-    Tr R is read through the domain gate first. Each probe is one SVD of one
-    n x n buffer, refilled in place as ``spa._mixture`` fills its slices: b R,
-    then a added on the diagonal. So each norm is the double of
-    ``spa_r_scores(r, [p])``, and each verdict that of :func:`spa_r_verdict`.
-    (a, b) come from ``spa._map_coefficients`` as Python floats, and the bound
-    from :func:`spa_r_upper_bound`.
+    Each probe is one SVD of one n x n buffer, refilled in place as
+    ``spa._mixture`` fills its slices: b R, then a added on the diagonal, with
+    (a, b) from ``spa._map_coefficients`` as Python floats. So each norm is
+    the double of ``spa_r_scores(r, [p])``.
     """
-    trace_r = r.spa_trace
+    r.spa_trace  # the domain gate, before any probe
     n = r.dim_a * r.dim_b
     buffer = np.empty((n, n), dtype=np.complex128)
     diagonal = buffer.reshape(n * n)[:: n + 1]
 
-    def probe(p: float) -> Score:
+    def probe(p: float) -> float:
         a, b = spa._map_coefficients(r, p)
         np.multiply(r.matrix, b, out=buffer)
         np.add(diagonal, a, out=diagonal)
-        norm = float(linalg.singular_values(buffer).sum())
-        return Score(norm, spa_r_upper_bound(trace_r, p))
+        return float(linalg.singular_values(buffer).sum())
 
     return probe
-
-
-def _spa_r_score_at_one(r: RealignedMatrix) -> Score:
-    """The :class:`Score` of :func:`spa_r_scores` at p = 1 in closed form:
-    SPA(1) = I/n, whose trace norm is 1, against the bound 1. Its verdict is
-    inconclusive for every state; an SVD's norm misses the 1 by a few n eps.
-    Reads Tr R through the domain gate."""
-    return Score(1.0, spa_r_upper_bound(r.spa_trace, 1.0))
 
 
 def spa_r_verdict(rho: StateLike, p: float) -> Verdict:

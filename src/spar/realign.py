@@ -195,7 +195,8 @@ def is_schmidt_symmetric(rho: StateLike) -> bool:
 
     That equality characterizes states expressible as sum_i w_i A_i (x)
     conj(A_i) with nonnegative weights, and is equivalent to the realigned
-    matrix being positive semidefinite. Such a sum needs equal subsystem
+    matrix being positive semidefinite in the given product basis, so the
+    answer depends on the local basis. Such a sum needs equal subsystem
     dimensions, so unequal ones give False.
     """
     r = as_realigned(rho)

@@ -206,12 +206,16 @@ def require_weights(ps: Sequence[float]) -> list[float]:
     bool (``p must be a number``, naming its ``repr``, so a string shows its
     quotes) or lies outside [0, 1], NaN included (``p must lie in [0, 1]``,
     naming its ``str``)."""
+    weights = []
     for p in ps:
-        if not isinstance(p, numbers.Real) or isinstance(p, bool):
+        # a float passes the exact-type check, before numbers.Real's slow ABC one
+        if isinstance(p, bool) or not isinstance(p, (float, numbers.Real)):
             raise ValueError(f"p must be a number, got {p!r}")
-        if not 0.0 <= float(p) <= 1.0:
+        w = float(p)
+        if not 0.0 <= w <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-    return [float(p) for p in ps]
+        weights.append(w)
+    return weights
 
 
 def apply_spa(rho: StateLike, p: float) -> np.ndarray:

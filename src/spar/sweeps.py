@@ -44,9 +44,9 @@ from .criteria import (
     _q2_score,
     _spa_r_pass,
     _spa_r_probe,
-    _spa_r_score_at_one,
     q1_realignment_moments,
     q2_rmoment,
+    spa_r_upper_bound,
 )
 from .exceptions import DomainError
 from .realign import StateLike, as_realigned, verdict_margin
@@ -259,10 +259,10 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     when the state is not detected even at p = 0.
 
     The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
-    the :attr:`Score.margin` of the SPA-R score at p, is positive exactly
-    where the verdict is ENTANGLED. It is convex in p, and at p = 1, where
-    SPA(1) = I/n has norm 1 against the bound 1, it is -``DEFAULT.verdict``
-    in closed form, with no probe. So the violated set is an interval
+    the :func:`verdict_margin` of the norm against its bound, is positive
+    exactly where the verdict is ENTANGLED. It is convex in p, and at p = 1,
+    where SPA(1) = I/n has norm 1 against the bound 1, it is the constant
+    ``verdict_margin(1.0, 1.0)``. So the violated set is an interval
     [0, p*). Let h = 2**-j be the largest power of two not above ``tol``.
     The result is the midpoint of the grid cell [k h, (k+1) h] whose left
     end is violated and whose right end is not: the value that bisection of
@@ -291,9 +291,10 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     seed h instead.
 
     Each probe (``criteria._spa_r_probe``, prepared once per search that
-    probes) is one SVD of the SPA matrix, whose norm is the double that
-    ``criteria.spa_r_verdict`` reads. ``tol`` must be finite and at least the
-    double spacing at 1, 2**-52.
+    probes) is one SVD and returns the norm that ``criteria.spa_r_verdict``
+    reads; every excess here is a :func:`verdict_margin`, as a sweep's
+    verdicts are. ``tol`` must be finite and at least the double spacing at
+    1, 2**-52.
     """
     h = _grid_step(tol)
     r = as_realigned(rho)
@@ -307,15 +308,16 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
 
     def excess(p: float) -> float:
         # p = k h lies on [0, 1] by construction, so no probe checks its weight
-        return probe(p).margin
+        return verdict_margin(probe(p), spa_r_upper_bound(trace_r, p))
 
     if a < 0:
         a, ga = 0, excess(0.0)
         if ga <= 0:
             return None
     else:
-        ga = (1.0 - a * h) * (1.0 - 1.0 / trace_r) - DEFAULT.verdict
-    g1 = _spa_r_score_at_one(r).margin
+        # the norm is at least 1, and 1 - bound(a h) = (1 - a h)(1 - 1/Tr R)
+        ga = verdict_margin((1.0 - a * h) * (1.0 - 1.0 / trace_r), 0.0)
+    g1 = verdict_margin(1.0, 1.0)  # SPA(1) = I/n has norm 1; bound(1) is exactly 1
     k = _flip_cell(excess, h, a, ga, g1, chord_first=trace_r > 1.0)
     return 0.5 * (k * h + (k + 1) * h)
 

@@ -58,6 +58,10 @@ def count_lapack_eigensolves(monkeypatch) -> dict:
     return calls
 
 
+# a PPT state whose report prints spa_r entangled beside a CP certificate
+ALPHA_CONTRADICTION = ("analyze", "--family", "alpha_state", "--param", "0.5", "--p", "0.01")
+
+
 class TestAnalyze:
     def test_isotropic_detected(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "isotropic",
@@ -243,6 +247,40 @@ class TestAnalyze:
         assert code == 0
         norm = json.loads(out)["spa_r"]["trace_norm"]
         assert norm == criterion_report(rho_t(0.3), 0.25).spa_r.value
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: R(alpha_state) is not Hermitian, so the CP certificate "
+        "certifies the spectrum of SPA(p), not a positive operator, and SPA-R detects "
+        "through the non-Hermitian output beside it",
+    )
+    def test_cp_certificate_at_trace_at_most_one_excludes_a_detection(self, capsys):
+        # for a positive semidefinite SPA(p), ||SPA(p)||_1 = 1 <= the bound when Tr R <= 1
+        code, out, _ = run(capsys, *ALPHA_CONTRADICTION)
+        report = json.loads(out)
+        assert code == 0
+        assert report["cp_certificate"]["certified"] and report["spa"]["trace_r"] <= 1
+        assert report["spa_r"]["verdict"] != "entangled"
+
+    def test_cp_certificate_beside_a_detection_certifies_a_spectrum(self, capsys):
+        code, out, _ = run(capsys, *ALPHA_CONTRADICTION)
+        report = json.loads(out)
+        assert code == 0
+        assert report["spa"]["trace_r"] == pytest.approx(0.95, abs=1e-15)
+        assert report["spa"]["l"] == 0.0 and report["cp_certificate"]["certified"]
+        assert report["spa_r"]["verdict"] == "entangled"
+        spa_r = report["spa_r"]
+        margin = spa_r["trace_norm"] - spa_r["upper_bound"] - spar.DEFAULT.verdict
+        assert margin == pytest.approx(1.06e-3, abs=1e-5)
+        # why both print: R is not Hermitian, and SPA(0.01) has a positive
+        # spectrum while its Hermitian part has a negative eigenvalue
+        r = spar.realign(spar.alpha_state(0.5))
+        assert np.max(np.abs(r.matrix - r.matrix.conj().T)) == pytest.approx(0.0866, abs=1e-4)
+        spa = spar.apply_spa(r, 0.01)
+        assert min(spar.linalg.general_eigenvalues(spa).real) == pytest.approx(1.1e-3, abs=1e-4)
+        hermitian_part = (spa + spa.conj().T) / 2
+        assert spar.linalg.hermitian_eigenvalues(hermitian_part)[0] == pytest.approx(
+            -0.0166, abs=1e-4)
 
 
 UNDECODABLE = {

@@ -29,9 +29,9 @@ from spar import (
     validate_density,
 )
 from spar import linalg
-from spar.criteria import _spa_r_probe, _spa_r_score_at_one, spa_r_scores
-from spar.realign import Score
-from spar.sweeps import family_state, sweep_rows, violation_p_max
+from spar.criteria import _spa_r_probe, spa_r_scores
+from spar.realign import Score, verdict_margin
+from spar.sweeps import _rounding_slack, bisect_boundary, family_state, sweep_rows, violation_p_max
 
 from util import family_pairs, trace_norm
 
@@ -337,7 +337,7 @@ class TestProbe:
         r = realign(rho)
         probe = _spa_r_probe(r)
         for p in np.linspace(0.0, 1.0, 257).tolist():
-            assert probe(p) == spa_r_scores(r, [p])[0]
+            assert Score(probe(p), spa_r_upper_bound(r.spa_trace, p)) == spa_r_scores(r, [p])[0]
 
     def test_probe_reads_tr_r_through_the_domain_gate(self):
         # isotropic(-1/8) has Tr R = 0 up to rounding
@@ -350,11 +350,57 @@ class TestProbe:
         states = [isotropic(0.5, d), isotropic(0.05, d), random_separable(d, d, 3, seed=d),
                   random_schmidt_symmetric(d, 3, seed=d), ginibre_state(d, seed=1)]
         for r in map(realign, states):
-            closed = _spa_r_score_at_one(r)
+            # the boundary search's constant excess at p = 1
+            closed = Score(1.0, spa_r_upper_bound(r.spa_trace, 1.0))
+            assert closed.margin == verdict_margin(1.0, 1.0)
             [svd] = spa_r_scores(r, [1.0])
             assert closed.bound == svd.bound == 1.0
             assert closed.verdict == svd.verdict == Verdict.INCONCLUSIVE
             assert abs(closed.value - svd.value) <= n * EPS
+
+
+def defect_d_state():
+    """w rho_t(-0.7) + (1 - w) I/4 with w bisected so that ||R||_1 - 1 is 5e-10,
+    half the verdict margin (w = 0.46281, Tr R = 0.3496): realignment is
+    inconclusive, while SPA-R at p = 0 weighs that excess by 1/Tr R."""
+    def mixed(w):
+        return validate_density(w * rho_t(-0.7).matrix + (1 - w) * np.eye(4) / 4, (2, 2))
+
+    w = bisect_boundary(lambda w: realign(mixed(w)).trace_norm - 1 > 5e-10, 0.3, 0.6, tol=1e-15)
+    return mixed(w)
+
+
+class TestSpaRWithinRealignment:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15, Defect D: SPA-R at p = 0 is realignment with the "
+        "margin scaled by Tr R, so for Tr R < 1 it says entangled where realignment, "
+        "on the same ||R||_1, is inconclusive",
+    )
+    def test_spa_r_detection_implies_realignment_detection(self):
+        r = realign(defect_d_state())
+        assert spa_r_verdict(r, 0.0) == Verdict.ENTANGLED
+        assert realignment_criterion(r).verdict == Verdict.ENTANGLED
+
+    def test_defect_d_state_sits_inside_the_margin(self):
+        r = realign(defect_d_state())
+        assert r.trace_norm - 1 == pytest.approx(5e-10, abs=1e-12)
+        assert r.moment(1) == pytest.approx(0.3496, abs=1e-4)
+        assert realignment_criterion(r).verdict == Verdict.INCONCLUSIVE
+        [score] = spa_r_scores(r, [0.0])
+        assert score.margin == pytest.approx(4.3e-10, abs=1e-11)
+
+    @pytest.mark.parametrize("rho", [defect_d_state(), *GRID_STATES] + [
+        ginibre_state(d, seed) for d in range(2, 5) for seed in (1, 2)], ids=repr)
+    def test_spa_norm_keeps_the_triangle_inequality(self, rho):
+        # ||SPA(p)||_1 <= p + (1 - p) ||R||_1 / Tr R: the mechanism that ties
+        # SPA-R to realignment, up to the rounding slack s(n) relative to that
+        # bound, which is at least 1 and near 1 / Tr R for a small Tr R
+        r = realign(rho)
+        slack = _rounding_slack(r.dim_a * r.dim_b)
+        ps = np.linspace(0.0, 1.0, 21).tolist()
+        for p, score in zip(ps, spa_r_scores(r, ps)):
+            assert score.value <= (p + (1 - p) * r.trace_norm / r.moment(1)) * (1 + slack)
 
 
 def counting_svds(monkeypatch) -> list:

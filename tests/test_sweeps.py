@@ -23,6 +23,7 @@ from spar import (
     realign,
     rho_a,
     rho_t,
+    spa_r_upper_bound,
     spa_r_verdict,
     validate_density,
 )
@@ -282,7 +283,8 @@ def test_computed_norms_keep_the_trace_bound_within_the_slack(rho, p):
         ps += [tight] if tight > 0 else []
     probe = sweeps._spa_r_probe(r)
     for q in ps:
-        for score in (probe(q), spa_r_scores(r, [q])[0]):
+        probed = Score(probe(q), spa_r_upper_bound(trace_r, q))
+        for score in (probed, spa_r_scores(r, [q])[0]):
             assert score.value >= 1 - sweeps._rounding_slack(n) / 2
             if trace_bound_settles(trace_r, q, n):
                 assert score.verdict == Verdict.ENTANGLED
@@ -353,7 +355,7 @@ def test_edge_states_stay_within_the_probe_budget(monkeypatch):
 
 
 def fake_excess(monkeypatch, norm):
-    """Replace the probe's score by norm(p) against the bound 0.0, and record the probed p.
+    """Replace the probe's norm by norm(p) and its bound by 0.0, and record the probed p.
 
     The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
     matching predicate for bisect_boundary. Each norm(1) here is below 1, so
@@ -363,9 +365,10 @@ def fake_excess(monkeypatch, norm):
 
     def probe(p):
         probes.append(p)
-        return Score(norm(p), 0.0)
+        return norm(p)
 
     monkeypatch.setattr(sweeps, "_spa_r_probe", lambda r: probe)
+    monkeypatch.setattr(sweeps, "spa_r_upper_bound", lambda trace_r, p: 0.0)
     return probes, lambda p: norm(p) > 0.0 + DEFAULT.verdict
 
 
