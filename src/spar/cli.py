@@ -3,7 +3,9 @@
 Subcommands: ``analyze`` (full criterion report for one state as JSON),
 ``sweep`` (CSV grid over a family), ``table1`` (detection-window table for
 the bound entangled alpha family) and ``estimate-m1`` (first-moment
-intervals). JSON goes through :func:`json.dumps`, the sweep table through
+intervals). JSON goes through :func:`_json_text`, which writes the bytes of
+``json.dumps(record, indent=2, allow_nan=False)`` without the pure-Python
+encoder that ``indent`` selects; the sweep table goes through
 :func:`spar.sweeps.sweep_csv` and the table1 CSV through
 :func:`spar.sweeps.csv_text`, which share one cell rule. All write each
 float as its shortest round-trip ``repr`` ('.' decimal separator, no
@@ -32,16 +34,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .config import DEFAULT
 from .criteria import criterion_report, q1_realignment_moments
 from .exceptions import DomainError, StateValidationError
 from .moment_estimation import EstimationInput, m1_case_bounds, m1_interval_quadratic, simulate_s
-from .realign import realign, realignment_criterion
+from .realign import Verdict, realign, realignment_criterion
 from .spa import certify_completely_positive, eigenvalue_offset, require_weights, spa_threshold
 from .states import DensityMatrix, read_state_file, write_state_file
 from .sweeps import FAMILIES, csv_text, family_state, sweep_csv, table1_rows
@@ -72,10 +74,51 @@ def _emit(text: str, out_path) -> None:
         fh.write(text)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes it,
+    byte for byte, with a :class:`Verdict` written as its value.
+
+    Dicts (of str keys) and lists nest; strings are ASCII-escaped and
+    floats, ``np.float64`` included, are their ``float.__repr__``, as ``json``
+    writes them. NaN and infinities raise ``json``'s ``ValueError``, any other
+    type its ``TypeError``. ``newline`` is the line break and indent of
+    ``value``'s own nesting level.
+    """
+    # floats first: they are most of a record's values
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Verdict):
+        return encode_basestring_ascii(value.value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit_json(record: dict, out_path) -> None:
-    """Emit one JSON document; verdicts are written as their value."""
-    text = json.dumps(record, indent=2, allow_nan=False, default=lambda verdict: verdict.value)
-    _emit(text + "\n", out_path)
+    """Emit one JSON document through :func:`_json_text`."""
+    _emit(_json_text(record) + "\n", out_path)
 
 
 def _load_state(args) -> tuple[DensityMatrix, dict]:

@@ -133,15 +133,23 @@ class RealignedMatrix:
         return np.array(self._moments[:count])
 
     def _extend(self, count: int) -> None:
-        """Cache m_1 .. m_count. Only the last R^k of the running product is
-        kept; each moment not yet cached costs one matmul, m_1 .. m_n cost n - 1."""
+        """Cache m_1 .. m_count. m_1 is R's own trace. Each further moment
+        not yet cached costs one matmul of the running product, written into
+        one new stack, and one stacked trace reads them all, so m_1 .. m_n
+        cost n - 1 matmuls. Only the last R^k, a row of its stack, is kept."""
         if not self.is_square:
             raise ValueError("moments require equal subsystem dimensions")
         moments, matrix = self._moments, self.matrix
-        power = self.__dict__.get("_power")
-        for _ in range(len(moments), count):
-            power = matrix if power is None else power @ matrix
-            moments.append(float(power.trace().real))
+        if not moments and count > 0:
+            moments.append(float(matrix.trace().real))
+        new = count - len(moments)
+        if new <= 0:
+            return
+        power = self.__dict__.get("_power", matrix)
+        stack = np.empty((new, *matrix.shape), dtype=matrix.dtype)
+        for out in stack:
+            power = np.matmul(power, matrix, out=out)
+        moments += stack.trace(axis1=1, axis2=2).real.tolist()
         self.__dict__["_power"] = power
 
     @cached_property
@@ -162,8 +170,9 @@ class RealignedMatrix:
         for every R, and the CP certificate; no boundary search reads eig(R)."""
         return read_only(linalg.general_eigenvalues(self.matrix))
 
-    @property
+    @cached_property
     def trace_norm(self) -> float:
+        """||R||_1, the sum of :attr:`singular_values`, summed once."""
         return float(np.sum(self.singular_values))
 
 

@@ -109,9 +109,9 @@ def descartes_psd_test(coeffs: CharPolyCoeffs) -> bool:
     of zero counts as zero, so structurally vanishing coefficients (products
     of small eigenvalues) cannot flip the verdict through rounding noise.
     """
-    values = coeffs.values[1:]
-    thresholds = DEFAULT.coefficient * coeffs.scales[1:]
-    return bool(np.all(values >= -thresholds))
+    slack = DEFAULT.coefficient
+    return all(a >= -(slack * scale)
+               for a, scale in zip(coeffs.values[1:].tolist(), coeffs.scales[1:].tolist()))
 
 
 def threshold_value(k: float, trace_r: float, d: int) -> float:
@@ -166,7 +166,7 @@ def eigenvalue_offset(rho: StateLike) -> tuple[float, float]:
     """
     r = as_realigned(rho)
     trace_r = r.spa_trace
-    worst = float(np.max(np.abs(r.eigenvalues.imag)))
+    worst = max(map(abs, r.eigenvalues.imag.tolist()))
     if worst > DEFAULT.spectrum_imag:
         raise DomainError(f"realigned spectrum has imaginary part {worst:.3e}")
     # the cached Python floats, not numpy scalars: l and k are written out
@@ -284,7 +284,7 @@ def certify_completely_positive(threshold: SpaAnalysis, p: float) -> CpCertifica
         return CpCertificate(False, None, None)
     r = threshold.realigned
     a, b = _map_coefficients(r, p)
-    lam_spa = a + b * float(np.max(r.eigenvalues.real))
+    lam_spa = a + b * max(r.eigenvalues.real.tolist())
     return CpCertificate(True, 0.0, lam_spa / float(r.state.spectrum[-1]))
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import spar
 from spar import (
@@ -22,6 +24,7 @@ from spar import (
     write_state_file,
 )
 from spar.cli import main
+from spar.realign import Verdict
 
 import cli_digests
 from util import HEX_REFUSALS, count_spa_checks, near_psd_state, sweep_reference
@@ -744,3 +747,70 @@ def test_every_option_is_in_the_digest_listing():
         missing += [f"{name} {strings[-1]}" for strings in options if not mine & set(strings)]
         missing += [f"{name} {s}" for strings in options for s in strings if s not in used(listed)]
     assert missing == []
+
+
+def json_layout(value) -> str:
+    """The layout every JSON record of the CLI keeps: ``json``'s own, two-space indent."""
+    return json.dumps(value, indent=2, allow_nan=False, default=lambda verdict: verdict.value)
+
+
+# -0.0, the smallest subnormal, a larger subnormal and the largest magnitudes
+EDGE_FLOATS = [-0.0, 5e-324, 1.5e-310, 1.7e308, -1.7e308]
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+json_scalars = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"]),
+    json_floats, json_floats.map(np.float64), st.integers(), st.booleans(), st.none(),
+    st.sampled_from(Verdict),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_values)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}, []]})
+@example({"\u00e9\"\\\n": [-0.0, 5e-324, np.float64(1.7e308), -1.7e308, True, None, 0]})
+def test_json_writer_writes_the_json_layout(value):
+    assert cli._json_text(value) == json_layout(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+                                 np.float64("-inf")], ids=repr)
+def test_json_writer_refuses_a_non_finite_float_as_json_does(bad):
+    for value in (bad, {"a": [1.0, bad]}):
+        with pytest.raises(ValueError) as want:
+            json_layout(value)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(want.value)
+    if type(bad) is float:
+        assert str(want.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+
+def test_json_writer_on_every_record_of_the_digest_listing(capsys, monkeypatch, tmp_path):
+    # every analyze and estimate-m1 record that the listing prints or writes
+    records = []
+    emit = cli._emit_json
+
+    def recorded(record, out_path):
+        records.append(record)
+        emit(record, out_path)
+
+    monkeypatch.setattr(cli, "_emit_json", recorded)
+    monkeypatch.chdir(tmp_path)
+    cli_digests.write_states()
+    for argv in cli_digests.commands():
+        if argv and argv[0] in ("analyze", "estimate-m1"):
+            before = len(records)
+            if main(argv) == 0 and not {"-h", "--help"} & set(argv):
+                assert len(records) == before + 1, argv
+    capsys.readouterr()
+    kinds = {("spa" in r, "moments" in r, "quadratic" in r) for r in records}
+    # full reports, dA != dB reports and estimate-m1 records
+    assert kinds == {(True, True, False), (False, True, False), (False, False, True)}
+    for record in records:
+        assert cli._json_text(record) == json_layout(record)

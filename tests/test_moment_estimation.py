@@ -13,7 +13,9 @@ from spar import (
     isotropic,
     m1_case_bounds,
     m1_interval_quadratic,
+    random_density,
     realign,
+    rho_a,
     rho_t,
     simulate_s,
     spa_threshold,
@@ -139,6 +141,11 @@ class TestSimulateS:
         assert simulate_s(rho, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+# the states whose interval ROADMAP item 12 read at p = l
+CONTAINMENT_STATES = [rho_t(0.3), isotropic(0.6), alpha_state(0.5), rho_a(0.8)]
+CONTAINMENT_IDS = ["rho_t(0.3)", "isotropic(0.6)", "alpha_state(0.5)", "rho_a(0.8)"]
+
+
 class TestContainmentReport:
     """The estimation chain mixes approximations with inequalities, so true
     first-moment containment is reported per family rather than asserted."""
@@ -162,3 +169,29 @@ class TestContainmentReport:
                 except DomainError as exc:
                     print(f"[m1-containment] {name} p={p:.3f}: no real interval ({exc})")
         assert capsys.readouterr().out.count("[m1-containment]") == 6
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 12: s fixes only the ratio <F>/Tr R (see the identity "
+        "below), so the paper's quadratic interval at p = l misses m1 = Tr R",
+    )
+    @pytest.mark.parametrize("rho", CONTAINMENT_STATES, ids=CONTAINMENT_IDS)
+    def test_interval_at_the_threshold_contains_m1(self, rho):
+        th = spa_threshold(rho)
+        s = simulate_s(rho, th.l)
+        iv = m1_interval_quadratic(EstimationInput(s=s, d=rho.dim_a, k=th.k))
+        assert iv.contains(realign(rho).moment(1))
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+    def test_s_is_the_swap_expectation_over_the_realigned_trace(self, p):
+        # Tr(R SWAP) = Tr(rho SWAP), so s = p/n + (1 - p) <F>/(d Tr R): what s
+        # measures of rho is <F>/Tr R, not Tr R itself
+        states = list(CONTAINMENT_STATES)
+        states += [validate_density(random_density(d * d, seed=900 + 10 * d + i), (d, d))
+                   for d in (2, 3, 4) for i in range(10)]
+        for rho in states:
+            d = rho.dim_a
+            swap = np.trace(swap_operator(d) @ rho.matrix).real
+            want = p / (d * d) + (1.0 - p) * swap / (d * realign(rho).moment(1))
+            assert simulate_s(rho, p) == pytest.approx(want, abs=16 * np.finfo(float).eps)

@@ -30,6 +30,7 @@ import spar.linalg
 import spar.states
 from spar.linalg import power_trace, singular_values
 from spar.realign import RealignedMatrix, Score, Verdict
+from spar.sweeps import family_state
 
 from util import random_complex, random_hermitian, realign_blockwise, rng_for
 
@@ -231,26 +232,36 @@ def test_moments_require_square_dims():
         realign(rho).moment(1)
 
 
+FAMILY_GRIDS = {"rho_t": (-0.79, 0.79), "rho_a": (0.71, 1.0), "isotropic": (-0.12, 1.0),
+                "alpha_state": (0.0, 1.0)}
+
+
 def _moment_states():
     states = [rho_t(t) for t in (-0.7, -0.2, 0.0, 0.3, 0.79)]
     states += [rho_a(a) for a in (0.71, 0.85, 1.0)]
     states += [alpha_state(a) for a in (0.1, 0.5, 0.9)]
+    # a sweep's grid over each family
+    states += [family_state(name, param) for name, (lo, hi) in FAMILY_GRIDS.items()
+               for param in np.linspace(lo, hi, 7)]
     for d in range(2, 7):
         states += [isotropic(b, d) for b in (-0.5 / (d * d - 1), 0.3, 0.9)]
         states += [random_schmidt_symmetric(d, 1 + seed % 4, seed=50_000 + seed) for seed in range(3)]
+        states += [validate_density(random_density(d * d, seed=60_000 + 10 * d + seed), (d, d))
+                   for seed in range(3)]
     return states
 
 
 @pytest.mark.parametrize("rho", _moment_states(), ids=repr)
 def test_running_product_moments_match_power_trace_exactly(rho):
-    # results/ depends on the running product reproducing the per-k power
-    # loop bit for bit, so this compares with ==, not approx
+    # results/ depends on the stacked moments reproducing the single-matrix
+    # power loop of linalg.power_trace bit for bit, so this compares with ==
     r = realign(rho)
     n = rho.dim_a**2
     want = [power_trace(r.matrix, k).real for k in range(1, n + 1)]
     assert list(r.moments(n)) == want
-    # a fresh analysis filled in two steps agrees too
+    # a fresh analysis filled lazily, m_1, then m_2, then the rest, agrees too
     r = realign(rho)
+    assert r.moment(1) == want[0]
     assert r.moment(2) == want[1]
     assert list(r.moments(n)) == want
 
