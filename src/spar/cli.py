@@ -18,10 +18,15 @@ report, a sweep's ``violated`` column or ``table1``'s edge, uses the one
 margin ``DEFAULT.verdict``, and an ``analyze`` record names it as ``tolerance``.
 
 :func:`main` may be called any number of times in one process. The parser
-is built on the first call and shared by every later one: each
-``parse_args`` returns a fresh namespace, and help and usage text are
-written to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers of
-:func:`build_parser` get that same parser and must not mutate it.
+is built on the first call and shared by every later one: each parse
+returns a fresh namespace, and help and usage text are written to the
+``sys.stdout`` and ``sys.stderr`` of the moment. Callers of
+:func:`build_parser` get that same parser and must not mutate it. A
+request whose first word names a subcommand is parsed once, by that
+subcommand's parser. The whole parser parses it instead when arguments are
+left over, when the first word names no subcommand and when some argument
+is ``--`` (see :func:`_parse`), so the namespace, help, usage and error text
+are those of ``build_parser().parse_args(argv)``.
 
 :func:`main` alone maps errors to exit codes: 0 success, 1 usage error
 (including an unwritable output path, ``--p`` outside [0, 1] and an
@@ -291,8 +296,9 @@ def _finite(text: str) -> float:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; do not mutate it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and, by name, its subcommands' parsers
+    (the subparsers action's choices), built together on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -327,7 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--state", default=None)
     pe.add_argument("--p", type=_finite, default=None)
     pe.set_defaults(func=cmd_estimate_m1)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use together with the
+    subcommand map that :func:`_parse` dispatches by; do not mutate it."""
+    return _parsers()[0]
+
+
+# clearing it rebuilds the parser and its subcommand map together
+build_parser.cache_clear = _parsers.cache_clear
 
 
 def _bind_ranges(argv: list[str]) -> list[str]:
@@ -342,11 +358,32 @@ def _bind_ranges(argv: list[str]) -> list[str]:
     return bound
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once.
+
+    The top-level parser has no option but ``-h``, and its subparsers action
+    takes every argument after the subcommand, so when ``argv[0]`` names a
+    subcommand that parser's ``parse_known_args(argv[1:])`` gives the
+    namespace, with ``command`` set to ``argv[0]``. The full parse runs
+    instead when arguments are left over, when ``argv[0]`` names no
+    subcommand and when some argument is ``--`` (whose handling differs
+    between Python releases), so help, usage and error text stay
+    argparse's own.
+    """
+    parser, subcommands = _parsers()
+    subparser = subcommands.get(argv[0]) if argv else None
+    if subparser is not None and "--" not in argv:
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; every error is mapped to its exit code here."""
-    parser = build_parser()
+    """Run one subcommand, its request parsed by :func:`_parse`; every error
+    is mapped to its exit code here."""
     try:
-        args = parser.parse_args(_bind_ranges(sys.argv[1:] if argv is None else list(argv)))
+        args = _parse(_bind_ranges(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

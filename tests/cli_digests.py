@@ -22,10 +22,11 @@ bad-state errors, among them ``--p`` out of range for a 2 x 3 state and for
 a state whose realigned trace is zero, options that the mode of
 ``estimate-m1`` does not read, ``--tol``, which ``analyze``, ``sweep`` and
 ``table1`` refuse, state files that do not decode and state files whose dims
-the dims rule refuses. Every option of every subcommand appears in at least
-one command. State files are written to a temporary directory that is the
-working directory while the commands run, so the messages that name them do
-not depend on where it is.
+the dims rule refuses, and, in each subcommand, abbreviated, ``=``-joined and
+repeated options, ``--`` and an option it does not have. Every option of
+every subcommand appears in at least one command. State files are written
+to a temporary directory that is the working directory while the commands
+run, so the messages that name them do not depend on where it is.
 """
 
 import contextlib
@@ -202,12 +203,41 @@ def output_commands() -> list[list[str]]:
     ]
 
 
+def spelling_commands() -> list[list[str]]:
+    """Each subcommand with abbreviated, =-joined and repeated options (the
+    last one holds), with ``--`` and with an option it does not have."""
+    return [
+        ["analyze", "--fam", "alpha_state", "--par=0.5", "--p", "0.01"],
+        ["analyze", "--family=rho_t", "--pa", "-0.7", "--p=0.5", "--st", "rho_t.json"],
+        ["analyze", "--p", "0.9", "--family", "rho_t", "--param", "0.3", "--p", "0.2"],
+        ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--"],
+        ["analyze", "--", "--family", "rho_t", "--param", "0.3", "--p", "0.2"],
+        ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--verbose"],
+        ["sweep", "--fam", "isotropic", "--param-r", "0.1:0.9:3", "--p-r=0:1:5"],
+        ["sweep", "--fam", "isotropic", "--param-r", "-0.1:0.9:3", "--p-r=0:1:5"],
+        ["sweep", "--family=rho_t", "--param-range=0.2:0.3:2", "--p-range=0:1:4",
+         "--family", "isotropic"],
+        ["sweep", "--family", "rho_t", "--param-range=0:1:2", "--p", "0:1:2"],
+        ["sweep", "--family", "rho_t", "--param-range=0.2:0.3:2", "--p-range=0:1:4", "--"],
+        ["sweep", "--family", "rho_t", "--param-range=0.2:0.3:2", "--p-range=0:1:4", "--verbose"],
+        ["table1", "--"],
+        ["table1", "--verbose"],
+        ["estimate-m1", "--fam", "rho_a", "--par=0.8", "--p", "0.6"],
+        ["estimate-m1", "--s=0.2", "--d=2", "--k=0.01"],
+        ["estimate-m1", "--s", "0.1", "--s", "0.2", "--d", "2", "--k", "0.01", "--d", "3"],
+        ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01", "--out=m1a.json",
+         "--out", "m1b.json"],
+        ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01", "--"],
+        ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01", "--verbose"],
+    ]
+
+
 def commands() -> list[list[str]]:
     """The fixed list of commands, in the order of the listing."""
     rng = random.Random(SEED)
     return (sweep_commands(rng) + analyze_commands(rng) + estimate_commands(rng)
             + large_state_commands() + other_commands() + bad_input_commands()
-            + output_commands())
+            + output_commands() + spelling_commands())
 
 
 def _write_matrix(name: str, m: np.ndarray, dims: list[int]) -> None:
@@ -254,9 +284,13 @@ def near_psd_state(d: int, eps: float, seed: int):
 
 
 def written(argv: list[str]) -> list[bytes]:
-    """The name and bytes of each file that ``--out`` or ``--dump-states`` wrote."""
+    """The name and bytes of each file that ``--out`` or ``--dump-states`` wrote,
+    the path given as the next word or joined by ``=``."""
+    words = [word for arg in argv
+             for word in (arg.split("=", 1) if arg.startswith(("--out=", "--dump-states="))
+                          else [arg])]
     paths = []
-    for option, path in zip(argv, argv[1:]):
+    for option, path in zip(words, words[1:]):
         if option == "--out" and os.path.isfile(path):
             paths.append(path)
         elif option == "--dump-states" and os.path.isdir(path):

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -712,6 +715,134 @@ def test_shared_parser_keeps_no_state_between_requests(capsys):
     assert fresh.stdout == first[analyze][0].encode()
 
 
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser in the shared parser, by name."""
+    [subcommands] = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return subcommands.choices
+
+
+def parsed(argv) -> tuple:
+    """What ``cli._parse`` and argparse's own parse each make of ``argv``:
+    the namespace's items in order, or the exit code, with stdout and stderr."""
+    outcomes = []
+    for parse in (cli._parse, cli.build_parser().parse_args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = list(vars(parse(list(argv))).items())
+            except SystemExit as exc:
+                result = exc.code
+        outcomes.append((result, out.getvalue(), err.getvalue()))
+    return tuple(outcomes)
+
+
+PARSE_CORPUS = [
+    ["analyze", "--family", "alpha_state", "--param", "0.5", "--p", "0.01"],
+    ["analyze", "--state", "s.json", "--p", "0.3", "--out", "o.json"],
+    ["sweep", "--family", "rho_t", "--param-range=-0.7:-0.6:2", "--p-range=0:1:3"],
+    ["table1"],
+    ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01"],
+    # abbreviated and =-joined names, and an ambiguous one
+    ["analyze", "--fam", "alpha_state", "--par=0.3", "--p", "0.2"],
+    ["estimate-m1", "--st", "s.json", "--p=0.5", "--ou", "o.json"],
+    ["sweep", "--fam=isotropic", "--param-r=0:1:2", "--p-r", "0:1:3", "--dump", "d"],
+    ["table1", "--o", "t.csv"],
+    ["sweep", "--family", "rho_t", "--p", "0:1:2", "--param-range=0:1:2"],
+    # repeated options: the last one holds
+    ["analyze", "--p", "0.1", "--family", "rho_t", "--p", "0.2", "--param", "0.3", "--p=0.4"],
+    ["estimate-m1", "--s", "0.1", "--s", "0.2", "--d", "2", "--d", "3", "--k", "0"],
+    # negative, non-finite and non-numeric values
+    ["analyze", "--family", "rho_t", "--param", "-0.3", "--p", "-0.5"],
+    ["analyze", "--family", "rho_t", "--param=-0.3", "--p", "0"],
+    ["analyze", "--family", "rho_t", "--param", "nan", "--p", "0"],
+    ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "-inf"],
+    ["estimate-m1", "--s", "abc", "--d", "2", "--k", "0"],
+    ["estimate-m1", "--s", "0.2", "--d", "2.5", "--k", "0"],
+    ["estimate-m1", "--s", "", "--d", "2", "--k", "1e400"],
+    ["analyze", "--family", "nope", "--param", "0.3", "--p", "0"],
+    ["sweep", "--family", "rho_t", "--param-range", "-0.7:-0.6:2", "--p-range", "0:1:3"],
+    # --, help, an unknown option and missing values or options
+    ["analyze", "--", "--p", "0.3"],
+    ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--"],
+    ["--", "analyze", "--p", "0.3"],
+    ["analyze", "-h"], ["sweep", "--help"], ["table1", "-h"], ["estimate-m1", "--he"],
+    ["-h"], ["--help"], ["--he"],
+    ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--tol", "1"],
+    ["table1", "--tol", "1"], ["table1", "extra"], ["analyze", "x", "--p", "0"],
+    ["analyze", "--family", "rho_t", "--param", "0.3"],
+    ["analyze", "--p"],
+    ["sweep", "--family", "rho_t", "--param-range=0:1:2"],
+    # no argument, and a first word that names no subcommand
+    [], [""], ["-"], ["frobnicate"], ["analyz"], ["ANALYZE", "--p", "0"],
+    ["--p", "0.3", "analyze"], ["-x", "table1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=shlex.join)
+def test_dispatch_parses_as_the_whole_parser_does(argv):
+    dispatched, whole = parsed(argv)
+    assert dispatched == whole
+
+
+def option_words(name: str):
+    """Words of a ``name`` request, one or two at a time: each option string
+    of its parser, whole or cut short, alone, before a value or =-joined to
+    it, and bare values."""
+    strings = sorted({s for action in subcommand_parsers()[name]._actions
+                      for s in action.option_strings} | {"--tol"})
+    values = st.sampled_from(["0.3", "-0.5", "1", "0", "nan", "inf", "-inf", "1e400", "abc", "",
+                              "rho_t", "alpha_state", "0:1:3", "-0.7:-0.6:2", "s.json", "-",
+                              "--", "-h"]) | st.floats().map(repr)
+    spelled = st.sampled_from(strings).flatmap(
+        lambda option: st.integers(min(3, len(option)), len(option)).map(lambda n: option[:n]))
+    return (st.lists(spelled | values, min_size=1, max_size=1)
+            | st.tuples(spelled, values).map(lambda pair: ["=".join(pair)])
+            | st.tuples(spelled, values).map(list))
+
+
+requests = st.sampled_from(["analyze", "sweep", "table1", "estimate-m1"]).flatmap(
+    lambda name: st.lists(option_words(name), max_size=8).map(
+        lambda words: [name, *(word for pair in words for word in pair)]))
+other_first_words = st.lists(st.sampled_from(["frobnicate", "-h", "--p", "0.3", "", "--"]),
+                             max_size=3).map(lambda head: [*head, "analyze", "--p", "0.3"])
+
+
+@given(requests | other_first_words)
+def test_dispatch_parses_generated_requests_as_the_whole_parser_does(argv):
+    dispatched, whole = parsed(argv)
+    assert dispatched == whole
+
+
+def test_a_well_formed_request_is_parsed_once_by_its_subcommand(capsys, monkeypatch, tmp_path):
+    calls = []
+    for name, parser in {"spar": cli.build_parser(), **subcommand_parsers()}.items():
+        def counting(*args, _parse=parser.parse_known_args, _name=name, **kwargs):
+            calls.append(_name)
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+    for argv in (["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2"],
+                 ["sweep", "--family", "rho_t", "--param-range=0.1:0.2:2", "--p-range=0:1:2"],
+                 ["table1", "--out", str(tmp_path / "table1.csv")],
+                 ["estimate-m1", "--s", "0.2", "--d", "2", "--k", "0.01"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [argv[0]]
+    # left-over arguments send the request through the whole parser once
+    calls.clear()
+    code, out, err = run(capsys, "analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2",
+                         "--tol", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith("spar: error: unrecognized arguments: --tol 1\n")
+    assert calls == ["analyze", "spar", "analyze"]
+    # a request holding -- goes straight to the whole parser, whatever this
+    # Python's argparse makes of the --
+    calls.clear()
+    run(capsys, "analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2", "--")
+    assert calls == ["spar", "analyze"]
+
+
 def test_cli_bytes_match_the_committed_digest_listing():
     # its own process: the tool changes the working directory while it runs.
     # The listing holds the bytes of one numpy and LAPACK build; another build
@@ -729,16 +860,15 @@ def test_cli_bytes_match_the_committed_digest_listing():
 def test_every_option_is_in_the_digest_listing():
     # each option of each subcommand, by any of its strings, in a command of
     # that subcommand, and each option string somewhere in the listing
-    parser = cli.build_parser()
-    [subcommands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    parsers = {None: parser, **subcommands.choices}
+    subcommands = subcommand_parsers()
+    parsers = {None: cli.build_parser(), **subcommands}
     listed = cli_digests.commands()
 
     def used(argvs):
         return {arg.split("=")[0] for argv in argvs for arg in argv}
 
     def subcommand(argv):
-        return argv[0] if argv and argv[0] in subcommands.choices else None
+        return argv[0] if argv and argv[0] in subcommands else None
 
     missing = []
     for name, sub in parsers.items():
