@@ -1,8 +1,12 @@
 """Verdict layer: the SPA-realignment separability test, the approximation
-error bounds, and two competing moment-based criteria.
+error bounds, and the paper's two moment scores q1 and q2.
 
-Every test here is one-sided: a violated inequality certifies entanglement,
-anything else is inconclusive.
+The realignment and SPA-R tests are one-sided: a violated inequality
+certifies entanglement, anything else is inconclusive. The other three
+detect nothing that realignment misses. q1 > 0 forces ||R||_1 > 1, since
+r_2^2 <= r_1 r_3 by Cauchy-Schwarz; so does an error-test detection inside
+its window p <= 1 - Tr[R]. q2 is the paper's score, reproduced, and is
+positive on separable states (ROADMAP item 19), so it certifies nothing.
 """
 
 from __future__ import annotations
@@ -61,29 +65,26 @@ def spa_r_scores(rho: StateLike, ps: Sequence[float]) -> list[Score]:
     ps = list(ps)
     if not ps:
         return []
-    norms, bounds, _ = _spa_r_pass(as_realigned(rho), spa.require_weights(ps))
+    norms, bounds = _spa_r_pass(as_realigned(rho), spa.require_weights(ps))
     return list(map(Score, norms.tolist(), bounds.tolist()))
 
 
 def _spa_r_pass(
-    r: RealignedMatrix, weights: Sequence[float] | np.ndarray, *extra: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r: RealignedMatrix, weights: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """One pass over a p-grid already checked: the SPA-R norm and separable
-    bound per weight as arrays, and the singular values of each matrix of
-    ``extra`` (a sweep's two-qutrit state), one row each.
+    bound per weight, as arrays.
 
     One stack from ``spa._mixture`` holds the SPA matrix of every weight,
-    then ``extra``, then R; one SVD call decomposes it, and R's row is cached
-    on the analysis (``RealignedMatrix.singular_values_with``), where q1 reads
-    it. Each value is the double that a separate SVD of its matrix gives, and
-    each bound that of :func:`spa_r_upper_bound` at its p. Runs the domain
-    gate; like ``spa._mixture``, checks no weight, so a sweep checks its grid
-    once.
+    then R; one SVD call decomposes it, and R's row is cached on the analysis
+    (``RealignedMatrix.singular_values_with``), where q1 reads it. Each norm
+    is the double that a separate SVD of its matrix gives, and each bound
+    that of :func:`spa_r_upper_bound` at its p. Runs the domain gate; like
+    ``spa._mixture``, checks no weight, so a sweep checks its grid once.
     """
     weights = np.asarray(weights, dtype=float)
-    sigma = r.singular_values_with(spa._mixture(r, weights, *extra))
-    m = len(weights)
-    return sigma[:m].sum(axis=-1), spa_r_upper_bound(r.spa_trace, weights), sigma[m:]
+    sigma = r.singular_values_with(spa._mixture(r, weights))
+    return sigma.sum(axis=-1), spa_r_upper_bound(r.spa_trace, weights)
 
 
 def _spa_r_probe(r: RealignedMatrix) -> Callable[[float], float]:
@@ -121,11 +122,14 @@ class ErrorReport:
 
     ``score`` is the error ||spa - R||_1 against its separable bound
     (1-p)(1-Tr[R])/Tr[R]; ``bound_general`` is p + ((1-p-Tr[R])/Tr[R]) ||R||_1.
-    Both bounds are derived assuming the mixing coefficient (1-p)/Tr[R] - 1
-    is nonnegative, i.e. p <= 1 - Tr[R]; outside that window they can drop
-    below the actual error even for separable states, so the score's verdict
-    is only meaningful for p within the window (``bound_valid``, with
-    ``DEFAULT.verdict`` as its slack).
+    Both bounds are derived assuming the mixing coefficient
+    c = (1-p)/Tr[R] - 1 is nonnegative, i.e. p <= 1 - Tr[R]; outside that
+    window they can drop below the actual error even for separable states, so
+    the score's verdict is only meaningful for p within the window
+    (``bound_valid``, with ``DEFAULT.verdict`` as its slack), yet
+    ``bound_valid`` does not gate it: outside the window it can read
+    ENTANGLED for a separable state. Inside, spa - R = (p/n) I + c R has
+    norm at most p + c ||R||_1, so a detection forces ||R||_1 > 1.
     """
 
     score: Score
@@ -140,31 +144,31 @@ def error_suite(rho: StateLike, p: float) -> ErrorReport:
 
 
 def q1_realignment_moments(rho: StateLike) -> float:
-    """Singular-moment score r_2^2 - r_3; a positive value certifies
-    entanglement (separable states obey r_2^2 <= r_1 r_3 <= r_3)."""
+    """Singular-moment score r_2^2 - r_3 of R's singular values. Since
+    r_2^2 <= r_1 r_3 for every R (Cauchy-Schwarz), q1 > 0 forces
+    ||R||_1 = r_1 > 1: q1 detects nothing that :func:`realignment_criterion`
+    misses."""
     r = as_realigned(rho)
     return realignment_moment(r, 2) ** 2 - realignment_moment(r, 3)
 
 
 def q2_rmoment(rho: StateLike) -> float:
     """3x3-only score 56 D_8^(1/8) + Tr[R(rho)] - 1 with D_8 the product of
-    the squares of the eight largest singular values of rho; positive values
-    certify entanglement.
+    the squares of the eight largest singular values of rho.
 
-    D_8 is built from the state's own singular values (for a density matrix,
-    its eigenvalues); only the additive term uses the realigned trace. The
+    This is the paper's score, reproduced; it is not a separability test,
+    since it is positive on separable states: 0.0247 on I/9 and 0.550 on a
+    mixture of SIC products (ROADMAP item 19).
+
+    D_8 is built from one SVD of the state (for a density matrix, its
+    eigenvalues); only the additive term uses the realigned trace. The
     constant 56 and the exponent 1/8 are specific to two qutrits, so other
     dimensions are rejected.
     """
     r = as_realigned(rho)
     if (r.dim_a, r.dim_b) != (3, 3):
         raise ValueError("q2_rmoment is defined for 3x3 systems only")
-    return _q2_score(r, linalg.singular_values(r.state.matrix))
-
-
-def _q2_score(r: RealignedMatrix, state_sigma: np.ndarray) -> float:
-    """:func:`q2_rmoment` from the singular values of the state."""
-    d8 = float(np.prod(state_sigma[:8] ** 2))
+    d8 = float(np.prod(linalg.singular_values(r.state.matrix)[:8] ** 2))
     return 56.0 * d8 ** (1.0 / 8.0) + r.moment(1) - 1.0
 
 
@@ -186,21 +190,21 @@ class CriterionReport:
 def criterion_report(rho: StateLike, p: float) -> CriterionReport:
     """Run every criterion that applies to the state at the given p.
 
-    The SPA matrix is built once. One stacked SVD gives the singular values
-    of the SPA matrix, of SPA - R, when q2 applies of the state, and of R
+    The SPA matrix is built twice, in one stack from ``spa._mixture``, and
+    SPA - R is written over its second copy. One stacked SVD gives the
+    singular values of the SPA matrix, of SPA - R and of R
     (``RealignedMatrix.singular_values_with``); the analysis caches R's, which
     the realignment score and q1 read. Every value is the double that a
-    separate SVD of its matrix gives. Checks as :func:`apply_spa`: p, then the gate.
+    separate SVD of its matrix gives. q2, for two qutrits, takes its own SVD
+    of the state in :func:`q2_rmoment`. Checks as :func:`apply_spa`: p, then
+    the gate.
     """
     r = as_realigned(rho)
     [p] = spa.require_weights([p])
-    with_q2 = (r.dim_a, r.dim_b) == (3, 3)
-    state = (r.state.matrix,) if with_q2 else ()
-    # slot 1 holds R until SPA - R is written over it; then the state for q2
-    stack = spa._mixture(r, [p], r.matrix, *state)
-    np.subtract(stack[0], stack[1], out=stack[1])
+    stack = spa._mixture(r, [p, p])
+    np.subtract(stack[0], r.matrix, out=stack[1])
     sigma = r.singular_values_with(stack)
-    spa_norm, error_norm = np.sum(sigma[:2], axis=-1).tolist()
+    spa_norm, error_norm = sigma.sum(axis=-1).tolist()
     trace_r = r.spa_trace
     return CriterionReport(
         p=p,
@@ -213,5 +217,5 @@ def criterion_report(rho: StateLike, p: float) -> CriterionReport:
             bound_valid=p <= 1.0 - trace_r + DEFAULT.verdict,
         ),
         q1=q1_realignment_moments(r),
-        q2=_q2_score(r, sigma[2]) if with_q2 else None,
+        q2=q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None,
     )

@@ -245,24 +245,21 @@ def _map_coefficients(r: RealignedMatrix, w: float | np.ndarray) -> tuple:
     return w / n, (1.0 - w) / trace_r
 
 
-def _mixture(r: RealignedMatrix, weights: Sequence[float] | np.ndarray, *extra) -> np.ndarray:
+def _mixture(r: RealignedMatrix, weights: Sequence[float] | np.ndarray) -> np.ndarray:
     """A new stack: the SPA matrix (w/n) I + ((1-w)/Tr[R]) R of each weight w,
-    with the coefficients of :func:`_map_coefficients`, then each matrix of
-    ``extra`` in order, then R. R's slot is always last, where
-    ``RealignedMatrix.singular_values_with`` reads it.
+    with the coefficients of :func:`_map_coefficients`, then R. R's slot is
+    always last, where ``RealignedMatrix.singular_values_with`` reads it.
 
     Each SPA slice is b R with a added on its diagonal, written in place, so
     every entry is the double b x or a + b x.
     """
     a, b = _map_coefficients(r, np.asarray(weights, dtype=float))
     n, m = r.dim_a * r.dim_b, len(a)
-    stack = np.empty((m + len(extra) + 1, n, n), dtype=np.complex128)
+    stack = np.empty((m + 1, n, n), dtype=np.complex128)
     grid = stack[:m]
     np.multiply(b[:, None, None], r.matrix, out=grid)
     grid.reshape(m, n * n)[:, :: n + 1] += a[:, None]
-    for i, matrix in enumerate(extra, m):
-        stack[i] = matrix
-    stack[-1] = r.matrix
+    stack[m] = r.matrix
     return stack
 
 

@@ -1,10 +1,9 @@
 """Parameter sweeps, boundary search and the detection-window table.
 
 Grid evaluation is deterministic and parameter-major. Each state is scored
-in one pass: one SVD call decomposes the SPA matrices of its whole p-grid,
-R and, for two qutrits, the state, and its norms, bounds and verdicts are
-array operations; every value is the same double as a per-cell evaluation
-would give, so the rows are byte for byte those of a cell-by-cell loop. A
+in one pass: one SVD call decomposes the SPA matrices of its whole p-grid
+and R, and its norms, bounds and verdicts are array operations; every value
+is the same double as a per-cell evaluation would give, so the rows are byte for byte those of a cell-by-cell loop. A
 sweep checks its p-grid once, at its first state, and runs each state's
 domain gate once; a boundary search runs the gate once and checks no p,
 since every point it probes lies on [0, 1] by construction.
@@ -41,7 +40,6 @@ import numpy as np
 from . import spa
 from .config import DEFAULT
 from .criteria import (
-    _q2_score,
     _spa_r_pass,
     _spa_r_probe,
     q1_realignment_moments,
@@ -334,15 +332,16 @@ def _state_blocks(
     state, so a p outside [0, 1] raises before that state's gate, q1, q2 and
     threshold, and a sweep of no states checks nothing. Each state is then
     scored in one pass (``criteria._spa_r_pass``), which runs its domain gate
-    and makes its one SVD call: the p-grid, the state for two qutrits, and R,
-    whose singular values q1 then reads. Norms, bounds and verdicts are array
-    operations, the verdict by ``verdict_margin``, the margin of every
-    :class:`Score`.
+    and makes its one SVD call: the p-grid, then R, whose singular values q1
+    then reads. Norms, bounds and verdicts are array operations, the verdict
+    by ``verdict_margin``, the margin of every :class:`Score`. q2 is
+    :func:`criteria.q2_rmoment` for every 3x3 state, refused or not, with its
+    own SVD of the state; it is None outside 3x3 systems.
 
     What cannot be computed is NaN rather than aborting the sweep: when the
     domain gate refuses the realigned trace, each norm and bound (so the
-    verdict stays 0) and l and k, with no threshold run; l and k alone when
-    the spectrum is not real. q2 is None outside 3x3 systems.
+    verdict stays 0) and l and k, with no threshold run, and q1 takes its
+    own SVD of R; l and k alone when the spectrum is not real.
     """
     nan = float("nan")
     weights = None  # ps as a checked array, once the first state is drawn
@@ -350,22 +349,16 @@ def _state_blocks(
         r = as_realigned(rho)
         if weights is None:
             weights = np.array(spa.require_weights(ps))
-        with_q2 = (r.dim_a, r.dim_b) == (3, 3)
         cells = [nan] * len(ps), [nan] * len(ps), [0] * len(ps)
         l = k = nan
-        state_sigma = None
         with contextlib.suppress(DomainError):  # what raises keeps its NaN
-            state = (r.state.matrix,) if with_q2 else ()
-            norms, bounds, state_sigma = _spa_r_pass(r, weights, *state)
+            norms, bounds = _spa_r_pass(r, weights)
             violated = verdict_margin(norms, bounds) > 0
             cells = norms.tolist(), bounds.tolist(), violated.view(np.int8).tolist()
             threshold = spa_threshold(r)  # only once the gate accepted the trace
             l, k = threshold.l, threshold.k
         q1 = q1_realignment_moments(r)
-        q2 = None
-        if with_q2:
-            # a refused state has no stacked row, so q2 takes its own SVD
-            q2 = q2_rmoment(r) if state_sigma is None else _q2_score(r, state_sigma[0])
+        q2 = q2_rmoment(r) if (r.dim_a, r.dim_b) == (3, 3) else None
         yield param, (l, k, q1, q2), cells
 
 

@@ -199,7 +199,8 @@ class TestAnalyze:
         assert (gates, weights) == ([], [[2.0], [2.0]])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_certified_report_makes_one_svd_call(self, capsys, tmp_path, monkeypatch, d):
+    def test_certified_report_makes_one_stacked_svd_call_and_q2_its_own(self, capsys, tmp_path,
+                                                                         monkeypatch, d):
         path = tmp_path / "state.json"
         write_state_file(str(path), isotropic(0.5, d))
         calls = []
@@ -213,8 +214,9 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--state", str(path), "--p", "0.5")
         assert code == 0
         assert json.loads(out)["cp_certificate"]["certified"] is True
-        # R, the SPA matrix and SPA - R, and for two qutrits the state for q2
-        assert calls == [(4 if d == 3 else 3, d * d, d * d)]
+        # the SPA matrix, SPA - R and R in one call; then, for two qutrits,
+        # q2's own SVD of the state
+        assert calls == [(3, d * d, d * d)] + [(9, 9)] * (d == 3)
 
     @pytest.mark.parametrize("family, param, p", [
         ("isotropic", "0.9", "0.5"), ("rho_t", "-0.5", "0.9"), ("rho_t", "-0.5", "0.2"),

@@ -184,7 +184,58 @@ class TestQ1:
         assert q1_realignment_moments(mm_state()) == pytest.approx((1 / 4) ** 2 - 1 / 8, abs=1e-12)
 
 
+def hesse_sic():
+    """The nine vectors X^a Z^b (0, 1, -1)/sqrt(2), a, b in {0, 1, 2}: X the
+    cyclic shift and Z = diag(1, w, w^2), w = exp(2 pi i/3)."""
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    fiducial = np.array([0.0, 1.0, -1.0]) / np.sqrt(2)
+    power = np.linalg.matrix_power
+    return [power(shift, a) @ power(clock, b) @ fiducial for a in range(3) for b in range(3)]
+
+
+def sic_products():
+    """The nine products P_k (x) conj(P_k), P_k = |v_k><v_k| over :func:`hesse_sic`."""
+    projectors = [np.outer(v, v.conj()) for v in hesse_sic()]
+    return [np.kron(proj, proj.conj()) for proj in projectors]
+
+
+# separable states with q2 > 0, each with the q2 it reads
+Q2_SEPARABLE = [
+    pytest.param(lambda: mm_state(3), 0.024691358024691246, id="I/9"),
+    pytest.param(lambda: validate_density(sum(sic_products()) / 9, (3, 3)),
+                 0.5499719409228689, id="sic_mixture"),
+]
+
+
 class TestQ2:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 19, Defect E: q2 is positive on separable states, so "
+        "it certifies nothing",
+    )
+    @pytest.mark.parametrize("make,q2", Q2_SEPARABLE)
+    def test_separable_states_undetected(self, make, q2):
+        assert q2_rmoment(make()) <= 0
+
+    def test_sic_mixture_is_separable_and_q2_reads_positive(self):
+        vectors = hesse_sic()
+        overlaps = [abs(np.vdot(u, v)) ** 2 for i, u in enumerate(vectors)
+                    for v in vectors[i + 1:]]
+        assert overlaps == pytest.approx([0.25] * 36, abs=1e-15)
+        products = sic_products()
+        rho = validate_density(sum(products) / 9, (3, 3))
+        assert np.allclose(rho.matrix, np.mean(products, axis=0), rtol=0, atol=1e-15)
+        # neither state is detected by realignment: ||R||_1 = 1/3 and 1 - 6e-16
+        norms = []
+        for make, q2 in (param.values for param in Q2_SEPARABLE):
+            state = make()
+            score = realignment_criterion(state)
+            assert score.verdict == Verdict.INCONCLUSIVE
+            norms.append(score.value)
+            assert q2_rmoment(state) == pytest.approx(q2, abs=1e-12)
+        assert norms == pytest.approx([1 / 3, 1.0], abs=1e-15)
+
     def test_alpha_family_undetected(self):
         for a in np.arange(0.05, 0.96, 0.05):
             assert q2_rmoment(alpha_state(a)) <= 0
@@ -467,21 +518,21 @@ class TestSweepRows:
         assert [row["l"] != row["l"] for row in rows] == [
             param != 0.3 for param, _ in pairs for _ in P_GRID]
 
-    @pytest.mark.parametrize("family,params,n,rows", [
-        ("rho_t", [-0.7, 0.05, 0.4], 4, 1), ("isotropic", [0.0, 0.5], 9, 2),
-        ("alpha_state", [0.2, 0.8], 9, 2), ("rho_a", [0.75, 1.0], 9, 2),
+    @pytest.mark.parametrize("family,params,n", [
+        ("rho_t", [-0.7, 0.05, 0.4], 4), ("isotropic", [0.0, 0.5], 9),
+        ("alpha_state", [0.2, 0.8], 9), ("rho_a", [0.75, 1.0], 9),
     ])
-    def test_one_svd_call_per_state(self, monkeypatch, family, params, n, rows):
-        # the p-grid, the state for two qutrits, and R: the sweep's analogue of
-        # the one stacked SVD of a certified report
+    def test_one_svd_call_per_state(self, monkeypatch, family, params, n):
+        # the p-grid and R: the sweep's analogue of the one stacked SVD of a
+        # certified report; then, for two qutrits, q2's own SVD of the state
         calls = counting_svds(monkeypatch)
         list(sweep_rows(family_pairs(family, params), P_GRID))
-        assert calls == [(len(P_GRID) + rows, n, n)] * len(params)
+        assert calls == ([(len(P_GRID) + 1, n, n)] + [(9, 9)] * (n == 9)) * len(params)
 
     def test_a_refused_state_takes_the_svds_of_q1_and_q2(self, monkeypatch):
         calls = counting_svds(monkeypatch)
         list(sweep_rows([(0.3, alpha_state(0.3)), (-0.125, isotropic(-1 / 8))], P_GRID))
-        assert calls == [(len(P_GRID) + 2, 9, 9), (9, 9), (9, 9)]
+        assert calls == [(len(P_GRID) + 1, 9, 9), (9, 9), (9, 9), (9, 9)]
 
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, float("nan")])

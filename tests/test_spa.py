@@ -464,13 +464,6 @@ class TestApplySpa:
         assert np.array_equal(np.linalg.svd(stack, compute_uv=False),
                               np.linalg.svd(reference, compute_uv=False))
         assert np.array_equal(spar.spa._mixture(r, []), r.matrix[None])
-        # extra matrices follow the grid in order, R comes last, and the
-        # grid's slices are unchanged
-        extra = np.eye(n) / n, r.state.matrix
-        with_extra = spar.spa._mixture(r, ps, *extra)
-        assert with_extra.shape == (len(ps) + 3, n, n)
-        assert np.array_equal(with_extra[:len(ps)], stack)
-        assert np.array_equal(with_extra[len(ps):], np.stack((*extra, r.matrix)))
 
     def test_weight_sequence_rejects_first_bad_p_and_other_shapes(self):
         # the check a grid passes once before it goes to _mixture

@@ -309,6 +309,18 @@ class TestFamilies:
         assert np.allclose(rho.matrix, np.diag(np.diag(rho.matrix)))
         assert realignment_criterion(rho).verdict == Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("t", np.linspace(0.05, 0.79, 8).tolist())
+    def test_negative_rho_t_is_positive_rho_t_in_another_local_basis(self, t):
+        # the two rho_t figures show one family: (I x Z) rho_t(t) (I x Z),
+        # Z = diag(1, -1), is rho_t(-t) bit for bit, with the same ||R||_1
+        # and a Tr R = 0.875 +- t that differs
+        flip = np.kron(np.eye(2), np.diag([1.0, -1.0]))
+        assert np.array_equal(rho_t(-t).matrix, flip @ rho_t(t).matrix @ flip)
+        minus, plus = realign(rho_t(-t)), realign(rho_t(t))
+        assert minus.trace_norm == plus.trace_norm
+        assert minus.moment(1) == pytest.approx(0.875 - t, abs=1e-14)
+        assert plus.moment(1) == pytest.approx(0.875 + t, abs=1e-14)
+
     def test_rho_a_grid_valid(self):
         for a in np.linspace(1 / math.sqrt(2), 1.0, 50):
             assert np.trace(rho_a(a).matrix).real == pytest.approx(1.0, abs=1e-12)

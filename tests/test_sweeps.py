@@ -178,6 +178,33 @@ def test_table1_edge_takes_at_most_8_svd_probes(monkeypatch, alpha):
     assert 1.0 not in probes
 
 
+def seeded_bell_mixture(seed):
+    """:func:`bell_mixture` at d = 4 with its weight drawn from ``seed``: Tr R
+    just below 1 (0.99342 at seed 536) and an edge near 1 (0.95907)."""
+    rng = np.random.default_rng(seed)
+    return bell_mixture(rng.random(), 4, seed)
+
+
+# Tr R in (0.98, 1): 16, 19 and 20 probes at tol 1e-7
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND line 61: below Tr R = 1 the chord to (1, -DEFAULT.verdict) "
+    "crosses zero near 1, so the secant probes creep up to the edge",
+)
+@pytest.mark.parametrize("seed", [536, 902, 741])
+def test_edge_near_unit_trace_takes_at_most_8_svd_probes(monkeypatch, seed):
+    probes = counting_probes(monkeypatch)
+    violation_p_max(seeded_bell_mixture(seed))
+    assert len(probes) <= 8  # the budget of the Table 1 edges
+
+
+@pytest.mark.parametrize("seed", [536, 902, 741])
+def test_edge_near_unit_trace_equals_bisection(seed):
+    rho = seeded_bell_mixture(seed)
+    assert 0.99 < realign(rho).moment(1) < 1
+    assert violation_p_max(rho) == bisected_edge(rho, 1e-7)
+
+
 @pytest.mark.parametrize("rho", [rho_t(0.5), rho_a(0.8), isotropic(0.5), isotropic(0.9, 6)],
                          ids=repr)
 def test_trace_above_one_with_the_edge_in_the_last_cell_takes_no_probe_and_calls_no_solver(
