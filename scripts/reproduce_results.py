@@ -25,6 +25,7 @@ from spar import (
     isotropic,
     q1_realignment_moments,
     q2_rmoment,
+    realign,
     rho_t,
     rho_t_reference_thresholds,
     spa_r_verdict,
@@ -72,6 +73,7 @@ def main():
         return spa_r_verdict(rho, p) == Verdict.ENTANGLED
 
     ref = rho_t_reference_thresholds(-0.7)
+    r_edge = realign(rho_t(-0.7))  # built, validated and realigned once for its p-edge
     boundaries = [
         {
             "quantity": "rho_t onset at p=0",
@@ -80,7 +82,7 @@ def main():
         },
         {
             "quantity": "rho_t upper p edge at t=-0.7",
-            "value": bisect_boundary(lambda p: detected(rho_t(-0.7), p), 0.5, 0.9, tol=1e-8),
+            "value": bisect_boundary(lambda p: detected(r_edge, p), 0.5, 0.9, tol=1e-8),
             "reference": ref.p2,
         },
         {

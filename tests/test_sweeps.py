@@ -178,6 +178,19 @@ def test_table1_edge_takes_at_most_8_svd_probes(monkeypatch, alpha):
     assert 1.0 not in probes
 
 
+# the probes of the nine Table 1 searches at tol 1e-7: 6 each for alpha 0.1
+# to 0.5 and 7 for 0.6 to 0.9 (62 by secant steps alone, 243 by bisection)
+TABLE1_PROBES = 58
+
+
+def test_table1_edges_take_the_pinned_number_of_svd_probes(monkeypatch):
+    probes = counting_probes(monkeypatch)
+    calls = counting_calls(monkeypatch, spar.linalg, "singular_values")
+    for alpha in TABLE1_ALPHAS:
+        violation_p_max(alpha_state(alpha))
+    assert len(calls["singular_values"]) == len(probes) == TABLE1_PROBES
+
+
 def seeded_bell_mixture(seed):
     """:func:`bell_mixture` at d = 4 with its weight drawn from ``seed``: Tr R
     just below 1 (0.99342 at seed 536) and an edge near 1 (0.95907)."""
@@ -185,7 +198,8 @@ def seeded_bell_mixture(seed):
     return bell_mixture(rng.random(), 4, seed)
 
 
-# Tr R in (0.98, 1): 16, 19 and 20 probes at tol 1e-7
+# Tr R in (0.98, 1): 14, 17 and 18 probes at tol 1e-7 (16, 19 and 20 by
+# secant steps alone)
 @pytest.mark.xfail(
     strict=True,
     reason="CHANGES.md FOUND line 61: below Tr R = 1 the chord to (1, -DEFAULT.verdict) "
@@ -368,8 +382,9 @@ def test_trace_just_above_one_takes_at_most_two_probes(monkeypatch, d, trace_r, 
 
 
 # the probes of all EDGE_STATES searches at tol 1e-7, each one SVD (156 probes
-# before the trace bound settled or opened the search)
-EDGE_PROBE_BUDGET = 114
+# before the trace bound settled or opened the search, 114 before the
+# three-point step)
+EDGE_PROBE_BUDGET = 109
 
 
 def test_edge_states_stay_within_the_probe_budget(monkeypatch):
@@ -420,6 +435,69 @@ def test_excess_that_is_not_convex_still_gives_the_bisection_cell(monkeypatch, s
     probes, violated = fake_excess(monkeypatch, norm)
     assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
     assert len(probes) <= 1 + sweeps._SECANT_STEPS + 52
+
+
+def three_point_root(points):
+    """Where the quadratic p(g) through three (p, g) points takes g = 0, in Lagrange's form."""
+    (p0, g0), (p1, g1), (p2, g2) = points
+    return (p0 * g1 * g2 / ((g0 - g1) * (g0 - g2)) + p1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
+            + p2 * g0 * g1 / ((g2 - g0) * (g2 - g1)))
+
+
+# convex excesses with one sign change, at the edge
+CONVEX_SHAPES = {
+    "smooth": lambda edge, p: math.expm1(3 * (edge - p)),
+    "kinked": lambda edge, p: (edge - p) + 3 * max(edge / 2 - p, 0.0),
+    "nearly_linear": lambda edge, p: (edge - p) * (1 + 1e-6 * (edge - p)),
+}
+
+
+@pytest.mark.parametrize("shape", CONVEX_SHAPES)
+@pytest.mark.parametrize("edge", [1e-6, 0.02, 0.3, 0.7, 0.99])
+@pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-9])
+def test_convex_excess_gives_the_bisection_cell(monkeypatch, shape, edge, tol):
+    probes, violated = fake_excess(
+        monkeypatch, lambda p: CONVEX_SHAPES[shape](edge, p) + DEFAULT.verdict)
+    assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
+    assert len(probes) <= 11  # 13 by secant steps alone; bisection takes up to 30
+
+
+@pytest.mark.parametrize("shape", ["smooth", "kinked"])
+def test_fourth_probe_is_below_the_three_point_root(monkeypatch, shape):
+    # Tr R < 1: p = 0, the secant seed h and the grid point below their
+    # secant root are violated; the quadratic through them lands above the
+    # secant root of the last two, nearer the edge
+    h = 2.0**-24
+
+    def excess(p):
+        return CONVEX_SHAPES[shape](0.7, p)
+
+    probes, _ = fake_excess(monkeypatch, lambda p: excess(p) + DEFAULT.verdict)
+    violation_p_max(alpha_state(0.5))
+    first = [(p, excess(p)) for p in probes[:3]]
+    assert probes[:2] == [0.0, h] and all(g > 0 for _, g in first)
+    _, (p1, g1), (p2, g2) = first
+    secant = p1 + g1 * (p2 - p1) / (g1 - g2)
+    assert probes[3] == math.floor(three_point_root(first) / h) * h > secant
+
+
+def test_two_equal_excesses_take_the_secant_step(monkeypatch):
+    # a flat start (not convex): p = 0 and p = h have one excess, so their
+    # secant root and the three-point root through them are undefined; the
+    # bracket is bisected once, then the secant through h and 1/2 is taken
+    def excess(p):
+        u = max(p - 0.25, 0.0)
+        return 0.5 - 2 * u + u * u
+
+    h = 2.0**-24
+    probes, violated = fake_excess(monkeypatch, lambda p: excess(p) + DEFAULT.verdict)
+    for tol in (1e-3, 1e-7, 1e-9):
+        assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
+    probes.clear()
+    violation_p_max(alpha_state(0.5))
+    assert probes[:3] == [0.0, h, 0.5]
+    secant = h + excess(h) * (0.5 - h) / (excess(h) - excess(0.5))
+    assert probes[3] == math.floor(secant / h) * h
 
 
 def test_capped_search_probes_the_bisection_points(monkeypatch):
