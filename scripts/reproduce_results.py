@@ -63,9 +63,10 @@ def main():
     sweep_to_csv("fig_rho_a.csv", "rho_a", np.linspace(1 / math.sqrt(2) + 1e-6, 1.0, 20), ps)
     sweep_to_csv("fig_isotropic.csv", "isotropic", np.linspace(0.0, 1.0, 26), ps)
 
+    # each state built, validated and realigned once for both scores
+    alpha_rs = [(a, realign(alpha_state(a))) for a in np.arange(0.05, 0.951, 0.05)]
     comparison = [
-        {"alpha": a, "q1": q1_realignment_moments(alpha_state(a)), "q2": q2_rmoment(alpha_state(a))}
-        for a in np.arange(0.05, 0.951, 0.05)
+        {"alpha": a, "q1": q1_realignment_moments(r), "q2": q2_rmoment(r)} for a, r in alpha_rs
     ]
     write_csv("comparison_q1_q2.csv", comparison, ["alpha", "q1", "q2"])
 

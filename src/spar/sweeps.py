@@ -20,8 +20,8 @@ the violated set is an interval [0, p*). :func:`violation_p_max` reads Tr R
 first: SPA(p) has unit trace, so its norm is at least 1 and the excess at
 least (1 - p)(1 - 1/Tr R) less the margin, which for Tr R > 1 shows a run of
 grid points violated without a probe, the whole grid but the end at tol
-1e-7 once Tr R >= 1.0171. It then brackets p* from both sides by convexity
-and returns the midpoint of the cell of the dyadic grid that
+1e-7 once Tr R >= 1.0171. It then closes in on p* from the left by
+convexity and returns the midpoint of the cell of the dyadic grid that
 :func:`bisect_boundary` on [0, 1] would return.
 :func:`bisect_boundary` stays for searches in other variables, where it
 relies on the predicate flipping once between its end points.
@@ -148,8 +148,8 @@ def bisect_boundary(
 
 
 _SECANT_STEPS = 32
-"""Probes of :func:`violation_p_max` guided by secant, three-point and chord
-roots; later probes bisect, so a search ends after at most _SECANT_STEPS + 52
+"""Probes of :func:`violation_p_max` guided by secant and three-point roots;
+later probes bisect, so a search ends after at most _SECANT_STEPS + 52
 probes."""
 
 
@@ -171,62 +171,53 @@ def _zero(x0: float, y0: float, x1: float, y1: float) -> float:
 
 
 def _flip_cell(
-    excess: Callable[[float], float], h: float, a: int, ga: float, gb: float, chord_first: bool
+    excess: Callable[[float], float], h: float, a: int, ga: float, prev: tuple | None
 ) -> int:
     """Index k of a grid cell [k h, (k+1) h] whose left end is violated
     (``excess > 0``) and whose right end is not, within the bracket [a h, 1]:
-    a h is violated, ga > 0 is its excess or a lower bound of it, and
-    gb = excess(1) <= 0.
+    a h is violated, ga > 0 is its excess or a lower bound of it, p = 1 is
+    not violated, and ``prev`` is the (index, excess) of a violated point
+    before a, or None.
 
     Only grid points are probed and the bracket [a h, b h] (a violated, b
-    not) shrinks with every probe. For a convex excess the chord from a to b
-    crosses zero at an upper bound of the edge, and the secant through the
-    last two violated points crosses zero at a lower bound. The first probe
-    is the grid point below the chord root when ``chord_first``, which ends
-    the search when the excess is linear, and the secant seed a + 1
-    otherwise, whose excess gives the first secant. Later probes take the
-    grid point below the chord root once the two roots are at most a cell
-    apart. Before that they take the grid point below the secant root, or,
-    once three violated points are known, below the root of the inverse
-    quadratic through the last three (p as a quadratic in the excess, at
-    excess 0; order 1.84 against the secant's 1.62) when that root lies
-    between the secant and chord roots. Two equal excesses among the three
-    leave that root NaN, and the secant step runs. A probe at or beyond an
-    end of the bracket moves inside it. Where the excess is linear up to
-    rounding the two roots coincide and come out in either order, so lower
-    may exceed upper by up to a cell. Roots that are not finite or not so
-    ordered (a <= lower <= upper + h, upper <= b: values that are not
-    convex) give a bisection step, as does every probe after the first
-    :data:`_SECANT_STEPS`. A ga that only bounds the excess from below makes
-    the first roots guides rather than bounds; the bracket, and so the cell,
-    still moves on probes alone.
+    not) shrinks with every probe. Every probe comes from the left: for a
+    convex excess the secant through the last two violated points crosses
+    zero at a lower bound of the edge, and the probe is the grid point below
+    that root. Once three violated points are known it is the grid point
+    below the root of the inverse quadratic through the last three (p as a
+    quadratic in the excess, at excess 0; order 1.84 against the secant's
+    1.62) when that root lies between the secant root and b h; two equal
+    excesses among the three leave that root NaN, and the secant step runs.
+    With no ``prev`` the first probe is the secant seed a + 1, whose excess
+    gives the first secant. A probe at or beyond an end of the bracket moves
+    inside it. A root that is not finite or not in [a h, b h) (values that
+    are not convex) gives a bisection step, as does every probe after the
+    first :data:`_SECANT_STEPS`. An excess that only bounds the true one
+    from below makes the first roots guides rather than bounds; the bracket,
+    and so the cell, still moves on probes alone.
     """
     b = round(1 / h)
-    prev = older = None  # (index, excess) of the violated points before a, the latest first
+    older = None  # (index, excess) of the violated point before prev
     for step in itertools.count():
         if b == a + 1:
             return a
-        upper = _zero(a * h, ga, b * h, gb)
-        lower = a * h if prev is None else _zero(prev[0] * h, prev[1], a * h, ga)
-        if step < _SECANT_STEPS and a * h <= lower <= upper + h and upper <= b * h:
-            k_lower, k_upper = math.floor(lower / h), math.floor(upper / h)
-            chord = (step == 0 and chord_first) or k_upper <= k_lower + 1
-            k = k_upper if chord else k_lower
-            if not chord and older is not None:
-                # Neville's form: the secant roots of (older, prev) and of
-                # (prev, a) = lower, interpolated linearly in g to g = 0
-                root = _zero(_zero(older[0] * h, older[1], prev[0] * h, prev[1]), older[1],
-                             lower, ga)
-                if lower <= root <= upper:
-                    k = math.floor(root / h)
-            k = min(max(k, a + 1), b - 1)
+        root = a * h if prev is None else _zero(prev[0] * h, prev[1], a * h, ga)
+        if older is not None:
+            # Neville's form: the secant roots of (older, prev) and of
+            # (prev, a), interpolated linearly in g to g = 0
+            three = _zero(_zero(older[0] * h, older[1], prev[0] * h, prev[1]), older[1],
+                          root, ga)
+            if root <= three < b * h:
+                root = three
+        if step < _SECANT_STEPS and a * h <= root < b * h:
+            k = min(max(math.floor(root / h), a + 1), b - 1)
         else:
             k = (a + b) // 2
         gk = excess(k * h)
         if gk > 0:
             older, prev, a, ga = prev, (a, ga), k, gk
         else:
-            b, gb = k, gk
+            b = k
 
 
 def _rounding_slack(n: int) -> float:
@@ -273,19 +264,20 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     The excess g(p) = ||spa(rho; p)||_1 - (bound(p) + ``DEFAULT.verdict``),
     the :func:`verdict_margin` of the norm against its bound, is positive
     exactly where the verdict is ENTANGLED. It is convex in p, and at p = 1,
-    where SPA(1) = I/n has norm 1 against the bound 1, it is the constant
-    ``verdict_margin(1.0, 1.0)``. So the violated set is an interval
-    [0, p*). Let h = 2**-j be the largest power of two not above ``tol``.
-    The result is the midpoint of the grid cell [k h, (k+1) h] whose left
-    end is violated and whose right end is not: the value that bisection of
-    [0, 1] with ``tol`` (:func:`bisect_boundary`) returns, bit for bit, on
+    where SPA(1) = I/n has norm 1 against the bound 1, it is
+    -``DEFAULT.verdict``, so p = 1 closes every bracket without a probe and
+    the violated set is an interval [0, p*). Let h = 2**-j be the largest
+    power of two not above ``tol``. The result is the midpoint of the grid
+    cell [k h, (k+1) h] whose left end is violated and whose right end is
+    not: the value that bisection of [0, 1] with ``tol``
+    (:func:`bisect_boundary`) returns, bit for bit, on
     ``criteria.spa_r_verdict``, whenever that verdict flips once on the grid.
-    Convex brackets find that cell in a few probes (see
-    :func:`_flip_cell`): the chord root from above, and from below the
-    secant root through the last two violated points or, once there are
-    three, the inverse-quadratic root through them where it lies between
-    the two. At tol 1e-7 the nine Table 1 alphas take 58 probes (6 or 7
-    each), against 27 each for bisection.
+    Convex brackets find that cell in a few probes, each from the left (see
+    :func:`_flip_cell`): below the secant root through the last two
+    violated points or, once there are three, below the inverse-quadratic
+    root through them where it lies beyond the secant root. At tol 1e-7 the
+    nine Table 1 alphas take 58 probes (6 or 7 each), against 27 each for
+    bisection.
 
     Tr R comes first, through the domain gate. SPA(p) has unit trace, so
     ||SPA(p)||_1 >= 1 for every p, and g(p) >= (1 - p)(1 - 1/Tr R) -
@@ -297,14 +289,11 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
     the last interior grid point, the edge is in the last cell and the
     search returns its midpoint 1 - h/2 with no probe; at tol 1e-7 that
     holds for every Tr R >= 1.0171. Otherwise the bracket opens at
-    [a h, 1], the bound at a h standing in for the excess there, and the
-    first probe is the grid point below the chord root. For
+    [a h, 1], and two stand-in violated points on the bound's line, at a - 1
+    and a, give the first secant: its root is the line's,
+    1 - ``DEFAULT.verdict`` / (1 - 1/Tr R), a lower bound of the edge. For
     Tr R <= 1, or a Tr R so close to 1 that no grid point is settled, the
-    search probes p = 0 first; for Tr R <= 1, g is at most
-    -``DEFAULT.verdict`` near 1, and the chord from (0, g0) to (1, g(1))
-    crosses zero within about ``DEFAULT.verdict`` / g0 of 1, where a probe
-    would cut the bracket by a cell or so, so the next probe is the secant
-    seed h instead.
+    search probes p = 0 first and then the secant seed h.
 
     Each probe (``criteria._spa_r_probe``, prepared once per search that
     probes) is one SVD and returns the norm that ``criteria.spa_r_verdict``
@@ -327,14 +316,17 @@ def violation_p_max(rho: StateLike, tol: float = 1e-7) -> float | None:
         return verdict_margin(probe(p), spa_r_upper_bound(trace_r, p))
 
     if a < 0:
-        a, ga = 0, excess(0.0)
+        a, ga, prev = 0, excess(0.0), None
         if ga <= 0:
             return None
     else:
-        # the norm is at least 1, and 1 - bound(a h) = (1 - a h)(1 - 1/Tr R)
-        ga = verdict_margin((1.0 - a * h) * (1.0 - 1.0 / trace_r), 0.0)
-    g1 = verdict_margin(1.0, 1.0)  # SPA(1) = I/n has norm 1; bound(1) is exactly 1
-    k = _flip_cell(excess, h, a, ga, g1, chord_first=trace_r > 1.0)
+        # stand-ins on the trace bound's line: the norm is at least 1, and
+        # 1 - bound(i h) = (1 - i h)(1 - 1/Tr R); their secant root is the line's
+        def line(i: int) -> float:
+            return verdict_margin((1.0 - i * h) * (1.0 - 1.0 / trace_r), 0.0)
+
+        ga, prev = line(a), (a - 1, line(a - 1))
+    k = _flip_cell(excess, h, a, ga, prev)
     return 0.5 * (k * h + (k + 1) * h)
 
 

@@ -202,8 +202,8 @@ def seeded_bell_mixture(seed):
 # secant steps alone)
 @pytest.mark.xfail(
     strict=True,
-    reason="CHANGES.md FOUND line 61: below Tr R = 1 the chord to (1, -DEFAULT.verdict) "
-    "crosses zero near 1, so the secant probes creep up to the edge",
+    reason="CHANGES.md FOUND line 61: below Tr R = 1 the secant probes from the left creep "
+    "up to the edge, the excess falling by a factor of only about 0.3 to 0.4 a probe",
 )
 @pytest.mark.parametrize("seed", [536, 902, 741])
 def test_edge_near_unit_trace_takes_at_most_8_svd_probes(monkeypatch, seed):
@@ -381,6 +381,23 @@ def test_trace_just_above_one_takes_at_most_two_probes(monkeypatch, d, trace_r, 
     assert edge == bisected_edge(rho, tol)
 
 
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("trace_r", [1.0005, 1.001, 1.005, 1.01, 1.015])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_trace_opened_bracket_first_probes_below_the_trace_bound_root(monkeypatch, d, trace_r,
+                                                                      tol):
+    # the stand-in points on (1 - p)(1 - 1/Tr R) - DEFAULT.verdict give the
+    # first secant, whose root is that line's
+    r = realign(isotropic_with_trace(trace_r, d))
+    h = sweeps._grid_step(tol)
+    a = sweeps._trace_settled(r.spa_trace, h, d * d)
+    assert 0 <= a < round(1 / h) - 1  # the bracket [a h, 1] opens below the last cell
+    probes = counting_probes(monkeypatch)
+    violation_p_max(r, tol)
+    root = 1 - DEFAULT.verdict / (1 - 1 / r.spa_trace)
+    assert probes[0] == min(max(math.floor(root / h), a + 1), round(1 / h) - 1) * h
+
+
 # the probes of all EDGE_STATES searches at tol 1e-7, each one SVD (156 probes
 # before the trace bound settled or opened the search, 114 before the
 # three-point step)
@@ -400,8 +417,8 @@ def fake_excess(monkeypatch, norm):
     """Replace the probe's norm by norm(p) and its bound by 0.0, and record the probed p.
 
     The excess is then norm(p) - DEFAULT.verdict; returns the probes and the
-    matching predicate for bisect_boundary. Each norm(1) here is below 1, so
-    the predicate agrees at p = 1 with the closed form the search takes there.
+    matching predicate for bisect_boundary. Each norm(1) here is at most
+    DEFAULT.verdict, so p = 1 is not violated, as the search takes it to be.
     """
     probes = []
 
@@ -415,10 +432,12 @@ def fake_excess(monkeypatch, norm):
 
 
 def test_non_finite_root_takes_a_bisection_step(monkeypatch):
-    # an infinite excess at p = 0 makes the first chord root NaN
+    # after p = 0 and the secant seed h, the first secant reads p = 0's
+    # infinite excess and its root is NaN, so that step bisects
+    h = 2.0**-24
     probes, violated = fake_excess(monkeypatch, lambda p: math.inf if p == 0 else 0.3 - p)
     edge = violation_p_max(alpha_state(0.5))
-    assert probes[:2] == [0.0, 0.5]
+    assert probes[:3] == [0.0, h, 0.5]
     assert edge == bisect_boundary(violated, 0.0, 1.0, 1e-7)
 
 
@@ -426,7 +445,8 @@ def test_non_finite_root_takes_a_bisection_step(monkeypatch):
 @pytest.mark.parametrize("edge", [1e-6, 0.02, 0.3, 0.7, 0.99])
 @pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-9])
 def test_excess_that_is_not_convex_still_gives_the_bisection_cell(monkeypatch, shape, edge, tol):
-    # one sign change at the edge; secant and chord roots are not bounds here
+    # one sign change at the edge; secant and three-point roots are not
+    # bounds here, so a root outside the bracket gives a bisection step
     def norm(p):
         if shape == "concave":
             return edge * edge - p * p + DEFAULT.verdict
@@ -452,14 +472,34 @@ CONVEX_SHAPES = {
 }
 
 
+CONVEX_EDGES = [1e-6, 0.02, 0.3, 0.7, 0.99]
+CONVEX_TOLS = [1e-3, 1e-7, 1e-9]
+
+
 @pytest.mark.parametrize("shape", CONVEX_SHAPES)
-@pytest.mark.parametrize("edge", [1e-6, 0.02, 0.3, 0.7, 0.99])
-@pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-9])
+@pytest.mark.parametrize("edge", CONVEX_EDGES)
+@pytest.mark.parametrize("tol", CONVEX_TOLS)
 def test_convex_excess_gives_the_bisection_cell(monkeypatch, shape, edge, tol):
     probes, violated = fake_excess(
         monkeypatch, lambda p: CONVEX_SHAPES[shape](edge, p) + DEFAULT.verdict)
     assert violation_p_max(alpha_state(0.5), tol) == bisect_boundary(violated, 0.0, 1.0, tol)
     assert len(probes) <= 11  # 13 by secant steps alone; bisection takes up to 30
+
+
+# the probes of each shape's searches over CONVEX_EDGES x CONVEX_TOLS
+CONVEX_PROBES = {"smooth": 110, "kinked": 95, "nearly_linear": 65}
+
+
+@pytest.mark.parametrize("shape", CONVEX_SHAPES)
+def test_convex_excess_takes_the_pinned_number_of_probes(monkeypatch, shape):
+    total = 0
+    for edge in CONVEX_EDGES:
+        for tol in CONVEX_TOLS:
+            probes, _ = fake_excess(
+                monkeypatch, lambda p: CONVEX_SHAPES[shape](edge, p) + DEFAULT.verdict)
+            violation_p_max(alpha_state(0.5), tol)
+            total += len(probes)
+    assert total == CONVEX_PROBES[shape]
 
 
 @pytest.mark.parametrize("shape", ["smooth", "kinked"])
