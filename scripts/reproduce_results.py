@@ -13,6 +13,7 @@ Writes into results/ (created if missing):
 Run from the repository root:  python3 scripts/reproduce_results.py
 """
 
+import gc
 import math
 import os
 import sys
@@ -107,4 +108,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # the one gc call: the process ends here, so exit need not walk the imports' objects
+    gc.freeze()
     sys.exit(main())

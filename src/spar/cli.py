@@ -29,9 +29,14 @@ is ``--`` (see :func:`_parse`), so the namespace, help, usage and error text
 are those of ``build_parser().parse_args(argv)``.
 
 :func:`main` alone maps errors to exit codes: 0 success, 1 usage error
-(including an unwritable output path, ``--p`` outside [0, 1] and an
-``estimate-m1`` option its mode does not read), 2 invalid or undecodable
-state file, 3 domain violation.
+(including an output path or stdout that cannot be written, ``--p``
+outside [0, 1] and an ``estimate-m1`` option its mode does not read), 2
+invalid or undecodable state file, 3 domain violation.
+
+Only :func:`entry`, which ends the process, touches the garbage collector:
+it freezes the objects left by the imports before the command runs, so
+that exit does not walk them again. :func:`main` leaves the collector as it
+found it, because in-process callers run it many times.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import math
 import os
 import sys
@@ -71,9 +77,15 @@ def _writing(path):
 
 
 def _emit(text: str, out_path) -> None:
-    """Write ``text`` to ``out_path``, or to stdout when no path is given."""
+    """Write ``text`` to ``out_path``, or to stdout when no path is given.
+
+    Stdout is flushed here, so that a failed write to it (a full disk, a
+    closed pipe) is reported as ``<stdout>`` that cannot be written.
+    """
     if not out_path:
-        sys.stdout.write(text)
+        with _writing("<stdout>"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
         return
     with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -381,7 +393,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one subcommand, its request parsed by :func:`_parse`; every error
-    is mapped to its exit code here."""
+    is mapped to its exit code here.
+
+    It does not touch the garbage collector: in-process callers run it many
+    times, and a freeze here would keep their cycles for the life of the
+    process. :func:`entry` freezes once, before its one call.
+    """
     try:
         args = _parse(_bind_ranges(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
@@ -401,7 +418,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    This is the console script and the ``python -m spar.cli`` path. Its
+    first act is :func:`gc.freeze`: the objects the imports left behind move
+    to the collector's permanent generation, so neither the collections
+    during the command nor the one at interpreter exit walk them again,
+    while the command's own objects stay collectable. Bytes that stdout
+    could not take are dropped before exit, so that the interpreter's own
+    flush does not report them a second time.
+    """
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

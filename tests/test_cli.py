@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -670,6 +671,82 @@ def test_tol_exits_1_in_every_subcommand(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: --tol {argv[-1]}" in err
+
+
+ANALYZE = ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "0.2"]
+# one request for each exit code, run in a directory that holds no nosuch.json
+EXIT_REQUESTS = {
+    0: ANALYZE,
+    1: ["analyze", "--family", "rho_t", "--param", "0.3", "--p", "2"],
+    2: ["analyze", "--state", "nosuch.json", "--p", "0.5"],
+    3: ["estimate-m1", "--s", "0.5", "--d", "2", "--k", "0.01"],  # x = 1 - d^2 s = -1
+}
+CONSOLE_CHILD = (  # the console script, with an exit hook that reports the collector's freeze
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+    "from spar.cli import entry\n"
+    "entry()\n"
+)
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_REQUESTS))
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, monkeypatch, code):
+    # in-process callers run main many times; only entry, which ends the process, freezes
+    monkeypatch.chdir(tmp_path)
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert run(capsys, *EXIT_REQUESTS[code])[0] == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    *EXIT_REQUESTS.values(),
+    ["sweep", "--family", "isotropic", "--param-range", "0:1:6", "--p-range", "0:1:5"],
+    ["table1"],
+], ids=["exit0", "exit1", "exit2", "exit3", "sweep", "table1"])
+def test_console_script_freezes_the_imports_and_keeps_its_bytes(capsys, tmp_path, monkeypatch,
+                                                                 argv):
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, *argv)
+    child = subprocess.run([sys.executable, "-c", CONSOLE_CHILD, *argv], capture_output=True,
+                           text=True, env=spar_env(), timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        expected[0], expected[1], expected[2] + "frozen True\n")
+    if argv == ["table1"]:
+        assert child.stdout == (RESULTS / "table1.csv").read_text()
+
+
+def stdout_that_fails(kind: str) -> int:
+    """A file descriptor whose writes fail: a full device, or a pipe nobody reads."""
+    if kind == "full":
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("kind, reason", [("full", "No space left on device"),
+                                          ("pipe", "Broken pipe")])
+def test_stdout_that_cannot_be_written_exits_1(buffered, kind, reason):
+    # a write error is a usage error, reported once (not "invalid state", and
+    # not again by the interpreter's flush at exit, which would exit 120)
+    env = spar_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    fd = stdout_that_fails(kind)
+    try:
+        child = subprocess.run([sys.executable, "-c", CONSOLE_CHILD, *ANALYZE], stdout=fd,
+                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(fd)
+    assert (child.returncode, child.stderr) == (
+        1, f"error: cannot write <stdout>: {reason}\nfrozen True\n")
+    out = subprocess.run([sys.executable, "-c", CONSOLE_CHILD, *ANALYZE, "--out", "/dev/full"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: cannot write /dev/full: No space left on device\nfrozen True\n")
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
